@@ -1,7 +1,8 @@
 """Command-line surface: configure experiments, run them, emit JSON/CSV/SVG.
 
 Exit codes: 0 success, 1 a check-mode criterion failed, 2 usage error,
-3 numerical failure, 4 unwritable output path.
+3 numerical failure or a value beyond double-precision range, 4 unwritable
+output path.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import __version__, ensembles, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import NumericalFailureError, UnsupportedError
+from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
 from .stats import ExperimentPlan, Thresholds
 
 SCHEMA_VERSION = 1
@@ -165,7 +166,7 @@ def build_parser():
     p.add_argument("--p-min", type=float, default=0.01)
     add_common(p, trials_default=5000)
 
-    p = sub.add_parser("kernel", help="counting expectation/variance by kernel quadrature")
+    p = sub.add_parser("kernel", help="counting expectation/variance from the exact Gram matrix")
     p.add_argument("--n", type=_positive_int("--n"), required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--variance", action="store_true", help="also compute the count variance")
@@ -560,6 +561,9 @@ def execute(args):
         raise UnsupportedError(f"unknown command {args.command!r}")
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc} {exc.context}", file=sys.stderr)
+        return 3
+    except NumericalRangeError as exc:
+        print(f"numerical range exceeded: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

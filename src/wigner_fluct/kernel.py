@@ -3,8 +3,9 @@ Gaussian ensemble: weighted Hermite functions, the n-level kernel
 
     K_n(x, y) = sum_{i=0}^{n-1} phi_i(x) phi_i(y) exp(-(x^2+y^2)/2),
 
-counting expectations/variances by quadrature, Nystrom discretization of the
-kernel operator on an interval, and the counting-statistic cumulant engine.
+exact counting expectations/variances from the Gram matrix, Nystrom
+discretization of the kernel operator on an interval, and the
+counting-statistic cumulant engine.
 
 phi_i are the orthonormal Hermite polynomials for the weight exp(-x^2); the
 code works throughout with the weighted functions psi_i = phi_i exp(-x^2/2),
@@ -25,10 +26,28 @@ Evaluation of K_n off the diagonal uses the Christoffel-Darboux form
 
 and its confluent limit n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n on the
 diagonal.
+
+Counting statistics use no quadrature.  The count in I is a sum of
+independent Bernoulli(eig G), G_ij = int_I psi_i psi_j the n x n Gram
+compression (Hough-Krishnapur-Peres-Virag, Probab. Surveys 2006), so
+E#I = tr G and Var#I = tr G - ||G||_F^2 exactly; G = G(a) - G(b) on
+I = (a, b), with G(t) = int_t^inf.  The Hermite equation and the relation
+psi_i' = sqrt(2i) psi_{i-1} - x psi_i give, for i != j,
+
+    G(t)_ij = [sqrt(2j) psi_i psi_{j-1} - sqrt(2i) psi_{i-1} psi_j](t) / (2(j - i)),
+
+and integrating x psi_k psi_{k+1} through the three-term relation gives the
+diagonal as one cumulative sum from G_00 = erfc(t)/2,
+
+    G_{k+1,k+1} = G_kk + [sqrt(k+2) G_{k,k+2} - sqrt(k) G_{k-1,k+1}] / sqrt(k+1).
+
+Both need only psi_0 .. psi_n at t, from the scaled recurrence.  The
+variance streams the strict upper triangle of G in fixed blocks of rows.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import erfc, pi, sqrt
 
 import numpy as np
 
@@ -42,6 +61,7 @@ from .errors import (
 
 _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
+_GRAM_BLOCK_ROWS = 64  # rows of G per streamed block: 64 x n doubles
 
 
 def _hermite_guard(i):
@@ -81,25 +101,28 @@ def _rescale(pm, pc, expo):
     return pm, pc, expo
 
 
+def _psi_scaled(n, x):
+    """Yield psi_0 .. psi_n at the points x as (mantissa, exponent) pairs,
+    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence."""
+    pm, pc, expo = _psi_seed(x)
+    yield pm, expo
+    for i in range(1, n):
+        pm, pc = pc, x * sqrt(2.0 / (i + 1)) * pc - sqrt(i / (i + 1)) * pm
+        pm, pc, expo = _rescale(pm, pc, expo)
+        yield pm, expo
+    yield pc, expo
+
+
 def _psi_top_three(n, x):
     """psi_{n-2}, psi_{n-1}, psi_n at the points x (n >= 1), descaled to
     plain floats (values below the double-precision floor flush to zero,
     which is exact to working precision)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _hermite_guard(n)
-    m0, m1, expo = _psi_seed(x)
+    top = deque(_psi_scaled(n, x), maxlen=3)
     if n == 1:
-        zero = np.zeros_like(m0)
-        return zero, np.ldexp(m0, expo), np.ldexp(m1, expo)
-    pm, pc = m0, m1
-    keep = (m0.copy(), expo.copy()) if n == 2 else None  # psi_{n-2} = psi_0
-    for i in range(1, n):
-        pm, pc = pc, x * sqrt(2.0 / (i + 1)) * pc - sqrt(i / (i + 1)) * pm
-        pm, pc, expo = _rescale(pm, pc, expo)
-        if i == n - 2:
-            keep = (pm.copy(), expo.copy())  # pm is psi_i = psi_{n-2} here
-    m_nm2, e_nm2 = keep
-    return np.ldexp(m_nm2, e_nm2), np.ldexp(pm, expo), np.ldexp(pc, expo)
+        top.appendleft((np.zeros_like(x), 0))
+    return tuple(np.ldexp(m, e) for m, e in top)
 
 
 def hermite_psi(i, x):
@@ -231,79 +254,55 @@ def _composite_gl(n, a, b, order, wavelengths_per_panel):
     return nodes, weights
 
 
-def expected_count(n, interval, abs_tol=1e-8, order=24):
-    """Expected number of eigenvalues in the interval: integral of K_n(x, x).
+def _half_line_gram(n, x):
+    """p_i = psi_i(t), q_i = sqrt(2i) psi_{i-1}(t) (i < n) and the diagonal of
+    G(t), one column per point t of x; off the diagonal of G(t),
+    G(t)_ij = (p_i q_j - q_i p_j) / (2(j - i))."""
+    _hermite_guard(n)
+    p = np.array([np.ldexp(m, e) for m, e in _psi_scaled(n, x)])
+    q = np.sqrt(2.0 * np.arange(n + 1))[:, None] * np.vstack([np.zeros_like(x), p[:-1]])
+    # h[k] = G_{k-1,k+1}, with G_{-1,1} = 0
+    h = np.vstack([np.zeros_like(x), 0.25 * (p[:-2] * q[2:] - q[:-2] * p[2:])])
+    k = np.arange(n - 1.0)[:, None]
+    steps = (np.sqrt(k + 2.0) * h[1:] - np.sqrt(k) * h[:-1]) / np.sqrt(k + 1.0)
+    g00 = np.array([0.5 * erfc(t) for t in x])
+    diag = np.vstack([g00, g00 + np.cumsum(steps, axis=0)])
+    return p[:n], q[:n], diag
 
-    Composite Gauss-Legendre panels refined until two consecutive levels
-    agree to abs_tol.
-    """
+
+def _interval_gram(n, interval):
+    """(u, v, diag) of G = G(a) - G(b) on the clipped interval (a, b):
+    G_ij = u_i . v_j / (2(j - i)) for i != j.  None when the interval is empty."""
     if n < 1:
         raise ShapeError(f"kernel order must be >= 1, got {n}")
     a, b = _clip_interval(n, interval)
     if a >= b:
+        return None
+    p, q, diag = _half_line_gram(n, np.array([a, b]))
+    u = np.hstack([p * [1.0, -1.0], q * [-1.0, 1.0]])
+    return u, np.hstack([q, p]), diag[:, 0] - diag[:, 1]
+
+
+def expected_count(n, interval):
+    """Expected number of eigenvalues in the interval: tr G, O(n)."""
+    gram = _interval_gram(n, interval)
+    return 0.0 if gram is None else float(np.sum(gram[-1]))
+
+
+def variance_count(n, interval):
+    """Variance of the eigenvalue count in the interval: tr G - ||G||_F^2,
+    with the strict upper triangle of G streamed in blocks of rows."""
+    gram = _interval_gram(n, interval)
+    if gram is None:
         return 0.0
-    prev = None
-    for wl in (3.0, 1.5, 0.75, 0.375):
-        nodes, weights = _composite_gl(n, a, b, order, wl)
-        val = float(np.sum(weights * kernel_diag(n, nodes)))
-        if prev is not None and abs(val - prev) <= abs_tol:
-            return val
-        prev = val
-    raise NumericalFailureError(
-        "expected_count quadrature did not converge",
-        n=n,
-        interval=(a, b),
-        last=prev,
-        abs_tol=abs_tol,
-    )
-
-
-def _trace_pair(n, nodes, weights, row_chunk_budget=2 * 10**7):
-    """(Tr A, Tr A^2) for the Nystrom operator on the given quadrature rule,
-    computed in row chunks without materializing the full matrix."""
-    m = nodes.size
-    _, p1, p0 = _psi_top_three(n, nodes)
-    kd = kernel_diag(n, nodes)
-    tr_a = float(np.sum(weights * kd))
-    tr_a2 = 0.0
-    chunk = max(1, row_chunk_budget // m)
-    cache_cols = (p1, p0)
-    for s in range(0, m, chunk):
-        rows = slice(s, min(s + chunk, m))
-        k = _kernel_cross(
-            n,
-            nodes[rows],
-            nodes,
-            diag_rows=kd[rows],
-            psi_cache=((p1[rows], p0[rows]), cache_cols),
-        )
-        tr_a2 += float(np.sum(weights[rows, None] * weights[None, :] * k * k))
-    return tr_a, tr_a2
-
-
-def variance_count(n, interval, rel_tol=1e-6, order=24):
-    """Variance of the eigenvalue count in the interval:
-    Tr(A) - Tr(A^2) = int_I K(x,x) - int_I int_I K(x,y)^2."""
-    if n < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
-    a, b = _clip_interval(n, interval)
-    if a >= b:
-        return 0.0
-    prev = None
-    for wl in (3.0, 1.5, 0.75):
-        nodes, weights = _composite_gl(n, a, b, order, wl)
-        tr_a, tr_a2 = _trace_pair(n, nodes, weights)
-        val = tr_a - tr_a2
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-3):
-            return val
-        prev = val
-    raise NumericalFailureError(
-        "variance_count quadrature did not converge",
-        n=n,
-        interval=(a, b),
-        last=prev,
-        rel_tol=rel_tol,
-    )
+    u, v, diag = gram
+    offset = np.arange(n)[None, :] - np.arange(_GRAM_BLOCK_ROWS)[:, None]
+    inv = np.divide(0.5, offset, out=np.zeros(offset.shape), where=offset > 0)
+    upper = 0.0
+    for r in range(0, n, _GRAM_BLOCK_ROWS):
+        block = (u[r : r + _GRAM_BLOCK_ROWS] @ v[r:].T) * inv[: n - r, : n - r]
+        upper += float(np.vdot(block, block))
+    return float(np.dot(diag, 1.0 - diag)) - 2.0 * upper
 
 
 @dataclass
@@ -358,7 +357,7 @@ def discretize_operator(
     ref = expected_count(n, (a, b))
     if abs(tr - ref) > trace_tol * max(1.0, abs(ref)):
         raise DiscretizationFailureError(
-            "Nystrom trace disagrees with quadrature expectation",
+            "Nystrom trace disagrees with the exact Gram expectation",
             trace=tr,
             expected=ref,
             n=n,

@@ -205,3 +205,7 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+    def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
+        assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1

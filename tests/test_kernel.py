@@ -1,10 +1,17 @@
-from math import factorial, pi, sqrt
+from math import factorial, log, pi, sqrt
 
 import numpy as np
 import pytest
 
 import wigner_fluct as wf
-from wigner_fluct.kernel import kernel_sum_direct, truncation_halfwidth
+from wigner_fluct.kernel import (
+    _clip_interval,
+    _composite_gl,
+    _kernel_cross,
+    _psi_top_three,
+    kernel_sum_direct,
+    truncation_halfwidth,
+)
 
 
 def phi_polynomial_oracle(i, x):
@@ -27,6 +34,64 @@ def bernoulli_cumulant_oracle(probs):
         float(np.sum(p * q * (1.0 - 2.0 * p))),
         float(np.sum(p * q * (1.0 - 6.0 * p + 6.0 * p * p))),
     )
+
+
+def quadrature_expected_count(n, interval):
+    """Integral of K_n(x, x) over the interval by composite Gauss-Legendre
+    panels, refined until two consecutive levels agree to 1e-8; the
+    Christoffel-Darboux oracle for the closed-form Gram expectation."""
+    a, b = _clip_interval(n, interval)
+    if a >= b:
+        return 0.0
+    prev = None
+    for wl in (3.0, 1.5, 0.75, 0.375):
+        nodes, weights = _composite_gl(n, a, b, 24, wl)
+        val = float(np.sum(weights * wf.kernel_diag(n, nodes)))
+        if prev is not None and abs(val - prev) <= 1e-8:
+            return val
+        prev = val
+    raise wf.NumericalFailureError("expectation quadrature did not converge", n=n)
+
+
+def _trace_pair(n, nodes, weights):
+    """(Tr A, Tr A^2) for the Nystrom operator on the given quadrature rule,
+    computed in row chunks without materializing the full matrix."""
+    m = nodes.size
+    _, p1, p0 = _psi_top_three(n, nodes)
+    kd = wf.kernel_diag(n, nodes)
+    tr_a = float(np.sum(weights * kd))
+    tr_a2 = 0.0
+    chunk = max(1, 2 * 10**7 // m)
+    cache_cols = (p1, p0)
+    for s in range(0, m, chunk):
+        rows = slice(s, min(s + chunk, m))
+        k = _kernel_cross(
+            n,
+            nodes[rows],
+            nodes,
+            diag_rows=kd[rows],
+            psi_cache=((p1[rows], p0[rows]), cache_cols),
+        )
+        tr_a2 += float(np.sum(weights[rows, None] * weights[None, :] * k * k))
+    return tr_a, tr_a2
+
+
+def quadrature_variance_count(n, interval):
+    """Tr(A) - Tr(A^2) = int_I K(x,x) - int_I int_I K(x,y)^2 by the same
+    panels, refined until two levels agree to 1e-6 relative; the
+    Christoffel-Darboux oracle for the Gram variance."""
+    a, b = _clip_interval(n, interval)
+    if a >= b:
+        return 0.0
+    prev = None
+    for wl in (3.0, 1.5, 0.75):
+        nodes, weights = _composite_gl(n, a, b, 24, wl)
+        tr_a, tr_a2 = _trace_pair(n, nodes, weights)
+        val = tr_a - tr_a2
+        if prev is not None and abs(val - prev) <= 1e-6 * max(abs(val), 1e-3):
+            return val
+        prev = val
+    raise wf.NumericalFailureError("variance quadrature did not converge", n=n)
 
 
 def diag_operator(probs):
@@ -161,6 +226,32 @@ class TestVarianceCount:
         mc = counts.var(ddof=1)
         quad_var = wf.variance_count(n, (0.5, np.inf))
         assert quad_var == pytest.approx(mc, rel=0.08)
+
+
+class TestGramAgainstQuadrature:
+    # (40, inf) at n=1000: psi_0 underflows at both endpoints;
+    # (44, 60) crosses the spectral edge sqrt(2000) = 44.7
+    @pytest.mark.parametrize(
+        "n, interval",
+        [(1, (0.3, np.inf)), (5, (0.3, np.inf)), (20, (0.0, 2.5)),
+         (1000, (40.0, np.inf)), (1000, (44.0, 60.0))],
+    )
+    def test_matches_christoffel_darboux_quadrature(self, n, interval):
+        assert wf.expected_count(n, interval) == pytest.approx(
+            quadrature_expected_count(n, interval), rel=1e-9
+        )
+        assert wf.variance_count(n, interval) == pytest.approx(
+            quadrature_variance_count(n, interval), rel=1e-9
+        )
+
+    def test_streamed_variance_at_index_limit(self):
+        # Var#(0, inf) = (log n + c_n) / (2 pi^2), c_n rising to 1 + gamma + 3 log 2
+        c = {
+            n: 2 * pi * pi * wf.variance_count(n, (0.0, np.inf)) - log(n)
+            for n in (200, 2000, 10_000)
+        }
+        assert c[200] < c[2000] < c[10_000]
+        assert c[10_000] == pytest.approx(1.0 + np.euler_gamma + 3.0 * log(2.0), abs=2e-3)
 
 
 class TestExpectationLink:
