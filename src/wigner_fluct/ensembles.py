@@ -13,7 +13,11 @@ Entry conventions (weight exp(-(beta/2) Tr H^2)):
 Reproducibility contract: each sampler consumes its PCG64 stream in a fixed
 documented order (row-major over the upper triangle, diagonal included,
 with each entry taking its draws consecutively), so a (spec, seed) pair
-yields a bit-identical matrix regardless of scheduling.  Per-trial seeds are
+yields a bit-identical matrix regardless of scheduling.  That order is
+coded once, in _upper_triangle_draws; the dense samplers only map its draws
+to entries and write both triangles through _hermitian.  The tridiagonal
+model's stream (diagonal normals, then gammas) is likewise coded once, in
+_tridiag_draws, which stats.counting_experiment shares.  Per-trial seeds are
 derived from a master seed with the SplitMix64 mixing function.
 """
 
@@ -181,25 +185,48 @@ def _check_n(n):
         raise InvalidSizeError(f"matrix size must be >= 1, got {n}")
 
 
+def _upper_triangle_draws(n, draw, c):
+    """The documented stream layout, the one place it is coded: one
+    ``draw(size)`` call walks the upper triangle of an n x n matrix
+    row-major, diagonal included, giving one draw to each diagonal entry and
+    c consecutive draws to each off-diagonal entry.
+
+    Returns (iu, diag, off): iu the (rows, cols) of the strict upper triangle
+    in row-major order, diag the n diagonal draws, and off the off-diagonal
+    draws as an (entries, c) array, one row per entry of iu.
+    """
+    r = np.arange(n)
+    z = draw(n + c * (n * (n - 1) // 2))
+    # the diagonal draw of row i follows c draws per off-diagonal entry of rows < i
+    at_diag = r + c * (r * n - r * (r + 1) // 2)
+    is_off = np.ones(z.size, dtype=bool)
+    is_off[at_diag] = False
+    return np.nonzero(r[:, None] < r), z[at_diag], z[is_off].reshape(-1, c)
+
+
+def _hermitian(diag, rows, cols, vals):
+    """Square matrix with the given diagonal, vals at (rows, cols) above it
+    and their complex conjugates at the mirrored positions below it."""
+    size = diag.size
+    h = np.zeros((size, size), dtype=vals.dtype)
+    h.reshape(-1)[:: size + 1] = diag
+    h[rows, cols] = vals
+    h[cols, rows] = vals.conj()
+    return h
+
+
 def sample_goe(n, seed):
     """Real symmetric matrix, independent N(0, (1+delta_ij)/2) entries.
 
-    Stream layout: one standard normal per upper-triangle entry in row-major
-    order; the diagonal keeps unit variance, off-diagonal draws are scaled by
-    1/sqrt(2).
+    Stream layout: one standard normal per upper-triangle entry; the diagonal
+    keeps unit variance, off-diagonal draws are scaled by 1/sqrt(2).
     """
     _check_n(n)
-    rng = _rng(seed)
-    iu = np.triu_indices(n)
-    z = rng.standard_normal(iu[0].size)
-    z = np.where(iu[0] == iu[1], z, z / sqrt(2.0))
-    h = np.zeros((n, n))
-    h[iu] = z
-    h = h + np.triu(h, 1).T
+    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
     return MatrixSample(
         storage="real-symmetric",
         spec=EnsembleSpec(EnsembleKind.GOE, n, seed=seed),
-        array=h,
+        array=_hermitian(diag, *iu, off[:, 0] / sqrt(2.0)),
     )
 
 
@@ -207,62 +234,41 @@ def sample_gue(n, seed):
     """Complex Hermitian matrix: diagonal N(0, 1/2), off-diagonal entries with
     independent N(0, 1/4) real and imaginary parts.
 
-    Stream layout: row-major upper triangle; a diagonal entry consumes one
-    draw, an off-diagonal entry consumes two consecutive draws (Re then Im).
+    Stream layout: a diagonal entry takes one draw, an off-diagonal entry two
+    (Re then Im).
     """
     _check_n(n)
-    rng = _rng(seed)
-    iu = np.triu_indices(n)
-    on_diag = iu[0] == iu[1]
-    counts = np.where(on_diag, 1, 2)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    z = rng.standard_normal(int(counts.sum()))
-
-    re = np.where(on_diag, z[offsets] * sqrt(0.5), z[offsets] * 0.5)
-    im = np.where(on_diag, 0.0, z[np.minimum(offsets + 1, z.size - 1)] * 0.5)
-    h = np.zeros((n, n), dtype=complex)
-    h[iu] = re + 1j * im
-    h = h + np.conj(np.triu(h, 1)).T
+    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
     return MatrixSample(
         storage="complex-hermitian",
         spec=EnsembleSpec(EnsembleKind.GUE, n, seed=seed),
-        array=h,
+        array=_hermitian(diag * sqrt(0.5), *iu, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
     )
-
-
-def _quaternion_block(a, b, c, d):
-    """2x2 complex image of the quaternion a + b e1 + c e2 + d e3."""
-    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
 def sample_gse(n, seed):
     """Quaternion self-dual matrix as its 2n x 2n complex-Hermitian embedding.
 
-    Off-diagonal quaternion components are N(0, 1/8) (four consecutive draws
-    per entry: the 1, e1, e2, e3 parts), diagonal entries are real N(0, 1/4)
-    (one draw).  Row-major upper-triangle order.  Every eigenvalue of the
-    embedding appears with multiplicity exactly 2.
+    Off-diagonal quaternion components are N(0, 1/8) (four draws per entry:
+    the 1, e1, e2, e3 parts), diagonal entries are real N(0, 1/4) (one draw).
+    The quaternion a + b e1 + c e2 + d e3 at (j, k) becomes the 2x2 block
+    [[a + ib, c + id], [-c + id, a - ib]] at rows 2j, 2j+1 and columns 2k,
+    2k+1.  Every eigenvalue of the embedding appears with multiplicity
+    exactly 2.
     """
     _check_n(n)
-    rng = _rng(seed)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    s8 = sqrt(1.0 / 8.0)
-    s4 = sqrt(1.0 / 4.0)
-    for j in range(n):
-        for k in range(j, n):
-            if j == k:
-                a = rng.standard_normal() * s4
-                blk = _quaternion_block(a, 0.0, 0.0, 0.0)
-            else:
-                a, b, c, d = rng.standard_normal(4) * s8
-                blk = _quaternion_block(a, b, c, d)
-            h[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = blk
-            if j != k:
-                h[2 * k : 2 * k + 2, 2 * j : 2 * j + 2] = blk.conj().T
+    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
+    q = off * sqrt(1.0 / 8.0)
+    # block entries (0,0), (0,1), (1,0), (1,1) from the parts (a, b, c, d)
+    blocks = np.empty(q.shape, dtype=complex)
+    blocks.real = q[:, [0, 2, 2, 0]] * [1.0, 1.0, -1.0, 1.0]
+    blocks.imag = q[:, [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]
+    rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
+    cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
     return MatrixSample(
         storage="quaternion-embedded",
         spec=EnsembleSpec(EnsembleKind.GSE, n, seed=seed),
-        array=h,
+        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), rows, cols, blocks),
         doubled_spectrum=True,
     )
 
@@ -277,49 +283,33 @@ def sample_matched_wigner(n, seed, symmetry="real"):
                c = sqrt(3)/2 (variance 1/4, fourth moment 3/16), diagonal
                N(0, 1/2).
 
-    Stream layout: one uniform draw per entry component, row-major upper
-    triangle, diagonal included (the diagonal Gaussian is produced from its
-    uniform through the inverse normal CDF).
+    Stream layout: one uniform draw per entry component (the diagonal
+    Gaussian is produced from its uniform through the inverse normal CDF).
     """
     _check_n(n)
     if symmetry not in ("real", "hermitian"):
         raise UnsupportedError(f"symmetry must be 'real' or 'hermitian', got {symmetry!r}")
-    rng = _rng(seed)
-    iu = np.triu_indices(n)
-    on_diag = iu[0] == iu[1]
-
-    if symmetry == "real":
-        u = rng.random(iu[0].size)
-        diag_law = EntryDistribution.gaussian(1.0)
-        vals = np.where(
-            on_diag,
-            diag_law.sample_from_uniforms(u),
-            REAL_MATCHED_OFFDIAG.sample_from_uniforms(u),
-        )
-        h = np.zeros((n, n))
-        h[iu] = vals
-        h = h + np.triu(h, 1).T
-        kind = EnsembleKind.WIGNER_REAL_MATCHED
-        storage = "real-symmetric"
+    hermitian = symmetry == "hermitian"
+    iu, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
+    if hermitian:
+        parts = HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(off)
+        vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
+        kind, storage = EnsembleKind.WIGNER_HERMITIAN_MATCHED, "complex-hermitian"
     else:
-        counts = np.where(on_diag, 1, 2)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        u = rng.random(int(counts.sum()))
-        diag_law = EntryDistribution.gaussian(0.5)
-        re = np.where(
-            on_diag,
-            diag_law.sample_from_uniforms(u[offsets]),
-            HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(u[offsets]),
-        )
-        im_u = u[np.minimum(offsets + 1, u.size - 1)]
-        im = np.where(on_diag, 0.0, HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(im_u))
-        h = np.zeros((n, n), dtype=complex)
-        h[iu] = re + 1j * im
-        h = h + np.conj(np.triu(h, 1)).T
-        kind = EnsembleKind.WIGNER_HERMITIAN_MATCHED
-        storage = "complex-hermitian"
-
+        vals, diag_variance = REAL_MATCHED_OFFDIAG.sample_from_uniforms(off[:, 0]), 1.0
+        kind, storage = EnsembleKind.WIGNER_REAL_MATCHED, "real-symmetric"
+    diag = EntryDistribution.gaussian(diag_variance).sample_from_uniforms(diag)
+    h = _hermitian(diag, *iu, vals)
     return MatrixSample(storage=storage, spec=EnsembleSpec(kind, n, seed=seed), array=h)
+
+
+def _tridiag_draws(n, beta, seed):
+    """(diag, offdiag) of sample_tridiag_beta in its documented stream order;
+    stats.counting_experiment draws through it too."""
+    rng = _rng(seed)
+    diag = rng.standard_normal(n)
+    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
+    return diag, np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0)
 
 
 def sample_tridiag_beta(n, beta, seed):
@@ -339,10 +329,7 @@ def sample_tridiag_beta(n, beta, seed):
     _check_n(n)
     if beta not in (1, 2, 4):
         raise UnsupportedError(f"beta must be 1, 2 or 4, got {beta}")
-    rng = _rng(seed)
-    diag = rng.standard_normal(n)
-    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
-    offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0)
+    diag, offdiag = _tridiag_draws(n, beta, seed)
     return MatrixSample(
         storage="tridiagonal",
         spec=EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta),

@@ -204,24 +204,19 @@ def kernel_sum_direct(n, x, y):
     return total
 
 
-def _kernel_cross(n, x_rows, x_cols, diag_rows=None, psi_cache=None):
+def _kernel_cross(n, x_rows, x_cols):
     """K_n on the grid x_rows x x_cols.  Exactly coincident points use the
     confluent form; x arrays are assumed to come from the same node set so
     coincidence only happens elementwise-equal."""
-    if psi_cache is None:
-        _, p1r, p0r = _psi_top_three(n, x_rows)
-        _, p1c, p0c = _psi_top_three(n, x_cols)
-    else:
-        p1r, p0r = psi_cache[0]
-        p1c, p0c = psi_cache[1]
+    _, p1r, p0r = _psi_top_three(n, x_rows)
+    _, p1c, p0c = _psi_top_three(n, x_cols)
     num = p0r[:, None] * p1c[None, :] - p1r[:, None] * p0c[None, :]
     den = x_rows[:, None] - x_cols[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         k = sqrt(n / 2.0) * num / den
     eq = den == 0.0
     if np.any(eq):
-        if diag_rows is None:
-            diag_rows = kernel_diag(n, x_rows)
+        diag_rows = kernel_diag(n, x_rows)
         k[eq] = np.broadcast_to(np.atleast_1d(diag_rows)[:, None], k.shape)[eq]
     return k
 
@@ -391,45 +386,24 @@ class CumulantReport:
         return abs(self.c3) / self.c2**1.5, abs(self.c4) / self.c2**2
 
 
-# Recursion C_l = (-1)^l (l-1)! Tr(A - A^l) + sum_s alpha_{s,l} C_s, with the
-# alpha coefficients derived by expanding log(1+u) powers in
-#   sum C_k (iz)^k / k! = sum T_k (e^{iz}-1)^k / k!,
-# where T_k = (-1)^{k-1} (k-1)! Tr(A^k) for a determinantal field (the sign
-# and the power placement were fixed against the independent-Bernoulli
-# oracle; see the tests).  Expanding u = e^{iz}-1:
-#   C_2 =      Tr(A - A^2)
-#   C_3 = -2   Tr(A - A^3) + 3 C_2
-#   C_4 =  6   Tr(A - A^4) + 6 C_3 - 11 C_2
-_ALPHA = {3: {2: 3.0}, 4: {2: -11.0, 3: 6.0}}
-
-
-def counting_cumulants(op: KernelOperator, lmax=4):
-    """Counting-statistic cumulants C_2, C_3, C_4 from operator power traces.
-
-    Equivalent closed forms (the independent-Bernoulli view of a
-    determinantal count, used as the test oracle):
-      C_2 = Tr(A - A^2),
-      C_3 = Tr(A - 3A^2 + 2A^3),
-      C_4 = Tr(A - 7A^2 + 12A^3 - 6A^4).
+def counting_cumulants(op: KernelOperator):
+    """Counting-statistic cumulants C_2, C_3, C_4 from the operator power
+    traces T_l = Tr(A^l).  A determinantal count is a sum of independent
+    Bernoulli(eig A), whose cumulants are
+      C_2 = T_1 - T_2,
+      C_3 = T_1 - 3 T_2 + 2 T_3,
+      C_4 = T_1 - 7 T_2 + 12 T_3 - 6 T_4.
     """
-    if lmax > 4 or lmax < 2:
-        raise UnsupportedError(f"cumulants supported for 2 <= lmax <= 4, got {lmax}")
     a = op.matrix
     traces = {1: float(np.trace(a))}
     power = a
     for l in range(2, 5):
         power = power @ a
         traces[l] = float(np.trace(power))
-
-    c = {2: traces[1] - traces[2]}
-    for l in (3, 4):
-        fact = 1.0
-        for j in range(2, l):
-            fact *= j
-        c[l] = (-1.0) ** l * fact * (traces[1] - traces[l]) + sum(
-            coef * c[s] for s, coef in _ALPHA[l].items()
-        )
-
-    if c[2] < -1e-10:
-        raise NumericalFailureError("count variance came out negative", c2=c[2], n=op.n)
-    return CumulantReport(c2=c[2], c3=c[3], c4=c[4], traces=traces)
+    t1, t2, t3, t4 = (traces[l] for l in range(1, 5))
+    c2 = t1 - t2
+    if c2 < -1e-10:
+        raise NumericalFailureError("count variance came out negative", c2=c2, n=op.n)
+    return CumulantReport(
+        c2=c2, c3=t1 - 3.0 * t2 + 2.0 * t3, c4=t1 - 7.0 * t2 + 12.0 * t3 - 6.0 * t4, traces=traces
+    )

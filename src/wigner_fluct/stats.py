@@ -13,9 +13,10 @@ scale); every emitted verdict carries the threshold it was judged against.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import erfc, sqrt
+from math import sqrt
 
 import numpy as np
+from scipy.special import kolmogorov, ndtr
 
 from . import ensembles, fluctuations, spectra
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
@@ -25,12 +26,8 @@ from .semicircle import bulk_center_scale, edge_center_scale
 
 
 def standard_normal_cdf(x):
-    """Phi(x) = erfc(-x / sqrt 2) / 2, machine-accurate via the C library's
-    complementary error function."""
-    if np.ndim(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.vectorize(erfc)(-x / sqrt(2.0))
-    return 0.5 * erfc(-x / sqrt(2.0))
+    """Phi(x), machine-accurate (scipy.special.ndtr)."""
+    return ndtr(x)
 
 
 def ks_one_sample(samples, cdf=standard_normal_cdf):
@@ -46,16 +43,10 @@ def ks_one_sample(samples, cdf=standard_normal_cdf):
 
 
 def kolmogorov_sf(lam):
-    """Asymptotic Kolmogorov survival function 2 sum (-1)^{j-1} e^{-2 j^2 lam^2}."""
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 1001):
-        term = np.exp(-2.0 * j * j * lam * lam)
-        total += -term if j % 2 == 0 else term
-        if term < 1e-16:
-            break
-    return float(min(max(2.0 * total, 0.0), 1.0))
+    """Asymptotic Kolmogorov survival function 2 sum (-1)^{j-1} e^{-2 j^2 lam^2}
+    (scipy.special.kolmogorov, accurate for small lam, where the series
+    converges slowly)."""
+    return float(kolmogorov(lam))
 
 
 def ks_two_sample(a, b):
@@ -270,30 +261,32 @@ def run_mc(plan: ExperimentPlan, threads=1):
     return ExperimentResult(plan=plan, vectors=vectors, summary=summary)
 
 
-def counting_experiment(n, beta, cut, trials, seed, batch=512):
+# Trials per batched Sturm count in counting_experiment; counts do not depend on it.
+_COUNTING_BATCH = 512
+
+
+def counting_experiment(n, beta, cut, trials, seed):
     """Monte-Carlo counts of eigenvalues above `cut` for the beta-ensemble of
     size n (eigenvalue convention: weight e^{-(beta/2) sum x^2}).
 
-    Sampling goes through the tridiagonal model (identical spectrum law) and
-    counting through batched Sturm inertia, so one trial costs O(n).  Per
-    trial seeds follow the standard mixing contract.
+    Sampling goes through the tridiagonal model (identical spectrum law, the
+    same stream as sample_tridiag_beta) and counting through batched Sturm
+    inertia, so one trial costs O(n).  Per trial seeds follow the standard
+    mixing contract.
     """
     if trials < 1:
         raise InvalidSizeError(f"trials must be >= 1, got {trials}")
     counts = np.empty(trials, dtype=np.int64)
     raw_cut = cut * sqrt(beta)  # undo the 1/sqrt(beta) eigenvalue rescale
-    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(_COUNTING_BATCH, trials - done)
         diag = np.empty((b, n))
         off = np.empty((b, n - 1))
         for row in range(b):
-            rng = np.random.Generator(
-                np.random.PCG64(mix_trial_seed(seed, done + row))
+            diag[row], off[row] = ensembles._tridiag_draws(
+                n, beta, mix_trial_seed(seed, done + row)
             )
-            diag[row] = rng.standard_normal(n)
-            off[row] = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0)
         counts[done : done + b] = n - spectra.sturm_count_below_batch(diag, off, raw_cut)
         done += b
     return counts

@@ -1,3 +1,5 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,143 @@ from wigner_fluct.ensembles import (
     EntryDistribution,
 )
 
+STREAM_SIZES = (1, 2, 5, 17)
+STREAM_SEEDS = (0, 1, 12345, 2**63 + 5)
+
 
 def three_point_moment_oracle(c, p, k):
     """Brute-force moment of the law P(+-c)=p, P(0)=1-2p by direct
     enumeration over the support."""
     support = [(-c, p), (0.0, 1.0 - 2.0 * p), (c, p)]
     return sum(prob * x**k for x, prob in support)
+
+
+def _generator(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def stream_reference(n, seed, uniform, c, diag_entry, off_entry, dtype):
+    """Scalar oracle for the documented stream layout: one scalar draw at a
+    time, walking the upper triangle row-major with the diagonal included;
+    a diagonal entry takes one draw and an off-diagonal entry c consecutive
+    draws, mirrored below the diagonal as its conjugate."""
+    rng = _generator(seed)
+    draw = rng.random if uniform else rng.standard_normal
+    h = np.zeros((n, n), dtype=dtype)
+    for j in range(n):
+        h[j, j] = diag_entry(draw())
+        for k in range(j + 1, n):
+            h[j, k] = off_entry(*[draw() for _ in range(c)])
+            h[k, j] = np.conj(h[j, k])
+    return h
+
+
+def _quaternion_block(a, b, c, d):
+    """2x2 complex image of the quaternion a + b e1 + c e2 + d e3."""
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+def gse_stream_reference(n, seed):
+    """The GSE case of the stream oracle, block by block: a real N(0, 1/4)
+    diagonal (one draw) and N(0, 1/8) quaternion parts off it (four draws)."""
+    rng = _generator(seed)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    s8 = sqrt(1.0 / 8.0)
+    s4 = sqrt(1.0 / 4.0)
+    for j in range(n):
+        for k in range(j, n):
+            if j == k:
+                a = rng.standard_normal() * s4
+                blk = _quaternion_block(a, 0.0, 0.0, 0.0)
+            else:
+                a, b, c, d = rng.standard_normal(4) * s8
+                blk = _quaternion_block(a, b, c, d)
+            h[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = blk
+            if j != k:
+                h[2 * k : 2 * k + 2, 2 * j : 2 * j + 2] = blk.conj().T
+    return h
+
+
+def tridiag_stream_reference(n, beta, seed):
+    """Scalar oracle for the tridiagonal stream: n diagonal normals, then
+    one gamma draw per off-diagonal entry in k order."""
+    rng = _generator(seed)
+    diag = np.array([rng.standard_normal() for _ in range(n)])
+    gammas = [rng.standard_gamma(beta * (n - k) / 2.0) for k in range(1, n)]
+    return diag, np.array([sqrt(2.0 * g) / sqrt(2.0) for g in gammas])
+
+
+DENSE_STREAM_CASES = {
+    "goe": (
+        wf.sample_goe,
+        lambda n, seed: stream_reference(
+            n, seed, False, 1, lambda z: z, lambda z: z / sqrt(2.0), float
+        ),
+    ),
+    "gue": (
+        wf.sample_gue,
+        lambda n, seed: stream_reference(
+            n,
+            seed,
+            False,
+            2,
+            lambda z: z * sqrt(0.5),
+            lambda x, y: complex(x * 0.5, y * 0.5),
+            complex,
+        ),
+    ),
+    "gse": (wf.sample_gse, gse_stream_reference),
+    "wigner-real": (
+        lambda n, seed: wf.sample_matched_wigner(n, seed, symmetry="real"),
+        lambda n, seed: stream_reference(
+            n,
+            seed,
+            True,
+            1,
+            EntryDistribution.gaussian(1.0).sample_from_uniforms,
+            REAL_MATCHED_OFFDIAG.sample_from_uniforms,
+            float,
+        ),
+    ),
+    "wigner-hermitian": (
+        lambda n, seed: wf.sample_matched_wigner(n, seed, symmetry="hermitian"),
+        lambda n, seed: stream_reference(
+            n,
+            seed,
+            True,
+            2,
+            EntryDistribution.gaussian(0.5).sample_from_uniforms,
+            lambda u, v: complex(
+                HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(u),
+                HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(v),
+            ),
+            complex,
+        ),
+    ),
+}
+
+
+class TestStreamLayout:
+    """Every sampler reproduces the scalar stream oracle exactly."""
+
+    @pytest.mark.parametrize("ensemble", sorted(DENSE_STREAM_CASES))
+    def test_dense_sampler_matches_scalar_oracle(self, ensemble):
+        sampler, reference = DENSE_STREAM_CASES[ensemble]
+        for n in STREAM_SIZES:
+            for seed in STREAM_SEEDS:
+                got = sampler(n, seed).array
+                want = reference(n, seed)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (ensemble, n, seed)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_tridiagonal_sampler_matches_scalar_oracle(self, beta):
+        for n in STREAM_SIZES:
+            for seed in STREAM_SEEDS:
+                s = wf.sample_tridiag_beta(n, beta, seed)
+                diag, offdiag = tridiag_stream_reference(n, beta, seed)
+                assert np.array_equal(s.diag, diag), (beta, n, seed)
+                assert np.array_equal(s.offdiag, offdiag), (beta, n, seed)
 
 
 class TestSeedMixing:

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
+from wigner_fluct import stats
 from wigner_fluct.stats import ExperimentPlan, Thresholds
 
 
 def normal_cdf_series_oracle(x, terms=200):
     """Phi(x) = 1/2 + pdf(x) * (x + x^3/3 + x^5/(3*5) + ...), summed until the
-    terms fall below 1e-18; independent of the erfc-based path."""
+    terms fall below 1e-18; independent of the library path."""
     term = x
     total = 0.0
     for k in range(terms):
@@ -79,6 +80,10 @@ class TestKolmogorovSF:
     def test_limits(self):
         assert wf.kolmogorov_sf(0.0) == 1.0
         assert wf.kolmogorov_sf(10.0) < 1e-80
+
+    def test_small_lambda_is_one(self):
+        # the alternating series converges only after ~1/lambda terms here
+        assert wf.kolmogorov_sf(1e-3) == 1.0
 
 
 class TestKSTwoSample:
@@ -203,10 +208,25 @@ class TestCountingExperiment:
         counts = wf.counting_experiment(30, 1, 0.0, 4000, seed=17)
         assert counts.mean() == pytest.approx(15.0, abs=0.15)
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         a = wf.counting_experiment(10, 2, 0.3, 100, seed=5)
-        b = wf.counting_experiment(10, 2, 0.3, 100, seed=5, batch=7)
+        monkeypatch.setattr(stats, "_COUNTING_BATCH", 7)
+        b = wf.counting_experiment(10, 2, 0.3, 100, seed=5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, beta", [(1, 1), (12, 2), (9, 4)])
+    def test_equals_per_trial_sampler_and_batched_sturm(self, n, beta):
+        trials, seed, cut = 40, 2**63 + 7, 0.3
+        counts = wf.counting_experiment(n, beta, cut, trials, seed)
+        samples = [
+            wf.sample_tridiag_beta(n, beta, wf.mix_trial_seed(seed, t)) for t in range(trials)
+        ]
+        below = wf.sturm_count_below_batch(
+            np.array([s.diag for s in samples]),
+            np.array([s.offdiag for s in samples]).reshape(trials, n - 1),
+            cut * sqrt(beta),
+        )
+        assert np.array_equal(counts, n - below)
 
     def test_matches_direct_spectrum_counting(self):
         n, trials = 15, 50
