@@ -1,8 +1,19 @@
 """Command-line surface: configure experiments, run them, emit JSON/CSV/SVG.
 
-Exit codes: 0 success, 1 a check-mode criterion failed, 2 usage error,
-3 numerical failure or a value beyond double-precision range, 4 unwritable
-output path.
+Exit codes, from the outcome or the error class that ``execute`` catches:
+
+  0  success
+  1  a verdict failed: ``--check`` thresholds, ``fr-check``,
+     ``semicircle-check`` (the JSON is still written)
+  2  invalid configuration: argparse usage errors and every ValueError
+     subclass of ``errors`` (InvalidSizeError, ShapeError, InvalidDataError,
+     DomainError, UnsupportedError, DegenerateInputError)
+  3  numerical failure: NumericalFailureError (DiscretizationFailureError
+     included) and NumericalRangeError, a value beyond double precision
+  4  unwritable output: OSError
+
+An exact tie in the superposed spectra of ``fr-check``
+(DegenerateInputError) is not resampled and currently reports 2.
 """
 
 import argparse
@@ -13,6 +24,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, ensembles, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
@@ -194,6 +206,26 @@ def parse_args(argv):
     return build_parser().parse_args(argv)
 
 
+def _blas_build(module):
+    """Name and version of the BLAS that numpy or scipy was built with."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # TypeError: a show_config without the mode
+        return "unknown"
+
+
+def _env():
+    """Versions that bit-identical results depend on: dense reductions run
+    in scipy's LAPACK on its BLAS level-3 kernels, the rest on numpy's."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+    }
+
+
 def _meta(args, config, thresholds=None):
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -202,6 +234,7 @@ def _meta(args, config, thresholds=None):
         "seed": getattr(args, "seed", 0),
         "config": config,
         "thresholds": thresholds or {},
+        "env": _env(),
     }
     if not getattr(args, "no_timestamp", False):
         meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()

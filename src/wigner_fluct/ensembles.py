@@ -191,9 +191,10 @@ def _upper_triangle_draws(n, draw, c):
     row-major, diagonal included, giving one draw to each diagonal entry and
     c consecutive draws to each off-diagonal entry.
 
-    Returns (iu, diag, off): iu the (rows, cols) of the strict upper triangle
-    in row-major order, diag the n diagonal draws, and off the off-diagonal
-    draws as an (entries, c) array, one row per entry of iu.
+    Returns (upper, diag, off): upper the n x n boolean mask of the strict
+    upper triangle, diag the n diagonal draws, and off the off-diagonal draws
+    as an (entries, c) array, one row per True entry of upper in row-major
+    order (the order in which boolean indexing visits them).
     """
     r = np.arange(n)
     z = draw(n + c * (n * (n - 1) // 2))
@@ -201,17 +202,19 @@ def _upper_triangle_draws(n, draw, c):
     at_diag = r + c * (r * n - r * (r + 1) // 2)
     is_off = np.ones(z.size, dtype=bool)
     is_off[at_diag] = False
-    return np.nonzero(r[:, None] < r), z[at_diag], z[is_off].reshape(-1, c)
+    return r[:, None] < r, z[at_diag], z[is_off].reshape(-1, c)
 
 
-def _hermitian(diag, rows, cols, vals):
-    """Square matrix with the given diagonal, vals at (rows, cols) above it
-    and their complex conjugates at the mirrored positions below it."""
+def _hermitian(diag, upper, vals):
+    """Square matrix with the given diagonal, vals at the positions upper
+    selects above it (a boolean mask or a (rows, cols) pair) and their
+    complex conjugates at the mirrored positions below it."""
     size = diag.size
     h = np.zeros((size, size), dtype=vals.dtype)
     h.reshape(-1)[:: size + 1] = diag
-    h[rows, cols] = vals
-    h[cols, rows] = vals.conj()
+    h[upper] = vals
+    # indexing the transpose view mirrors each position: h.T[i, j] is h[j, i]
+    h.T[upper] = vals.conj()
     return h
 
 
@@ -222,11 +225,11 @@ def sample_goe(n, seed):
     keeps unit variance, off-diagonal draws are scaled by 1/sqrt(2).
     """
     _check_n(n)
-    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
     return MatrixSample(
         storage="real-symmetric",
         spec=EnsembleSpec(EnsembleKind.GOE, n, seed=seed),
-        array=_hermitian(diag, *iu, off[:, 0] / sqrt(2.0)),
+        array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)),
     )
 
 
@@ -238,11 +241,11 @@ def sample_gue(n, seed):
     (Re then Im).
     """
     _check_n(n)
-    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
     return MatrixSample(
         storage="complex-hermitian",
         spec=EnsembleSpec(EnsembleKind.GUE, n, seed=seed),
-        array=_hermitian(diag * sqrt(0.5), *iu, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
+        array=_hermitian(diag * sqrt(0.5), upper, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
     )
 
 
@@ -257,18 +260,19 @@ def sample_gse(n, seed):
     exactly 2.
     """
     _check_n(n)
-    iu, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
     q = off * sqrt(1.0 / 8.0)
     # block entries (0,0), (0,1), (1,0), (1,1) from the parts (a, b, c, d)
     blocks = np.empty(q.shape, dtype=complex)
     blocks.real = q[:, [0, 2, 2, 0]] * [1.0, 1.0, -1.0, 1.0]
     blocks.imag = q[:, [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]
+    iu = np.nonzero(upper)
     rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
     cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
     return MatrixSample(
         storage="quaternion-embedded",
         spec=EnsembleSpec(EnsembleKind.GSE, n, seed=seed),
-        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), rows, cols, blocks),
+        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), (rows, cols), blocks),
         doubled_spectrum=True,
     )
 
@@ -290,7 +294,7 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     if symmetry not in ("real", "hermitian"):
         raise UnsupportedError(f"symmetry must be 'real' or 'hermitian', got {symmetry!r}")
     hermitian = symmetry == "hermitian"
-    iu, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
     if hermitian:
         parts = HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(off)
         vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
@@ -299,7 +303,7 @@ def sample_matched_wigner(n, seed, symmetry="real"):
         vals, diag_variance = REAL_MATCHED_OFFDIAG.sample_from_uniforms(off[:, 0]), 1.0
         kind, storage = EnsembleKind.WIGNER_REAL_MATCHED, "real-symmetric"
     diag = EntryDistribution.gaussian(diag_variance).sample_from_uniforms(diag)
-    h = _hermitian(diag, *iu, vals)
+    h = _hermitian(diag, upper, vals)
     return MatrixSample(storage=storage, spec=EnsembleSpec(kind, n, seed=seed), array=h)
 
 

@@ -2,9 +2,12 @@
 
 Solver policy: every dense problem is reduced to a real symmetric
 tridiagonal one (complex Hermitian matrices through the real 2n x 2n
-embedding, which doubles each eigenvalue), and the tridiagonal problem is
-solved either by the LAPACK implicit-shift path (fast) or by bisection on
-Sturm-sequence inertia counts (reference).  The two paths are required to
+embedding, which doubles each eigenvalue) by LAPACK sytrd.  sytrd gets the
+workspace its own query asks for, so above LAPACK's crossover order it
+takes the blocked path (level-3 BLAS updates); small matrices stay on the
+unblocked one.  The tridiagonal problem is then solved either by the
+LAPACK implicit-shift path (fast) or by bisection on Sturm-sequence
+inertia counts (reference).  The two paths are required to
 agree to 1e-10 absolute on the sqrt(2n) scale and are cross-checked in the
 test suite rather than trusted.
 
@@ -101,8 +104,13 @@ def tridiagonalize(matrix):
     n = a.shape[0]
     if n == 1:
         return Tridiagonal(diag=a.diagonal().copy(), offdiag=np.zeros(0))
-    sytrd, = sla.get_lapack_funcs(("sytrd",), (a,))
-    _, d, e, _, info = sytrd(a, lower=0)
+    sytrd, sytrd_lwork = sla.get_lapack_funcs(("sytrd", "sytrd_lwork"), (a,))
+    # the wrapper's default workspace (n) is below the blocked path's n*nb,
+    # so without the queried size LAPACK falls back to unblocked sytd2
+    lwork, info = sytrd_lwork(n, lower=0)
+    if info != 0:
+        raise NumericalFailureError("sytrd workspace query failed", info=int(info), n=n)
+    _, d, e, _, info = sytrd(a, lower=0, lwork=int(lwork))
     if info != 0:
         raise NumericalFailureError("sytrd failed", info=int(info), n=n)
     return Tridiagonal(diag=d, offdiag=e)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from wigner_fluct import cli
 
@@ -51,6 +52,22 @@ class TestSampleCommand:
         assert len(eigs) == 12
         assert eigs == sorted(eigs)
         assert payload["meta"]["schema_version"] == 1
+
+    def test_meta_records_library_versions(self, tmp_path):
+        out = tmp_path / "env.json"
+        assert run(["sample", "--ensemble", "goe", "--n", "3", "--out", str(out)]) == 0
+        env = json.loads(out.read_text())["meta"]["env"]
+        assert set(env) == {"python", "numpy", "scipy", "blas"}
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"numpy", "scipy"}
+        assert all(isinstance(v, str) and v for v in env["blas"].values())
+
+    def test_meta_blas_without_dict_config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        out = tmp_path / "env.json"
+        assert run(["sample", "--ensemble", "goe", "--n", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["env"]["blas"]["numpy"] == "unknown"
 
     def test_tridiag_needs_beta(self, capsys):
         code = run(["sample", "--ensemble", "tridiag", "--n", "5"])
@@ -197,6 +214,13 @@ class TestCumulantsCommand:
 
 
 class TestExitCodes:
+    def test_failed_verdict_is_1(self, tmp_path):
+        out = tmp_path / "sc.json"
+        # the sup distance of n points from a continuous CDF is at least 1/(2n)
+        code = run(["semicircle-check", "--n", "50", "--threshold", "0", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["summary"]["passed"] is False
+
     def test_unwritable_output_is_4(self):
         code = run(
             [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
-from wigner_fluct.spectra import principal_submatrix
+from wigner_fluct.spectra import _real_embedding, principal_submatrix
 
 
 def eig_2x2_oracle(a, b, d):
@@ -35,6 +35,27 @@ class TestTridiagonalize:
         t = wf.tridiagonalize(a)
         eigs = wf.tridiag_eigenvalues(t)
         assert np.sum(eigs) == pytest.approx(np.trace(a), rel=1e-10)
+
+    # Orders well above LAPACK's blocking crossover, so sytrd takes its blocked
+    # path; the embedded case is the 2n real form every complex sample uses.
+    BLOCKED_CASES = {
+        "goe-300": lambda: wf.sample_goe(300, 31).array,
+        "gue-150-embedded": lambda: _real_embedding(wf.sample_gue(150, 32).array),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_reduction_matches_independent_solver(self, case):
+        a = self.BLOCKED_CASES[case]()
+        got = np.sort(wf.tridiag_eigenvalues(wf.tridiagonalize(a)))
+        want = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.sqrt(2 * a.shape[0])
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+    def test_blocked_reduction_preserves_frobenius_norm(self, case):
+        a = self.BLOCKED_CASES[case]()
+        t = wf.tridiagonalize(a)
+        norm2 = np.sum(t.diag**2) + 2.0 * np.sum(t.offdiag**2)
+        assert norm2 == pytest.approx(np.sum(a * a), rel=1e-12)
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(wf.ShapeError):
