@@ -69,12 +69,10 @@ from .spectra import (
     SpectrumSample,
     Tridiagonal,
     check_interlacing,
-    count_in_interval,
     eigenvalues,
-    sturm_count_below,
+    eigenvalues_at,
     sturm_count_below_batch,
     tridiag_eigenvalues,
-    tridiag_eigenvalues_bisect,
     tridiag_eigenvalues_selected,
     tridiagonalize,
 )

@@ -28,7 +28,12 @@ import scipy
 
 from . import __version__, ensembles, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
+from .errors import (
+    InvalidSizeError,
+    NumericalFailureError,
+    NumericalRangeError,
+    UnsupportedError,
+)
 from .stats import ExperimentPlan, Thresholds
 
 SCHEMA_VERSION = 1
@@ -242,15 +247,16 @@ def _meta(args, config, thresholds=None):
 
 
 def _threads(args):
-    if getattr(args, "threads", None):
+    """--threads, else WIGNER_FLUCT_THREADS under the same rule, else 1."""
+    if args.threads:
         return args.threads
     env = os.environ.get("WIGNER_FLUCT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return _positive_int("WIGNER_FLUCT_THREADS")(env)
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidSizeError(str(exc)) from None
 
 
 def _ensemble_spec(name, n, beta):
@@ -263,8 +269,11 @@ def _ensemble_spec(name, n, beta):
     return EnsembleSpec(kind, n, beta=beta or 0)
 
 
-def _fluct_payload(args, plan, threads):
-    result = stats.run_mc(plan, threads=threads)
+def _run_fluct(args, plan, title):
+    """Run a fluctuation plan and write its JSON, CSV and SVG (titled with
+    title and the plan's beta); returns the exit code (1 when --check is
+    given and a threshold fails)."""
+    result = stats.run_mc(plan, threads=_threads(args))
     payload = {
         "meta": _meta(
             args,
@@ -293,7 +302,13 @@ def _fluct_payload(args, plan, threads):
     }
     if args.per_trial:
         payload["per_trial"] = result.vectors.tolist()
-    return payload, result
+    _write_json(payload, args)
+    if args.csv:
+        _write_csv(result.vectors, args.csv)
+    if args.svg:
+        title = f"{title}, beta={plan.ensemble.beta}"
+        _svg_histogram(result.vectors[:, 0], args.svg, title, density=_normal_density)
+    return 1 if args.check and not result.passed else 0
 
 
 def _thresholds_dict(th: Thresholds):
@@ -407,20 +422,7 @@ def _cmd_bulk_edge(args, regime):
         seed=args.seed,
         thresholds=th,
     )
-    payload, result = _fluct_payload(args, plan, _threads(args))
-    _write_json(payload, args)
-    if args.csv:
-        _write_csv(result.vectors, args.csv)
-    if args.svg:
-        _svg_histogram(
-            result.vectors[:, 0],
-            args.svg,
-            f"{regime} fluctuation, n={args.n}, k={args.k}, beta={args.beta}",
-            density=_normal_density,
-        )
-    if args.check and not result.passed:
-        return 1
-    return 0
+    return _run_fluct(args, plan, f"{regime} fluctuation, n={args.n}, k={args.k}")
 
 
 def _cmd_joint(args):
@@ -436,20 +438,7 @@ def _cmd_joint(args):
         seed=args.seed,
         thresholds=th,
     )
-    payload, result = _fluct_payload(args, plan, _threads(args))
-    _write_json(payload, args)
-    if args.csv:
-        _write_csv(result.vectors, args.csv)
-    if args.svg:
-        _svg_histogram(
-            result.vectors[:, 0],
-            args.svg,
-            f"joint {args.regime} fluctuations, n={args.n}",
-            density=_normal_density,
-        )
-    if args.check and not result.passed:
-        return 1
-    return 0
+    return _run_fluct(args, plan, f"joint {args.regime} fluctuations, n={args.n}")
 
 
 def fr_check_samples(which, n, trials, seed):

@@ -107,8 +107,11 @@ class MatrixSample:
       "complex-hermitian"    dense (n, n) complex array
       "quaternion-embedded"  dense (2n, 2n) complex Hermitian array whose
                              spectrum is the quaternion matrix's spectrum with
-                             every eigenvalue doubled (doubled_spectrum=True)
+                             every eigenvalue doubled
       "tridiagonal"          diag (n,) and offdiag (n-1,) float arrays
+
+    The storage alone fixes how the stored spectrum relates to the
+    ensemble's (repeated copies, rescale); spectra reads it from there.
     """
 
     storage: str
@@ -116,7 +119,6 @@ class MatrixSample:
     array: np.ndarray | None = None
     diag: np.ndarray | None = None
     offdiag: np.ndarray | None = None
-    doubled_spectrum: bool = False
 
     @property
     def n(self):
@@ -273,7 +275,6 @@ def sample_gse(n, seed):
         storage="quaternion-embedded",
         spec=EnsembleSpec(EnsembleKind.GSE, n, seed=seed),
         array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), (rows, cols), blocks),
-        doubled_spectrum=True,
     )
 
 
@@ -327,8 +328,8 @@ def sample_tridiag_beta(n, beta, seed):
     Stream layout: the n diagonal normals first, then the n-1 gamma draws in
     k order.
 
-    The 1/sqrt(beta) eigenvalue rescale is the caller's responsibility (see
-    spectra.eigenvalues, which applies it for tridiagonal samples).
+    The 1/sqrt(beta) eigenvalue rescale is the caller's responsibility
+    (spectra.eigenvalues and spectra.eigenvalues_at apply it).
     """
     _check_n(n)
     if beta not in (1, 2, 4):

@@ -1,24 +1,23 @@
-"""Ordered spectra and interval counting for symmetric/Hermitian matrices.
+"""Ordered spectra of symmetric/Hermitian matrices and tridiagonal models.
 
-Solver policy: every dense problem is reduced to a real symmetric
-tridiagonal one (complex Hermitian matrices through the real 2n x 2n
-embedding, which doubles each eigenvalue) by LAPACK sytrd.  sytrd gets the
-workspace its own query asks for, so above LAPACK's crossover order it
-takes the blocked path (level-3 BLAS updates); small matrices stay on the
-unblocked one.  The tridiagonal problem is then solved either by the
-LAPACK implicit-shift path (fast) or by bisection on Sturm-sequence
-inertia counts (reference).  The two paths are required to
-agree to 1e-10 absolute on the sqrt(2n) scale and are cross-checked in the
-test suite rather than trusted.
-
-Interval convention: intervals are open at finite endpoints.  An exact
-endpoint hit is a probability-zero event; it resolves by the Sturm
-convention (strictly-below counting with pivot perturbation) and is flagged
-with a warning when detected.
+Solver policy: every sample is reduced to one real symmetric tridiagonal
+problem, in one place (_reduce).  Dense real matrices go through LAPACK
+sytrd; complex Hermitian matrices through their real 2n x 2n embedding,
+which repeats each eigenvalue twice (four times for the symplectic
+ensemble's quaternion storage, already doubled).  sytrd gets the workspace
+its own query asks for, so above LAPACK's crossover order it takes the
+blocked path (level-3 BLAS updates); small matrices stay on the unblocked
+one.  eigenvalues() solves the whole tridiagonal spectrum (LAPACK sterf);
+eigenvalues_at() solves only the group of repeated copies behind each
+requested position (LAPACK stebz).  Both collapse the repeated copies with
+the same spread check and apply the tridiagonal beta model's 1/sqrt(beta)
+rescale.  The Sturm-bisection reference path that cross-checks LAPACK, its
+scalar Sturm count and interval counting live in tests/test_spectra.py as
+oracles; the batched Sturm count used by counting experiments stays here.
 """
 
 from dataclasses import dataclass
-import warnings
+from math import sqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -53,7 +52,7 @@ class Tridiagonal:
             )
         if d.size == 0:
             raise ShapeError("empty tridiagonal")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise InvalidDataError("tridiagonal entries must be finite")
 
     @property
@@ -116,39 +115,15 @@ def tridiagonalize(matrix):
     return Tridiagonal(diag=d, offdiag=e)
 
 
-def _real_embedding(h):
-    """Real symmetric 2n x 2n matrix with the spectrum of the complex
-    Hermitian h doubled: [[Re h, -Im h], [Im h, Re h]]."""
-    re = h.real
-    im = h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def _collapse_multiplicity(values, mult, context):
-    """Average exact multiplicity groups of a sorted spectrum down to single
-    copies, verifying the within-group spread stays below the dedup
-    tolerance."""
-    values = np.sort(values)
-    if values.size % mult:
-        raise ShapeError(f"spectrum length {values.size} not divisible by {mult}")
-    groups = values.reshape(-1, mult)
-    radius = max(float(np.max(np.abs(values))), 1.0)
-    spread = np.max(groups[:, -1] - groups[:, 0]) if groups.size else 0.0
-    if spread > _DEDUP_RTOL * radius:
-        raise NumericalFailureError(
-            "doubled-eigenvalue pairing violated",
-            spread=float(spread),
-            radius=radius,
-            **context,
-        )
-    return groups.mean(axis=1)
-
-
+# Tridiagonal has validated its entries as finite, so the solvers below skip
+# scipy's second check (a few microseconds per call).
 def tridiag_eigenvalues(t: Tridiagonal):
     """All eigenvalues, ascending (LAPACK implicit-shift QL/QR path)."""
     if t.n == 1:
         return t.diag.copy()
-    return sla.eigvalsh_tridiagonal(t.diag, t.offdiag, lapack_driver="sterf")
+    return sla.eigvalsh_tridiagonal(
+        t.diag, t.offdiag, lapack_driver="sterf", check_finite=False
+    )
 
 
 def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
@@ -158,40 +133,14 @@ def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
     if t.n == 1:
         return t.diag.copy()
     return sla.eigvalsh_tridiagonal(
-        t.diag, t.offdiag, select="i", select_range=(lo, hi)
+        t.diag, t.offdiag, select="i", select_range=(lo, hi), check_finite=False
     )
 
 
-def _pivmin(t: Tridiagonal):
-    emax = float(np.max(np.abs(t.offdiag))) if t.n > 1 else 0.0
-    return 1e-300 * max(1.0, emax * emax)
-
-
-def sturm_count_below(t: Tridiagonal, x):
-    """Number of eigenvalues strictly below x, by LDL^T inertia of T - xI
-    with the standard pivot-perturbation guard."""
-    if not np.isfinite(x):
-        if x == np.inf:
-            return t.n
-        if x == -np.inf:
-            return 0
-        raise InvalidDataError("shift must not be NaN")
-    pivmin = _pivmin(t)
-    d = t.diag[0] - x
-    if abs(d) < pivmin:
-        d = -pivmin
-    count = 1 if d < 0 else 0
-    for i in range(1, t.n):
-        d = t.diag[i] - x - t.offdiag[i - 1] ** 2 / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0:
-            count += 1
-    return count
-
-
 def sturm_count_below_batch(diag, offdiag, x):
-    """Vectorized Sturm count for a batch of tridiagonals of equal size.
+    """Vectorized Sturm count for a batch of tridiagonals of equal size:
+    the number of eigenvalues strictly below x, by LDL^T inertia of T - xI
+    with the standard pivot-perturbation guard.
 
     diag (B, n), offdiag (B, n-1); x scalar or (B,).  Returns (B,) counts.
     """
@@ -212,65 +161,6 @@ def sturm_count_below_batch(diag, offdiag, x):
     return count
 
 
-def tridiag_eigenvalues_bisect(t: Tridiagonal, indices=None, abs_tol=None):
-    """Reference eigenvalue path: bisection driven purely by Sturm counts.
-
-    indices: 0-based ascending eigenvalue indices (default: all).  Bisection
-    is self-validating through matrix inertia, which is why it serves as the
-    oracle for the LAPACK fast path.
-    """
-    if indices is None:
-        indices = range(t.n)
-    glo, ghi = t.gershgorin_bounds()
-    width = max(ghi - glo, 1.0)
-    if abs_tol is None:
-        abs_tol = 1e-13 * max(1.0, max(abs(glo), abs(ghi)))
-    out = np.empty(len(list(indices)))
-    idx_list = list(indices)
-    for j, k in enumerate(idx_list):
-        if not 0 <= k < t.n:
-            raise ShapeError(f"eigenvalue index {k} out of range for n={t.n}")
-        lo, hi = glo, ghi
-        # smallest x with count_below(x) >= k+1 is eigenvalue k
-        for _ in range(200):
-            if hi - lo <= abs_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if sturm_count_below(t, mid) >= k + 1:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            raise NumericalFailureError(
-                "bisection failed to converge", index=k, lo=lo, hi=hi, width=width
-            )
-        out[j] = 0.5 * (lo + hi)
-    return out
-
-
-def count_in_interval(t: Tridiagonal, interval, flag_endpoint_hits=True):
-    """Number of eigenvalues in the open interval (a, b); b may be +inf and
-    a may be -inf.  Endpoint hits (probability zero) follow the Sturm
-    convention and trigger a warning when detected."""
-    a, b = interval
-    if not a < b:
-        raise ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
-    below_b = sturm_count_below(t, b)
-    below_a = sturm_count_below(t, a)
-    if flag_endpoint_hits:
-        for x in (a, b):
-            if not np.isfinite(x):
-                continue
-            straddle = sturm_count_below(t, np.nextafter(x, np.inf)) - sturm_count_below(
-                t, np.nextafter(x, -np.inf)
-            )
-            if straddle > 0:
-                warnings.warn(
-                    f"eigenvalue coincides with interval endpoint {x}", stacklevel=2
-                )
-    return below_b - below_a
-
-
 def check_interlacing(parent, child, tol=0.0):
     """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
     parent eigenvalues and s the (one fewer) child eigenvalues."""
@@ -283,8 +173,89 @@ def check_interlacing(parent, child, tol=0.0):
     return bool(np.all(r[:-1] <= s + tol) and np.all(s <= r[1:] + tol))
 
 
-def _solve_dense_symmetric(a):
-    return tridiag_eigenvalues(tridiagonalize(a))
+def _real_embedding(h):
+    """Real symmetric 2n x 2n matrix with the spectrum of the complex
+    Hermitian h doubled: [[Re h, -Im h], [Im h, Re h]]."""
+    re = h.real
+    im = h.imag
+    return np.block([[re, -im], [im, re]])
+
+
+# How often the real embedding of each dense storage repeats an eigenvalue:
+# twice for complex Hermitian, and the quaternion storage is a complex
+# Hermitian matrix whose spectrum is already doubled.
+_EMBEDDED_MULT = {"real-symmetric": 1, "complex-hermitian": 2, "quaternion-embedded": 4}
+
+
+def _reduce(sample):
+    """(t, mult, divisor): a real symmetric tridiagonal t whose spectrum is
+    the sample's, each eigenvalue repeated mult times in consecutive
+    positions and multiplied by divisor.
+
+    This is the one place that knows how a sample becomes a tridiagonal:
+    complex input is reduced through its real embedding, and the tridiagonal
+    beta model's spectrum is sqrt(beta) times the common convention
+    (weight exp(-(beta/2) sum x^2)).  Plain arrays and Tridiagonal instances
+    are taken as they are.
+    """
+    if isinstance(sample, Tridiagonal):
+        return sample, 1, 1.0
+    if isinstance(sample, np.ndarray):
+        a, mult = sample, 2 if np.iscomplexobj(sample) else 1
+    elif sample.storage == "tridiagonal":
+        t = Tridiagonal(diag=sample.diag, offdiag=sample.offdiag)
+        beta_model = sample.spec.kind is EnsembleKind.TRIDIAG_BETA
+        return t, 1, sqrt(sample.spec.beta) if beta_model else 1.0
+    elif sample.storage in _EMBEDDED_MULT:
+        a, mult = sample.array, _EMBEDDED_MULT[sample.storage]
+    else:
+        raise ShapeError(f"unknown storage {sample.storage!r}")
+    if mult > 1:
+        a = _real_embedding(a)
+    return tridiagonalize(a), mult, 1.0
+
+
+def _collapse_multiplicity(values, mult):
+    """Average consecutive groups of mult values (each group ascending) down
+    to single copies, verifying the within-group spread stays below the
+    dedup tolerance relative to the largest |value| given (at least 1)."""
+    if values.size % mult:
+        raise ShapeError(f"spectrum length {values.size} not divisible by {mult}")
+    groups = values.reshape(-1, mult)
+    radius = max(float(np.max(np.abs(values))), 1.0)
+    spread = np.max(groups[:, -1] - groups[:, 0]) if groups.size else 0.0
+    if spread > _DEDUP_RTOL * radius:
+        raise NumericalFailureError(
+            "doubled-eigenvalue pairing violated", spread=float(spread), radius=radius
+        )
+    return groups.mean(axis=1)
+
+
+def _solve(sample, positions, trial):
+    """Eigenvalues of the sample in the common convention: the whole
+    ascending spectrum when positions is None, else the value at each
+    0-based ascending position, in the order given."""
+    try:
+        t, mult, divisor = _reduce(sample)
+        if positions is None:
+            values = tridiag_eigenvalues(t)
+        else:
+            values = np.concatenate(
+                [tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1) for p in positions]
+            )
+        if mult > 1:
+            values = _collapse_multiplicity(values, mult)
+    except NumericalFailureError as exc:
+        for key, value in _context(sample, trial).items():
+            exc.context.setdefault(key, value)
+        raise
+    return values / divisor if divisor != 1.0 else values
+
+
+def _context(sample, trial):
+    if isinstance(sample, MatrixSample):
+        return {"seed": sample.spec.seed, "trial": trial, "n": sample.spec.n}
+    return {"trial": trial}
 
 
 def eigenvalues(sample, trial=0):
@@ -294,54 +265,24 @@ def eigenvalues(sample, trial=0):
     Embedded storages are deduplicated back to n values; tridiagonal
     beta-ensemble samples are rescaled by 1/sqrt(beta) so all ensembles
     produce spectra on the same convention (weight exp(-(beta/2) sum x^2)).
-    Plain arrays and Tridiagonal instances are accepted and solved as-is.
+    Plain arrays (complex ones through their real embedding) and Tridiagonal
+    instances are accepted and solved as-is.
     """
-    if isinstance(sample, Tridiagonal):
-        vals = tridiag_eigenvalues(sample)
-        return SpectrumSample(values=np.sort(vals), spec=None, trial=trial)
-    if isinstance(sample, np.ndarray):
-        if np.iscomplexobj(sample):
-            vals = _collapse_multiplicity(
-                _solve_dense_symmetric(_real_embedding(sample)), 2, {"trial": trial}
-            )
-        else:
-            vals = _solve_dense_symmetric(sample)
-        return SpectrumSample(values=np.sort(vals), spec=None, trial=trial)
-
-    ctx = {"seed": sample.spec.seed, "trial": trial, "n": sample.spec.n}
-    try:
-        if sample.storage == "real-symmetric":
-            vals = _solve_dense_symmetric(sample.array)
-        elif sample.storage == "complex-hermitian":
-            vals = _collapse_multiplicity(
-                _solve_dense_symmetric(_real_embedding(sample.array)), 2, ctx
-            )
-        elif sample.storage == "quaternion-embedded":
-            # complex Hermitian with structurally doubled spectrum; the real
-            # embedding doubles again, so each eigenvalue shows up 4 times
-            vals = _collapse_multiplicity(
-                _solve_dense_symmetric(_real_embedding(sample.array)), 4, ctx
-            )
-        elif sample.storage == "tridiagonal":
-            t = Tridiagonal(diag=sample.diag, offdiag=sample.offdiag)
-            vals = tridiag_eigenvalues(t)
-            if sample.spec.kind is EnsembleKind.TRIDIAG_BETA:
-                vals = vals / np.sqrt(sample.spec.beta)
-        else:
-            raise ShapeError(f"unknown storage {sample.storage!r}")
-    except NumericalFailureError as exc:
-        for key, value in ctx.items():
-            exc.context.setdefault(key, value)
-        raise
-
-    vals = np.sort(vals)
-    if vals.size > 1 and not np.all(np.diff(vals) > 0):
-        raise NumericalFailureError("computed spectrum is not simple", **ctx)
-    return SpectrumSample(values=vals, spec=sample.spec, trial=trial)
+    values = _solve(sample, None, trial)
+    spec = sample.spec if isinstance(sample, MatrixSample) else None
+    if spec is not None and values.size > 1 and not np.all(np.diff(values) > 0):
+        raise NumericalFailureError("computed spectrum is not simple", **_context(sample, trial))
+    return SpectrumSample(values=values, spec=spec, trial=trial)
 
 
-def principal_submatrix(sample: MatrixSample):
-    """Dense principal (n-1) x (n-1) submatrix of a dense real sample."""
-    if sample.storage != "real-symmetric":
-        raise ShapeError("principal submatrix helper expects dense real storage")
-    return sample.array[:-1, :-1]
+def eigenvalues_at(sample, positions, trial=0):
+    """Eigenvalues at the given 0-based positions of the ascending spectrum,
+    as an array in the order of positions, on the same convention and with
+    the same multiplicity check as eigenvalues().
+
+    Only the requested eigenvalues are solved (LAPACK stebz bisection on the
+    reduced tridiagonal, one call per position), so a trial that reads a few
+    of n eigenvalues pays for those alone.  A position outside [0, n) raises
+    ShapeError.
+    """
+    return _solve(sample, positions, trial)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from . import ensembles, fluctuations, spectra
-from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
+from .ensembles import EnsembleSpec, mix_trial_seed
 from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError
 from .fluctuations import IndexSpec
 from .semicircle import bulk_center_scale, edge_center_scale
@@ -115,12 +115,13 @@ class ExperimentResult:
 
 
 def _center_scales(plan):
+    """(centers, scales) arrays, one entry per coordinate."""
     n = plan.ensemble.n
     beta = plan.ensemble.beta
     spec = plan.index_spec
-    if spec.regime == "bulk":
-        return [bulk_center_scale(k, n, beta) for k in spec.indices]
-    return [edge_center_scale(k, n, beta) for k in spec.indices]
+    center_scale = bulk_center_scale if spec.regime == "bulk" else edge_center_scale
+    pairs = [center_scale(k, n, beta) for k in spec.indices]
+    return np.array([cs.center for cs in pairs]), np.array([cs.scale for cs in pairs])
 
 
 def _needed_positions(plan):
@@ -131,31 +132,17 @@ def _needed_positions(plan):
     return [n - k - 1 for k in plan.index_spec.indices]
 
 
-def _trial_vector(plan, trial, positions, center_scales):
+def _trial_vector(plan, trial, positions, centers, scales):
     seed = mix_trial_seed(plan.seed, trial)
     spec = plan.ensemble
     try:
-        if spec.kind is EnsembleKind.TRIDIAG_BETA:
-            sample = ensembles.sample_tridiag_beta(spec.n, spec.beta, seed)
-            t = spectra.Tridiagonal(diag=sample.diag, offdiag=sample.offdiag)
-            scale = sqrt(spec.beta)
-            eigs = [
-                spectra.tridiag_eigenvalues_selected(t, p, p)[0] / scale
-                for p in positions
-            ]
-        else:
-            sample = ensembles.sample(
-                EnsembleSpec(spec.kind, spec.n, seed=seed, beta=spec.beta)
-            )
-            values = spectra.eigenvalues(sample, trial=trial).values
-            eigs = [values[p] for p in positions]
+        sample = ensembles.sample(EnsembleSpec(spec.kind, spec.n, seed=seed, beta=spec.beta))
+        eigs = spectra.eigenvalues_at(sample, positions, trial=trial)
     except NumericalFailureError as exc:
         exc.context.setdefault("trial", trial)
         exc.context.setdefault("trial_seed", seed)
         raise
-    return np.array(
-        [(e - cs.center) / cs.scale for e, cs in zip(eigs, center_scales)]
-    )
+    return (eigs - centers) / scales
 
 
 def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
@@ -240,7 +227,7 @@ def run_mc(plan: ExperimentPlan, threads=1):
     count: trial t's stream depends only on (master seed, t) and vectors are
     stored by trial index."""
     positions = _needed_positions(plan)
-    center_scales = _center_scales(plan)
+    centers, scales = _center_scales(plan)
     m = plan.index_spec.m
     vectors = np.empty((plan.trials, m))
 
@@ -248,14 +235,14 @@ def run_mc(plan: ExperimentPlan, threads=1):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for trial, vec in enumerate(
                 pool.map(
-                    lambda t: _trial_vector(plan, t, positions, center_scales),
+                    lambda t: _trial_vector(plan, t, positions, centers, scales),
                     range(plan.trials),
                 )
             ):
                 vectors[trial] = vec
     else:
         for trial in range(plan.trials):
-            vectors[trial] = _trial_vector(plan, trial, positions, center_scales)
+            vectors[trial] = _trial_vector(plan, trial, positions, centers, scales)
 
     summary = summarize_vectors(vectors, plan.index_spec, plan.thresholds)
     return ExperimentResult(plan=plan, vectors=vectors, summary=summary)

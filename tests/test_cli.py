@@ -159,6 +159,13 @@ class TestFluctCommands:
         p2["meta"].pop("timestamp")
         assert p1 == p2
 
+    def test_svg_title_reads_the_plan_beta(self, tmp_path):
+        # --beta is not given: the ensemble implies beta = 2
+        svg = tmp_path / "gue.svg"
+        argv = ["bulk-fluct", "--ensemble", "gue", "--n", "40", "--k", "20", "--trials", "5"]
+        assert run(argv + ["--out", str(tmp_path / "gue.json"), "--svg", str(svg)]) == 0
+        assert "bulk fluctuation, n=40, k=20, beta=2</text>" in svg.read_text()
+
     def test_env_thread_fallback(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1.json", tmp_path / "e2.json"
         base = [
@@ -229,6 +236,15 @@ class TestExitCodes:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_env_is_2(self, value, monkeypatch, capsys):
+        # the environment value follows the --threads rule: an integer >= 1
+        monkeypatch.setenv("WIGNER_FLUCT_THREADS", value)
+        argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "3"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "WIGNER_FLUCT_THREADS" in err[0]
 
     def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
         assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3

@@ -243,9 +243,6 @@ class TestGSE:
         gaps = eigs[1::2] - eigs[0::2]
         assert np.all(np.abs(gaps) < 1e-10)
 
-    def test_doubled_flag(self):
-        assert wf.sample_gse(2, 1).doubled_spectrum
-
 
 class TestMatchedWigner:
     def test_three_point_closed_form_matches_bruteforce(self):

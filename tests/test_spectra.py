@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import wigner_fluct as wf
-from wigner_fluct.spectra import _real_embedding, principal_submatrix
 
 
 def eig_2x2_oracle(a, b, d):
@@ -10,6 +11,91 @@ def eig_2x2_oracle(a, b, d):
     t = 0.5 * (a + d)
     s = np.hypot(0.5 * (a - d), b)
     return t - s, t + s
+
+
+def real_embedding(h):
+    """[[Re h, -Im h], [Im h, Re h]]: real symmetric, spectrum of h doubled."""
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+
+
+def principal_submatrix(sample):
+    """Dense principal (n-1) x (n-1) submatrix of a dense real sample."""
+    assert sample.storage == "real-symmetric"
+    return sample.array[:-1, :-1]
+
+
+def sturm_count_below(t, x):
+    """Scalar reference for the batched Sturm count: number of eigenvalues
+    strictly below x, by LDL^T inertia of T - xI with the standard
+    pivot-perturbation guard."""
+    if not np.isfinite(x):
+        if x == np.inf:
+            return t.n
+        if x == -np.inf:
+            return 0
+        raise wf.InvalidDataError("shift must not be NaN")
+    emax = float(np.max(np.abs(t.offdiag))) if t.n > 1 else 0.0
+    pivmin = 1e-300 * max(1.0, emax * emax)
+    d = t.diag[0] - x
+    if abs(d) < pivmin:
+        d = -pivmin
+    count = 1 if d < 0 else 0
+    for i in range(1, t.n):
+        d = t.diag[i] - x - t.offdiag[i - 1] ** 2 / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        if d < 0:
+            count += 1
+    return count
+
+
+def tridiag_eigenvalues_bisect(t, indices=None, abs_tol=None):
+    """Reference eigenvalue path: bisection driven purely by Sturm counts.
+
+    indices: 0-based ascending eigenvalue indices (default: all).  Bisection
+    is self-validating through matrix inertia, which is why it serves as the
+    oracle for the LAPACK fast path.
+    """
+    idx_list = list(range(t.n) if indices is None else indices)
+    glo, ghi = t.gershgorin_bounds()
+    if abs_tol is None:
+        abs_tol = 1e-13 * max(1.0, max(abs(glo), abs(ghi)))
+    out = np.empty(len(idx_list))
+    for j, k in enumerate(idx_list):
+        if not 0 <= k < t.n:
+            raise wf.ShapeError(f"eigenvalue index {k} out of range for n={t.n}")
+        lo, hi = glo, ghi
+        # smallest x with count_below(x) >= k+1 is eigenvalue k
+        for _ in range(200):
+            if hi - lo <= abs_tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if sturm_count_below(t, mid) >= k + 1:
+                hi = mid
+            else:
+                lo = mid
+        else:
+            raise wf.NumericalFailureError("bisection failed to converge", index=k)
+        out[j] = 0.5 * (lo + hi)
+    return out
+
+
+def count_in_interval(t, interval, flag_endpoint_hits=True):
+    """Number of eigenvalues in the open interval (a, b), by Sturm counts;
+    an exact endpoint hit follows the Sturm convention and warns."""
+    a, b = interval
+    if not a < b:
+        raise wf.ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
+    if flag_endpoint_hits:
+        for x in (a, b):
+            if not np.isfinite(x):
+                continue
+            straddle = sturm_count_below(t, np.nextafter(x, np.inf)) - sturm_count_below(
+                t, np.nextafter(x, -np.inf)
+            )
+            if straddle > 0:
+                warnings.warn(f"eigenvalue coincides with interval endpoint {x}", stacklevel=2)
+    return sturm_count_below(t, b) - sturm_count_below(t, a)
 
 
 class TestTridiagonalize:
@@ -40,7 +126,7 @@ class TestTridiagonalize:
     # path; the embedded case is the 2n real form every complex sample uses.
     BLOCKED_CASES = {
         "goe-300": lambda: wf.sample_goe(300, 31).array,
-        "gue-150-embedded": lambda: _real_embedding(wf.sample_gue(150, 32).array),
+        "gue-150-embedded": lambda: real_embedding(wf.sample_gue(150, 32).array),
     }
 
     @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
@@ -130,13 +216,35 @@ class TestEigenvalues:
         raw = wf.tridiag_eigenvalues(t)
         assert np.allclose(wf.eigenvalues(s).values, np.sort(raw) / 2.0)
 
+    SELECTED_CASES = {
+        "goe": lambda: wf.sample_goe(25, 41),
+        "gue": lambda: wf.sample_gue(25, 42),
+        "gse": lambda: wf.sample_gse(25, 43),
+        "wigner-real": lambda: wf.sample_matched_wigner(25, 44, symmetry="real"),
+        "wigner-hermitian": lambda: wf.sample_matched_wigner(25, 45, symmetry="hermitian"),
+        "tridiag-beta4": lambda: wf.sample_tridiag_beta(25, 4, 46),
+        "complex-array": lambda: wf.sample_gue(25, 47).array,
+        "tridiagonal": lambda: wf.Tridiagonal(diag=np.zeros(25), offdiag=np.ones(24)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SELECTED_CASES))
+    def test_selected_positions_match_full_spectrum(self, case):
+        sample = self.SELECTED_CASES[case]()
+        full = wf.eigenvalues(sample).values
+        # edge positions arrive in descending order; the output keeps it
+        positions = [24, 23, 0, 12]
+        got = wf.eigenvalues_at(sample, positions)
+        assert np.allclose(got, full[positions], rtol=0, atol=1e-12 * np.sqrt(50))
+        with pytest.raises(wf.ShapeError):
+            wf.eigenvalues_at(sample, [25])
+
 
 class TestSturm:
     def test_two_site_examples(self):
         t = wf.Tridiagonal(diag=np.zeros(2), offdiag=np.ones(1))
-        assert wf.sturm_count_below(t, 0.0) == 1
-        assert wf.sturm_count_below(t, 2.0) == 2
-        assert wf.sturm_count_below(t, -2.0) == 0
+        assert sturm_count_below(t, 0.0) == 1
+        assert sturm_count_below(t, 2.0) == 2
+        assert sturm_count_below(t, -2.0) == 0
 
     def test_matches_full_solver(self):
         rng = np.random.default_rng(9)
@@ -144,17 +252,17 @@ class TestSturm:
         t = wf.Tridiagonal(diag=s.diag, offdiag=s.offdiag)
         eigs = wf.tridiag_eigenvalues(t)
         for x in rng.uniform(eigs[0] - 1, eigs[-1] + 1, size=100):
-            assert wf.sturm_count_below(t, x) == int(np.sum(eigs < x))
+            assert sturm_count_below(t, x) == int(np.sum(eigs < x))
 
     def test_monotone_and_saturates(self):
         s = wf.sample_tridiag_beta(30, 2, 55)
         t = wf.Tridiagonal(diag=s.diag, offdiag=s.offdiag)
         lo, hi = t.gershgorin_bounds()
         xs = np.linspace(lo - 1, hi + 1, 60)
-        counts = [wf.sturm_count_below(t, x) for x in xs]
+        counts = [sturm_count_below(t, x) for x in xs]
         assert np.all(np.diff(counts) >= 0)
         assert counts[-1] == t.n
-        assert wf.sturm_count_below(t, hi + 0.1) == t.n
+        assert sturm_count_below(t, hi + 0.1) == t.n
 
     def test_batch_matches_scalar(self):
         diag = np.stack([wf.sample_tridiag_beta(20, 1, s).diag for s in range(8)])
@@ -162,24 +270,24 @@ class TestSturm:
         batch = wf.sturm_count_below_batch(diag, off, 0.3)
         for row in range(8):
             t = wf.Tridiagonal(diag=diag[row], offdiag=off[row])
-            assert batch[row] == wf.sturm_count_below(t, 0.3)
+            assert batch[row] == sturm_count_below(t, 0.3)
 
     def test_infinite_shifts(self):
         t = wf.Tridiagonal(diag=np.zeros(4), offdiag=np.ones(3))
-        assert wf.sturm_count_below(t, np.inf) == 4
-        assert wf.sturm_count_below(t, -np.inf) == 0
+        assert sturm_count_below(t, np.inf) == 4
+        assert sturm_count_below(t, -np.inf) == 0
 
 
 class TestCountInInterval:
     def test_examples(self):
         t = wf.Tridiagonal(diag=np.zeros(2), offdiag=np.ones(1))  # spectrum {-1, 1}
-        assert wf.count_in_interval(t, (0.0, np.inf)) == 1
-        assert wf.count_in_interval(t, (-2.0, 2.0)) == 2
+        assert count_in_interval(t, (0.0, np.inf)) == 1
+        assert count_in_interval(t, (-2.0, 2.0)) == 2
 
     def test_inverted_interval(self):
         t = wf.Tridiagonal(diag=np.zeros(2), offdiag=np.ones(1))
         with pytest.raises(wf.ShapeError):
-            wf.count_in_interval(t, (1.0, -1.0))
+            count_in_interval(t, (1.0, -1.0))
 
     def test_additivity(self):
         rng = np.random.default_rng(12)
@@ -187,9 +295,9 @@ class TestCountInInterval:
         t = wf.Tridiagonal(diag=s.diag, offdiag=s.offdiag)
         for _ in range(50):
             a, b, c = np.sort(rng.uniform(-10, 10, size=3))
-            total = wf.count_in_interval(t, (a, c), flag_endpoint_hits=False)
-            parts = wf.count_in_interval(t, (a, b), flag_endpoint_hits=False)
-            parts += wf.count_in_interval(t, (b, c), flag_endpoint_hits=False)
+            total = count_in_interval(t, (a, c), flag_endpoint_hits=False)
+            parts = count_in_interval(t, (a, b), flag_endpoint_hits=False)
+            parts += count_in_interval(t, (b, c), flag_endpoint_hits=False)
             assert total == parts
 
     def test_matches_bruteforce_counting(self):
@@ -200,12 +308,12 @@ class TestCountInInterval:
             eigs = wf.tridiag_eigenvalues(t)
             a, b = np.sort(rng.uniform(-12, 12, size=2))
             expect = int(np.sum((eigs > a) & (eigs < b)))
-            assert wf.count_in_interval(t, (a, b), flag_endpoint_hits=False) == expect
+            assert count_in_interval(t, (a, b), flag_endpoint_hits=False) == expect
 
     def test_endpoint_hit_warns(self):
         t = wf.Tridiagonal(diag=np.array([0.0, 0.0]), offdiag=np.array([1.0]))
         with pytest.warns(UserWarning, match="endpoint"):
-            wf.count_in_interval(t, (1.0, 2.0))
+            count_in_interval(t, (1.0, 2.0))
 
 
 class TestInterlacing:
@@ -235,7 +343,7 @@ class TestReferenceBisection:
             s = wf.sample_tridiag_beta(60, 1, wf.mix_trial_seed(100, seed))
             t = wf.Tridiagonal(diag=s.diag, offdiag=s.offdiag)
             fast = wf.tridiag_eigenvalues(t)
-            ref = wf.tridiag_eigenvalues_bisect(t)
+            ref = tridiag_eigenvalues_bisect(t)
             assert np.max(np.abs(fast - ref)) <= 1e-10 * np.sqrt(2 * t.n)
 
     def test_selected_indices(self):
@@ -244,13 +352,13 @@ class TestReferenceBisection:
         full = wf.tridiag_eigenvalues(t)
         sel = wf.tridiag_eigenvalues_selected(t, 10, 12)
         assert np.allclose(sel, full[10:13], atol=1e-12)
-        ref = wf.tridiag_eigenvalues_bisect(t, indices=[10, 11, 12])
+        ref = tridiag_eigenvalues_bisect(t, indices=[10, 11, 12])
         assert np.allclose(ref, full[10:13], atol=1e-10 * np.sqrt(2 * t.n))
 
     def test_bad_index(self):
         t = wf.Tridiagonal(diag=np.zeros(3), offdiag=np.ones(2))
         with pytest.raises(wf.ShapeError):
-            wf.tridiag_eigenvalues_bisect(t, indices=[3])
+            tridiag_eigenvalues_bisect(t, indices=[3])
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
-from wigner_fluct import stats
+from wigner_fluct import cli, spectra, stats
 from wigner_fluct.stats import ExperimentPlan, Thresholds
 
 
@@ -161,19 +161,48 @@ class TestRunMC:
         again = wf.summarize_vectors(result.vectors, plan.index_spec, plan.thresholds)
         assert json.dumps(result.summary, sort_keys=True) == json.dumps(again, sort_keys=True)
 
-    def test_dense_and_tridiag_paths_share_normalization(self):
-        # same normalization machinery applied to a dense sample
-        plan = ExperimentPlan(
-            ensemble=wf.EnsembleSpec(wf.EnsembleKind.GOE, 30),
-            index_spec=wf.IndexSpec(regime="bulk", indices=(15,)),
-            trials=3,
-            seed=11,
-        )
+    # n = 30; (regime, indices) per case, edge offsets arriving as descending positions
+    NORMALIZATION_INDICES = {
+        "bulk-m1": ("bulk", (15,)),
+        "bulk-m2": ("bulk", (12, 17)),
+        "edge-m2": ("edge", (12, 14)),
+    }
+
+    @pytest.mark.parametrize("indices", sorted(NORMALIZATION_INDICES))
+    @pytest.mark.parametrize(
+        "ensemble", ["goe", "gue", "gse", "wigner-real", "wigner-hermitian", "tridiag"]
+    )
+    def test_dense_and_tridiag_paths_share_normalization(self, ensemble, indices):
+        # every trial vector is the full spectrum's normalization
+        n, seed = 30, 11
+        spec = cli._ensemble_spec(ensemble, n, 4 if ensemble == "tridiag" else None)
+        regime, idx = self.NORMALIZATION_INDICES[indices]
+        index_spec = (wf.bulk_index_spec if regime == "bulk" else wf.edge_index_spec)(idx, n)
+        plan = ExperimentPlan(ensemble=spec, index_spec=index_spec, trials=3, seed=seed)
         result = wf.run_mc(plan)
-        seed0 = wf.mix_trial_seed(11, 0)
-        spectrum = wf.eigenvalues(wf.sample_goe(30, seed0))
-        manual = wf.normalize_bulk(spectrum, plan.index_spec, 1).x
-        assert result.vectors[0, 0] == pytest.approx(manual[0], abs=1e-12)
+        for trial in range(plan.trials):
+            sample = wf.sample(
+                wf.EnsembleSpec(spec.kind, n, seed=wf.mix_trial_seed(seed, trial), beta=spec.beta)
+            )
+            manual = wf.normalize(wf.eigenvalues(sample), index_spec, spec.beta).x
+            assert np.allclose(result.vectors[trial], manual, rtol=0, atol=1e-12)
+
+    def test_multiplicity_failure_names_the_trial(self, monkeypatch, capsys):
+        # a negative tolerance makes every Kramers/embedding pair fail the spread check
+        monkeypatch.setattr(spectra, "_DEDUP_RTOL", -1.0)
+        plan = ExperimentPlan(
+            ensemble=wf.EnsembleSpec(wf.EnsembleKind.GUE, 12),
+            index_spec=wf.IndexSpec(regime="bulk", indices=(6,)),
+            trials=2,
+            seed=3,
+        )
+        with pytest.raises(wf.NumericalFailureError) as exc:
+            wf.run_mc(plan)
+        assert exc.value.context["trial"] == 0
+        assert exc.value.context["trial_seed"] == wf.mix_trial_seed(3, 0)
+        argv = "bulk-fluct --ensemble gue --n 12 --k 6 --trials 2 --seed 3 --no-timestamp"
+        assert cli.main(argv.split()) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_trial_count_validated(self):
         with pytest.raises(wf.InvalidSizeError):
