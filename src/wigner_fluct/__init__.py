@@ -46,7 +46,6 @@ from .fluctuations import (
 )
 from .kernel import (
     CumulantReport,
-    HermiteBasis,
     KernelOperator,
     counting_cumulants,
     discretize_operator,
@@ -88,5 +87,4 @@ from .stats import (
     run_mc,
     standard_normal_cdf,
     summarize_vectors,
-    synthetic_normal_vectors,
 )

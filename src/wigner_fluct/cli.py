@@ -408,12 +408,8 @@ def _cmd_sample(args):
 
 
 def _cmd_bulk_edge(args, regime):
-    if regime == "bulk":
-        index_spec = fluctuations.IndexSpec(regime="bulk", indices=(args.k,))
-    else:
-        index_spec = fluctuations.IndexSpec(
-            regime="edge", indices=(args.k,), gamma=math.log(args.k) / math.log(args.n)
-        )
+    make_spec = fluctuations.bulk_index_spec if regime == "bulk" else fluctuations.edge_index_spec
+    index_spec = make_spec((args.k,), args.n)
     th = Thresholds(ks_max=args.ks_max, var_lo=args.var_lo, var_hi=args.var_hi)
     plan = ExperimentPlan(
         ensemble=_ensemble_spec(args.ensemble, args.n, args.beta),
@@ -441,29 +437,29 @@ def _cmd_joint(args):
     return _run_fluct(args, plan, f"joint {args.regime} fluctuations, n={args.n}")
 
 
-def fr_check_samples(which, n, trials, seed):
+def fr_check_samples(which, n, trials, seed, threads=1):
     """Per-index samples for the two sides of the superposition/decimation
-    identity: returns (decimated, direct) arrays of shape (trials, n)."""
-    left = np.empty((trials, n))
-    right = np.empty((trials, n))
-    seed_a = mix_trial_seed(seed, 1)
-    seed_b = mix_trial_seed(seed, 2)
-    seed_c = mix_trial_seed(seed, 3)
-    for t in range(trials):
-        if which == "gue":
-            ga = spectra.eigenvalues(ensembles.sample_goe(n, mix_trial_seed(seed_a, t)))
-            gb = spectra.eigenvalues(ensembles.sample_goe(n + 1, mix_trial_seed(seed_b, t)))
-            left[t] = ensembles.superpose_decimate_even(ga.values, gb.values)
-            gc = spectra.eigenvalues(ensembles.sample_gue(n, mix_trial_seed(seed_c, t)))
-            right[t] = gc.values
-        else:
-            ga = spectra.eigenvalues(
-                ensembles.sample_goe(2 * n + 1, mix_trial_seed(seed_a, t))
-            )
-            left[t] = ensembles.gse_from_goe(ga.values)
-            gc = spectra.eigenvalues(ensembles.sample_gse(n, mix_trial_seed(seed_c, t)))
-            right[t] = gc.values
-    return left, right
+    identity: returns (decimated, direct) arrays of shape (trials, n).
+
+    Three trial streams, stream s with master seed mix_trial_seed(seed, s):
+    1 and 2 the GOE spectra the map merges (2 only for gue), 3 the direct
+    GUE or GSE spectra."""
+
+    def spectra_of(stream, sampler, size):
+        def solve(t, trial_seed):
+            return spectra.eigenvalues(sampler(size, trial_seed)).values
+
+        return stats._map_trials(mix_trial_seed(seed, stream), range(trials), solve, threads)
+
+    if which == "gue":
+        goe_a = spectra_of(1, ensembles.sample_goe, n)
+        goe_b = spectra_of(2, ensembles.sample_goe, n + 1)
+        left = list(map(ensembles.superpose_decimate_even, goe_a, goe_b))
+        right = spectra_of(3, ensembles.sample_gue, n)
+    else:
+        left = list(map(ensembles.gse_from_goe, spectra_of(1, ensembles.sample_goe, 2 * n + 1)))
+        right = spectra_of(3, ensembles.sample_gse, n)
+    return np.array(left), np.array(right)
 
 
 def _cmd_fr_check(args):
@@ -471,7 +467,7 @@ def _cmd_fr_check(args):
     indices = args.k or tuple(range(1, n + 1))
     if any(k > n for k in indices):
         raise UnsupportedError(f"--k indices must be <= n={n}")
-    left, right = fr_check_samples(args.which, n, args.trials, args.seed)
+    left, right = fr_check_samples(args.which, n, args.trials, args.seed, _threads(args))
     ks = {}
     all_pass = True
     for k in indices:

@@ -16,9 +16,9 @@ with each entry taking its draws consecutively), so a (spec, seed) pair
 yields a bit-identical matrix regardless of scheduling.  That order is
 coded once, in _upper_triangle_draws; the dense samplers only map its draws
 to entries and write both triangles through _hermitian.  The tridiagonal
-model's stream (diagonal normals, then gammas) is likewise coded once, in
-_tridiag_draws, which stats.counting_experiment shares.  Per-trial seeds are
-derived from a master seed with the SplitMix64 mixing function.
+model's stream (diagonal normals, then gammas) is coded once, in
+sample_tridiag_beta.  Per-trial seeds are derived from a master seed with
+the SplitMix64 mixing function; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -308,15 +308,6 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     return MatrixSample(storage=storage, spec=EnsembleSpec(kind, n, seed=seed), array=h)
 
 
-def _tridiag_draws(n, beta, seed):
-    """(diag, offdiag) of sample_tridiag_beta in its documented stream order;
-    stats.counting_experiment draws through it too."""
-    rng = _rng(seed)
-    diag = rng.standard_normal(n)
-    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
-    return diag, np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0)
-
-
 def sample_tridiag_beta(n, beta, seed):
     """Symmetric tridiagonal model whose spectrum, divided by sqrt(beta),
     follows the beta-ensemble eigenvalue density with weight
@@ -329,17 +320,19 @@ def sample_tridiag_beta(n, beta, seed):
     k order.
 
     The 1/sqrt(beta) eigenvalue rescale is the caller's responsibility
-    (spectra.eigenvalues and spectra.eigenvalues_at apply it).
+    (spectra applies it to every spectrum and count it computes).
     """
     _check_n(n)
     if beta not in (1, 2, 4):
         raise UnsupportedError(f"beta must be 1, 2 or 4, got {beta}")
-    diag, offdiag = _tridiag_draws(n, beta, seed)
+    rng = _rng(seed)
+    diag = rng.standard_normal(n)
+    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
     return MatrixSample(
         storage="tridiagonal",
         spec=EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta),
         diag=diag,
-        offdiag=offdiag,
+        offdiag=np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0),
     )
 
 

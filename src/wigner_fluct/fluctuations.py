@@ -105,84 +105,75 @@ class FluctuationVector:
             raise DomainError("fluctuation coordinates must be finite")
 
 
-def normalize_bulk(spectrum, spec: IndexSpec, beta):
-    """X_i = (x_{k_i} - center_i) / scale_i with the bulk center/scale of
-    each requested index."""
-    if spec.regime != "bulk":
-        raise DomainError("normalize_bulk requires a bulk IndexSpec")
-    values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
-    trial = spectrum.trial if isinstance(spectrum, SpectrumSample) else 0
-    n = values.size
-    out = np.empty(spec.m)
-    for i, k in enumerate(spec.indices):
-        if not 1 <= k <= n:
-            raise ShapeError(f"eigenvalue index {k} out of range 1..{n}")
-        cs = bulk_center_scale(k, n, beta)
-        out[i] = (values[k - 1] - cs.center) / cs.scale
-    return FluctuationVector(x=out, trial=trial)
-
-
-def normalize_edge(spectrum, spec: IndexSpec, beta):
-    """X_i = (x_{n-k_i} - center_i) / scale_i with the edge center/scale for
-    offset k_i from the top of the spectrum."""
-    if spec.regime != "edge":
-        raise DomainError("normalize_edge requires an edge IndexSpec")
-    values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
-    trial = spectrum.trial if isinstance(spectrum, SpectrumSample) else 0
-    n = values.size
-    out = np.empty(spec.m)
-    for i, k in enumerate(spec.indices):
-        if not 1 <= k < n:
-            raise ShapeError(f"edge offset {k} out of range 1..{n - 1}")
-        cs = edge_center_scale(k, n, beta)
-        out[i] = (values[n - k - 1] - cs.center) / cs.scale
-    return FluctuationVector(x=out, trial=trial)
+def coordinates(spec: IndexSpec, n, beta):
+    """(positions, centers, scales): for each coordinate, the 0-based
+    position it reads in an ascending spectrum of size n (k - 1 in the bulk,
+    n - k - 1 at the edge) and the center and scale it is normalized by
+    (bulk_center_scale or edge_center_scale).  The one place that maps
+    indices to eigenvalues; normalize() and stats.run_mc both read it."""
+    bulk = spec.regime == "bulk"
+    center_scale = bulk_center_scale if bulk else edge_center_scale
+    top = n if bulk else n - 1
+    positions, centers, scales = [], [], []
+    for k in spec.indices:
+        if not 1 <= k <= top:
+            what = "eigenvalue index" if bulk else "edge offset"
+            raise ShapeError(f"{what} {k} out of range 1..{top}")
+        cs = center_scale(k, n, beta)
+        positions.append(k - 1 if bulk else n - k - 1)
+        centers.append(cs.center)
+        scales.append(cs.scale)
+    return positions, np.array(centers), np.array(scales)
 
 
 def normalize(spectrum, spec: IndexSpec, beta):
-    if spec.regime == "bulk":
-        return normalize_bulk(spectrum, spec, beta)
-    return normalize_edge(spectrum, spec, beta)
+    """X_i = (x - center_i) / scale_i for the eigenvalue x that coordinate i
+    reads, with the positions, centers and scales of coordinates()."""
+    values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
+    trial = spectrum.trial if isinstance(spectrum, SpectrumSample) else 0
+    positions, centers, scales = coordinates(spec, values.size, beta)
+    return FluctuationVector(x=(values[positions] - centers) / scales, trial=trial)
 
 
-def _max_theta(thetas, i, j):
-    """max over theta_k for i <= k < j, with 1-based coordinate labels."""
-    return max(thetas[k] for k in range(i - 1, j - 1))
-
-
-def predicted_cov_bulk(spec: IndexSpec):
-    """Limit covariance in the bulk: unit diagonal and
-    Lambda_ij = 1 - max{theta_k : i <= k < j} for i < j."""
+def normalize_bulk(spectrum, spec: IndexSpec, beta):
+    """normalize() for a bulk IndexSpec: X_i = (x_{k_i} - center_i) / scale_i."""
     if spec.regime != "bulk":
-        raise DomainError("predicted_cov_bulk requires a bulk IndexSpec")
-    m = spec.m
-    if m > 1 and not spec.thetas:
-        raise ShapeError("gap exponents required for m > 1")
-    lam = np.eye(m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            lam[i - 1, j - 1] = lam[j - 1, i - 1] = 1.0 - _max_theta(spec.thetas, i, j)
-    return lam
+        raise DomainError("normalize_bulk requires a bulk IndexSpec")
+    return normalize(spectrum, spec, beta)
 
 
-def predicted_cov_edge(spec: IndexSpec):
-    """Limit covariance at the edge: unit diagonal and
-    Lambda_ij = 1 - max{theta_k : i <= k < j} / gamma for i < j."""
+def normalize_edge(spectrum, spec: IndexSpec, beta):
+    """normalize() for an edge IndexSpec: X_i = (x_{n-k_i} - center_i) / scale_i,
+    offset k_i counted from the top of the spectrum."""
     if spec.regime != "edge":
-        raise DomainError("predicted_cov_edge requires an edge IndexSpec")
-    m = spec.m
-    if m > 1 and not spec.thetas:
-        raise ShapeError("gap exponents required for m > 1")
-    lam = np.eye(m)
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            lam[i - 1, j - 1] = lam[j - 1, i - 1] = (
-                1.0 - _max_theta(spec.thetas, i, j) / spec.gamma
-            )
-    return lam
+        raise DomainError("normalize_edge requires an edge IndexSpec")
+    return normalize(spectrum, spec, beta)
 
 
 def predicted_cov(spec: IndexSpec):
-    if spec.regime == "bulk":
-        return predicted_cov_bulk(spec)
-    return predicted_cov_edge(spec)
+    """Limit covariance: unit diagonal and, for i < j,
+    Lambda_ij = 1 - max{theta_k : i <= k < j} in the bulk and
+    Lambda_ij = 1 - max{theta_k : i <= k < j} / gamma at the edge."""
+    m = spec.m
+    if m > 1 and not spec.thetas:
+        raise ShapeError("gap exponents required for m > 1")
+    divisor = 1.0 if spec.regime == "bulk" else spec.gamma
+    lam = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            lam[i, j] = lam[j, i] = 1.0 - max(spec.thetas[i:j]) / divisor
+    return lam
+
+
+def predicted_cov_bulk(spec: IndexSpec):
+    """predicted_cov() for a bulk IndexSpec."""
+    if spec.regime != "bulk":
+        raise DomainError("predicted_cov_bulk requires a bulk IndexSpec")
+    return predicted_cov(spec)
+
+
+def predicted_cov_edge(spec: IndexSpec):
+    """predicted_cov() for an edge IndexSpec."""
+    if spec.regime != "edge":
+        raise DomainError("predicted_cov_edge requires an edge IndexSpec")
+    return predicted_cov(spec)

@@ -155,23 +155,6 @@ def hermite_phi(i, x):
     return out if np.ndim(x) else float(out[0])
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """First n weighted orthonormal Hermite functions psi_0 .. psi_{n-1}."""
-
-    n: int
-
-    def psi(self, i, x):
-        if not 0 <= i < self.n:
-            raise ShapeError(f"basis holds indices 0..{self.n - 1}, got {i}")
-        return hermite_psi(i, x)
-
-    def phi(self, i, x):
-        if not 0 <= i < self.n:
-            raise ShapeError(f"basis holds indices 0..{self.n - 1}, got {i}")
-        return hermite_phi(i, x)
-
-
 def kernel_diag(n, x):
     """K_n(x, x) via the confluent Christoffel-Darboux form."""
     if n < 1:
@@ -193,15 +176,6 @@ def kernel_point(n, x, y):
     pts = np.array([x, y], dtype=float)
     _, p1, p0 = _psi_top_three(n, pts)
     return float(sqrt(n / 2.0) * (p0[0] * p1[1] - p1[0] * p0[1]) / (x - y))
-
-
-def kernel_sum_direct(n, x, y):
-    """Direct evaluation sum_i psi_i(x) psi_i(y); O(n) per call, used as the
-    cross-check oracle for the Christoffel-Darboux path at moderate n."""
-    total = 0.0
-    for i in range(n):
-        total += hermite_psi(i, x) * hermite_psi(i, y)
-    return total
 
 
 def _kernel_cross(n, x_rows, x_cols):
@@ -393,13 +367,17 @@ def counting_cumulants(op: KernelOperator):
       C_2 = T_1 - T_2,
       C_3 = T_1 - 3 T_2 + 2 T_3,
       C_4 = T_1 - 7 T_2 + 12 T_3 - 6 T_4.
+    A is symmetric, so one product A2 = A A gives them all:
+    T_2 = ||A||_F^2, T_3 = <A2, A> and T_4 = ||A2||_F^2 (Frobenius).
     """
     a = op.matrix
-    traces = {1: float(np.trace(a))}
-    power = a
-    for l in range(2, 5):
-        power = power @ a
-        traces[l] = float(np.trace(power))
+    a2 = a @ a
+    traces = {
+        1: float(np.trace(a)),
+        2: float(np.vdot(a, a)),
+        3: float(np.vdot(a2, a)),
+        4: float(np.vdot(a2, a2)),
+    }
     t1, t2, t3, t4 = (traces[l] for l in range(1, 5))
     c2 = t1 - t2
     if c2 < -1e-10:

@@ -10,10 +10,12 @@ blocked path (level-3 BLAS updates); small matrices stay on the unblocked
 one.  eigenvalues() solves the whole tridiagonal spectrum (LAPACK sterf);
 eigenvalues_at() solves only the group of repeated copies behind each
 requested position (LAPACK stebz).  Both collapse the repeated copies with
-the same spread check and apply the tridiagonal beta model's 1/sqrt(beta)
-rescale.  The Sturm-bisection reference path that cross-checks LAPACK, its
-scalar Sturm count and interval counting live in tests/test_spectra.py as
-oracles; the batched Sturm count used by counting experiments stays here.
+the same spread check.  The tridiagonal beta model's sqrt(beta) scale is
+known to one helper (_model_scale): the solvers divide spectra by it and
+count_above multiplies cuts by it.  The Sturm-bisection reference path that
+cross-checks LAPACK, its scalar Sturm count and interval counting live in
+tests/test_spectra.py as oracles; the batched Sturm count used by counting
+experiments stays here.
 """
 
 from dataclasses import dataclass
@@ -161,6 +163,16 @@ def sturm_count_below_batch(diag, offdiag, x):
     return count
 
 
+def count_above(diag, offdiag, cut, spec: EnsembleSpec):
+    """Eigenvalues above cut, on the common convention, of each row of a
+    batch of tridiagonals drawn from spec's ensemble: a batched Sturm count
+    of the stored matrices below the cut in their own units.
+
+    diag (B, n), offdiag (B, n-1).  Returns (B,) counts.
+    """
+    return diag.shape[1] - sturm_count_below_batch(diag, offdiag, cut * _model_scale(spec))
+
+
 def check_interlacing(parent, child, tol=0.0):
     """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
     parent eigenvalues and s the (one fewer) child eigenvalues."""
@@ -187,16 +199,22 @@ def _real_embedding(h):
 _EMBEDDED_MULT = {"real-symmetric": 1, "complex-hermitian": 2, "quaternion-embedded": 4}
 
 
+def _model_scale(spec):
+    """How many times larger a stored spectrum is than the common convention
+    (weight exp(-(beta/2) sum x^2)): sqrt(beta) for the tridiagonal beta
+    model, 1 for every other ensemble."""
+    return sqrt(spec.beta) if spec.kind is EnsembleKind.TRIDIAG_BETA else 1.0
+
+
 def _reduce(sample):
     """(t, mult, divisor): a real symmetric tridiagonal t whose spectrum is
     the sample's, each eigenvalue repeated mult times in consecutive
     positions and multiplied by divisor.
 
     This is the one place that knows how a sample becomes a tridiagonal:
-    complex input is reduced through its real embedding, and the tridiagonal
-    beta model's spectrum is sqrt(beta) times the common convention
-    (weight exp(-(beta/2) sum x^2)).  Plain arrays and Tridiagonal instances
-    are taken as they are.
+    complex input is reduced through its real embedding, and a tridiagonal
+    sample is scaled by _model_scale.  Plain arrays and Tridiagonal
+    instances are taken as they are.
     """
     if isinstance(sample, Tridiagonal):
         return sample, 1, 1.0
@@ -204,8 +222,7 @@ def _reduce(sample):
         a, mult = sample, 2 if np.iscomplexobj(sample) else 1
     elif sample.storage == "tridiagonal":
         t = Tridiagonal(diag=sample.diag, offdiag=sample.offdiag)
-        beta_model = sample.spec.kind is EnsembleKind.TRIDIAG_BETA
-        return t, 1, sqrt(sample.spec.beta) if beta_model else 1.0
+        return t, 1, _model_scale(sample.spec)
     elif sample.storage in _EMBEDDED_MULT:
         a, mult = sample.array, _EMBEDDED_MULT[sample.storage]
     else:
@@ -231,10 +248,11 @@ def _collapse_multiplicity(values, mult):
     return groups.mean(axis=1)
 
 
-def _solve(sample, positions, trial):
+def _solve(sample, positions, **context):
     """Eigenvalues of the sample in the common convention: the whole
     ascending spectrum when positions is None, else the value at each
-    0-based ascending position, in the order given."""
+    0-based ascending position, in the order given.  A numerical failure
+    carries the sample's provenance and the given context."""
     try:
         t, mult, divisor = _reduce(sample)
         if positions is None:
@@ -246,16 +264,16 @@ def _solve(sample, positions, trial):
         if mult > 1:
             values = _collapse_multiplicity(values, mult)
     except NumericalFailureError as exc:
-        for key, value in _context(sample, trial).items():
+        for key, value in {**_context(sample), **context}.items():
             exc.context.setdefault(key, value)
         raise
     return values / divisor if divisor != 1.0 else values
 
 
-def _context(sample, trial):
+def _context(sample):
     if isinstance(sample, MatrixSample):
-        return {"seed": sample.spec.seed, "trial": trial, "n": sample.spec.n}
-    return {"trial": trial}
+        return {"seed": sample.spec.seed, "n": sample.spec.n}
+    return {}
 
 
 def eigenvalues(sample, trial=0):
@@ -268,14 +286,16 @@ def eigenvalues(sample, trial=0):
     Plain arrays (complex ones through their real embedding) and Tridiagonal
     instances are accepted and solved as-is.
     """
-    values = _solve(sample, None, trial)
+    values = _solve(sample, None, trial=trial)
     spec = sample.spec if isinstance(sample, MatrixSample) else None
     if spec is not None and values.size > 1 and not np.all(np.diff(values) > 0):
-        raise NumericalFailureError("computed spectrum is not simple", **_context(sample, trial))
+        raise NumericalFailureError(
+            "computed spectrum is not simple", **_context(sample), trial=trial
+        )
     return SpectrumSample(values=values, spec=spec, trial=trial)
 
 
-def eigenvalues_at(sample, positions, trial=0):
+def eigenvalues_at(sample, positions):
     """Eigenvalues at the given 0-based positions of the ascending spectrum,
     as an array in the order of positions, on the same convention and with
     the same multiplicity check as eigenvalues().
@@ -285,4 +305,4 @@ def eigenvalues_at(sample, positions, trial=0):
     of n eigenvalues pays for those alone.  A position outside [0, n) raises
     ShapeError.
     """
-    return _solve(sample, positions, trial)
+    return _solve(sample, positions)

@@ -3,7 +3,10 @@
 Determinism contract: an experiment is identified by (plan, master seed).
 Trial t draws from a generator seeded with mix_trial_seed(master, t), and
 aggregation is an ordered fold over the trial index, so results are
-bit-identical for any thread count or scheduling order.
+bit-identical for any thread count or scheduling order.  One private trial
+loop, _map_trials, holds the contract: every Monte-Carlo experiment of the
+package (run_mc, counting_experiment and the CLI's fr-check samples) seeds,
+orders, threads and labels its trials through it.
 
 Thresholds attached to theorem checks are fixed engineering constants chosen
 for n in the few-hundreds-to-thousands range (the limit theorems converge at
@@ -19,10 +22,11 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from . import ensembles, fluctuations, spectra
-from .ensembles import EnsembleSpec, mix_trial_seed
+from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
 from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError
 from .fluctuations import IndexSpec
-from .semicircle import bulk_center_scale, edge_center_scale
+# unused here; bench/tests/test_spans.py traces the name stats.bulk_center_scale
+from .semicircle import bulk_center_scale  # noqa: F401
 
 
 def standard_normal_cdf(x):
@@ -114,35 +118,28 @@ class ExperimentResult:
         return all(rec["passed"] for rec in self.summary["pass"])
 
 
-def _center_scales(plan):
-    """(centers, scales) arrays, one entry per coordinate."""
-    n = plan.ensemble.n
-    beta = plan.ensemble.beta
-    spec = plan.index_spec
-    center_scale = bulk_center_scale if spec.regime == "bulk" else edge_center_scale
-    pairs = [center_scale(k, n, beta) for k in spec.indices]
-    return np.array([cs.center for cs in pairs]), np.array([cs.scale for cs in pairs])
+def _map_trials(seed, trials, fn, threads=1):
+    """[fn(t, mix_trial_seed(seed, t)) for t in trials], in the order of
+    trials: the one trial loop of the package.
 
+    With threads > 1 the calls run on a pool of that many threads; results
+    are still returned in trial order, so they do not depend on the thread
+    count.  A NumericalFailureError leaving fn is labelled with its trial
+    and trial seed, replacing any label set further down.
+    """
 
-def _needed_positions(plan):
-    """0-based positions in the ordered spectrum, one per coordinate."""
-    n = plan.ensemble.n
-    if plan.index_spec.regime == "bulk":
-        return [k - 1 for k in plan.index_spec.indices]
-    return [n - k - 1 for k in plan.index_spec.indices]
+    def call(t):
+        trial_seed = mix_trial_seed(seed, t)
+        try:
+            return fn(t, trial_seed)
+        except NumericalFailureError as exc:
+            exc.context.update(trial=t, trial_seed=trial_seed)
+            raise
 
-
-def _trial_vector(plan, trial, positions, centers, scales):
-    seed = mix_trial_seed(plan.seed, trial)
-    spec = plan.ensemble
-    try:
-        sample = ensembles.sample(EnsembleSpec(spec.kind, spec.n, seed=seed, beta=spec.beta))
-        eigs = spectra.eigenvalues_at(sample, positions, trial=trial)
-    except NumericalFailureError as exc:
-        exc.context.setdefault("trial", trial)
-        exc.context.setdefault("trial_seed", seed)
-        raise
-    return (eigs - centers) / scales
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(call, trials))
+    return [call(t) for t in trials]
 
 
 def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
@@ -224,26 +221,15 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
 def run_mc(plan: ExperimentPlan, threads=1):
     """Sample the planned ensemble over all trials, normalize the requested
     eigenvalues, and aggregate.  Output is bit-identical for any thread
-    count: trial t's stream depends only on (master seed, t) and vectors are
-    stored by trial index."""
-    positions = _needed_positions(plan)
-    centers, scales = _center_scales(plan)
-    m = plan.index_spec.m
-    vectors = np.empty((plan.trials, m))
+    count (see _map_trials)."""
+    spec = plan.ensemble
+    positions, centers, scales = fluctuations.coordinates(plan.index_spec, spec.n, spec.beta)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for trial, vec in enumerate(
-                pool.map(
-                    lambda t: _trial_vector(plan, t, positions, centers, scales),
-                    range(plan.trials),
-                )
-            ):
-                vectors[trial] = vec
-    else:
-        for trial in range(plan.trials):
-            vectors[trial] = _trial_vector(plan, trial, positions, centers, scales)
+    def trial_vector(t, trial_seed):
+        sample = ensembles.sample(EnsembleSpec(spec.kind, spec.n, seed=trial_seed, beta=spec.beta))
+        return (spectra.eigenvalues_at(sample, positions) - centers) / scales
 
+    vectors = np.array(_map_trials(plan.seed, range(plan.trials), trial_vector, threads))
     summary = summarize_vectors(vectors, plan.index_spec, plan.thresholds)
     return ExperimentResult(plan=plan, vectors=vectors, summary=summary)
 
@@ -256,37 +242,26 @@ def counting_experiment(n, beta, cut, trials, seed):
     """Monte-Carlo counts of eigenvalues above `cut` for the beta-ensemble of
     size n (eigenvalue convention: weight e^{-(beta/2) sum x^2}).
 
-    Sampling goes through the tridiagonal model (identical spectrum law, the
-    same stream as sample_tridiag_beta) and counting through batched Sturm
-    inertia, so one trial costs O(n).  Per trial seeds follow the standard
-    mixing contract.
+    Each trial draws sample_tridiag_beta (identical spectrum law) from its
+    mixed seed, and counting goes through batched Sturm inertia
+    (spectra.count_above), so one trial costs O(n).
     """
     if trials < 1:
         raise InvalidSizeError(f"trials must be >= 1, got {trials}")
+    spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)
+    batch = min(_COUNTING_BATCH, trials)
+    # each draw goes straight into its row; holding the samples would raise
+    # the peak memory of a batch
+    diag, off = np.empty((batch, n)), np.empty((batch, n - 1))
+
+    def draw(t, trial_seed):
+        sample = ensembles.sample_tridiag_beta(n, beta, trial_seed)
+        diag[t % batch], off[t % batch] = sample.diag, sample.offdiag
+
     counts = np.empty(trials, dtype=np.int64)
-    raw_cut = cut * sqrt(beta)  # undo the 1/sqrt(beta) eigenvalue rescale
-    done = 0
-    while done < trials:
-        b = min(_COUNTING_BATCH, trials - done)
-        diag = np.empty((b, n))
-        off = np.empty((b, n - 1))
-        for row in range(b):
-            diag[row], off[row] = ensembles._tridiag_draws(
-                n, beta, mix_trial_seed(seed, done + row)
-            )
-        counts[done : done + b] = n - spectra.sturm_count_below_batch(diag, off, raw_cut)
-        done += b
+    for start in range(0, trials, batch):
+        stop = min(start + batch, trials)
+        _map_trials(seed, range(start, stop), draw)
+        rows = stop - start
+        counts[start:stop] = spectra.count_above(diag[:rows], off[:rows], cut, spec)
     return counts
-
-
-def synthetic_normal_vectors(lam, trials, seed):
-    """Exactly multivariate-normal N(0, Lambda) trial vectors, for calibrating
-    the verdict machinery against a generator with no finite-n bias."""
-    lam = np.asarray(lam, dtype=float)
-    m = lam.shape[0]
-    chol = np.linalg.cholesky(lam + 1e-15 * np.eye(m))
-    out = np.empty((trials, m))
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(mix_trial_seed(seed, t)))
-        out[t] = chol @ rng.standard_normal(m)
-    return out

@@ -1,10 +1,13 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy
 
-from wigner_fluct import cli
+from wigner_fluct import cli, spectra, stats
+from wigner_fluct.ensembles import EnsembleKind, mix_trial_seed
+from wigner_fluct.errors import NumericalFailureError
 
 
 def run(argv):
@@ -196,6 +199,45 @@ class TestFrCheckCommand:
     def test_k_above_n_rejected(self):
         assert run(["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "9"]) == 2
 
+    def test_threads_start_a_pool_and_keep_bytes(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
+        base = ["fr-check", "--which", "gue", "--n", "5", "--trials", "60", "--seed", "4",
+                "--no-timestamp"]
+        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
+        assert run(base + ["--threads", "1", "--out", str(out1)]) in (0, 1)
+        assert pools == []
+        assert run(base + ["--threads", "4", "--out", str(out4)]) in (0, 1)
+        # one pool per trial stream: two GOE sides and the direct GUE side
+        assert pools == [4, 4, 4]
+        assert out1.read_bytes() == out4.read_bytes()
+
+    def test_failure_names_the_trial(self, monkeypatch, capsys):
+        seed = 12
+        failing_seed = mix_trial_seed(mix_trial_seed(seed, 3), 2)  # direct side, trial 2
+        reduce = spectra._reduce
+
+        def failing_reduce(sample):
+            if sample.spec.kind is EnsembleKind.GUE and sample.spec.seed == failing_seed:
+                raise NumericalFailureError("injected")
+            return reduce(sample)
+
+        monkeypatch.setattr(spectra, "_reduce", failing_reduce)
+        with pytest.raises(NumericalFailureError) as exc:
+            cli.fr_check_samples("gue", 4, 5, seed)
+        assert exc.value.context["trial"] == 2
+        assert exc.value.context["trial_seed"] == failing_seed
+        argv = ["fr-check", "--which", "gue", "--n", "4", "--trials", "5", "--seed", str(seed)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'trial': 2" in err[0]
+
 
 class TestSemicircleCommand:
     def test_passes_at_moderate_n(self, tmp_path):
@@ -237,12 +279,22 @@ class TestExitCodes:
         )
         assert code == 4
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_env_is_2(self, value, monkeypatch, capsys):
+    THREAD_ENV_CASES = [(c, v) for c in ("bulk-fluct", "fr-check") for v in ("abc", "0", "-2")]
+    THREAD_ENV_ARGV = {
+        "bulk-fluct": ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "3"],
+        "fr-check": ["fr-check", "--which", "gse", "--n", "2", "--trials", "3"],
+    }
+
+    # bulk-fluct cases keep their ids of the form [abc]
+    @pytest.mark.parametrize(
+        "command, value",
+        THREAD_ENV_CASES,
+        ids=[v if c == "bulk-fluct" else f"{c}-{v}" for c, v in THREAD_ENV_CASES],
+    )
+    def test_bad_thread_env_is_2(self, command, value, monkeypatch, capsys):
         # the environment value follows the --threads rule: an integer >= 1
         monkeypatch.setenv("WIGNER_FLUCT_THREADS", value)
-        argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "3"]
-        assert run(argv) == 2
+        assert run(self.THREAD_ENV_ARGV[command]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "WIGNER_FLUCT_THREADS" in err[0]
 

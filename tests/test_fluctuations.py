@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
+from wigner_fluct.fluctuations import coordinates
 
 
 def synthetic_spectrum(n):
@@ -36,6 +37,34 @@ class TestIndexSpec:
     def test_bulk_index_spec_clamps_theta(self):
         spec = wf.bulk_index_spec((10, 910), 900)  # gap exceeds n
         assert spec.thetas[0] == 1.0
+
+
+class TestCoordinates:
+    def test_positions_read_by_each_regime(self):
+        n = 50
+        bulk, _, _ = coordinates(wf.bulk_index_spec((10, 20), n), n, 1)
+        edge, _, _ = coordinates(wf.edge_index_spec((20, 25), n), n, 1)
+        assert bulk == [9, 19]
+        assert edge == [29, 24]  # eigenvalues n - k, counted from the top
+
+    def test_centers_and_scales_are_the_regime_formulas(self):
+        n, beta = 200, 2
+        _, centers, scales = coordinates(wf.edge_index_spec((30, 40), n), n, beta)
+        want = [wf.edge_center_scale(k, n, beta) for k in (30, 40)]
+        assert centers.tolist() == [cs.center for cs in want]
+        assert scales.tolist() == [cs.scale for cs in want]
+
+    def test_edge_offset_n_rejected(self):
+        spec = wf.IndexSpec(regime="edge", indices=(100,), gamma=0.5)
+        with pytest.raises(wf.ShapeError, match="edge offset 100"):
+            coordinates(spec, 100, 1)
+
+    def test_regime_specific_entry_points_check_the_regime(self):
+        spec = wf.IndexSpec(regime="bulk", indices=(5,))
+        with pytest.raises(wf.DomainError):
+            wf.normalize_edge(synthetic_spectrum(10), spec, 1)
+        with pytest.raises(wf.DomainError):
+            wf.predicted_cov_edge(spec)
 
 
 class TestNormalizeBulk:

@@ -8,9 +8,17 @@ from wigner_fluct.kernel import (
     _clip_interval,
     _composite_gl,
     _psi_top_three,
-    kernel_sum_direct,
     truncation_halfwidth,
 )
+
+
+def kernel_sum_direct(n, x, y):
+    """Direct evaluation sum_i psi_i(x) psi_i(y); O(n) per call, the
+    cross-check oracle for the Christoffel-Darboux path at moderate n."""
+    total = 0.0
+    for i in range(n):
+        total += wf.hermite_psi(i, x) * wf.hermite_psi(i, y)
+    return total
 
 
 def phi_polynomial_oracle(i, x):
@@ -129,11 +137,10 @@ class TestHermiteFunctions:
         assert abs(inner) < 1e-10
 
     def test_basis_orthonormality(self):
-        basis = wf.HermiteBasis(30)
         nodes, weights = np.polynomial.hermite.hermgauss(80)
         for i in (0, 4, 11, 29):
             for j in (0, 4, 11, 29):
-                inner = float(np.sum(weights * basis.phi(i, nodes) * basis.phi(j, nodes)))
+                inner = float(np.sum(weights * wf.hermite_phi(i, nodes) * wf.hermite_phi(j, nodes)))
                 assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     def test_psi_decays_in_tail(self):
@@ -309,6 +316,21 @@ class TestCountingCumulants:
             assert rep.c2 == pytest.approx(k2, abs=1e-10)
             assert rep.c3 == pytest.approx(k3, abs=1e-10)
             assert rep.c4 == pytest.approx(k4, abs=1e-10)
+
+    def test_dense_operator_matches_bernoulli_oracle(self):
+        # a rotated diagonal: the Frobenius-product traces need the symmetry
+        rng = np.random.default_rng(34)
+        probs = rng.uniform(0.0, 1.0, size=40)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (q * probs) @ q.T
+        op = diag_operator(probs)
+        op.matrix = 0.5 * (a + a.T)
+        rep = wf.counting_cumulants(op)
+        for l in (2, 3, 4):
+            power = np.trace(np.linalg.matrix_power(op.matrix, l))
+            assert rep.traces[l] == pytest.approx(power, rel=1e-12)
+        k2, k3, k4 = bernoulli_cumulant_oracle(probs)
+        assert (rep.c2, rep.c3, rep.c4) == pytest.approx((k2, k3, k4), abs=1e-10)
 
     def test_single_atom_closed_form(self):
         a = 0.3

@@ -22,6 +22,19 @@ def normal_cdf_series_oracle(x, terms=200):
     return 0.5 + exp(-0.5 * x * x) / sqrt(2 * pi) * total
 
 
+def synthetic_normal_vectors(lam, trials, seed):
+    """Exactly multivariate-normal N(0, Lambda) trial vectors, for calibrating
+    the verdict machinery against a generator with no finite-n bias."""
+    lam = np.asarray(lam, dtype=float)
+    m = lam.shape[0]
+    chol = np.linalg.cholesky(lam + 1e-15 * np.eye(m))
+    out = np.empty((trials, m))
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(wf.mix_trial_seed(seed, t)))
+        out[t] = chol @ rng.standard_normal(m)
+    return out
+
+
 def bulk_plan(n=60, k=30, beta=1, trials=25, seed=5, **th):
     return ExperimentPlan(
         ensemble=wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, n, beta=beta),
@@ -59,7 +72,7 @@ class TestKSOneSample:
         assert wf.ks_one_sample([0.0]) == pytest.approx(0.5)
 
     def test_calibrated_on_true_normal(self):
-        x = wf.synthetic_normal_vectors(np.eye(1), 10_000, seed=71)[:, 0]
+        x = synthetic_normal_vectors(np.eye(1), 10_000, seed=71)[:, 0]
         d = wf.ks_one_sample(x)
         assert d < 1.63 / sqrt(10_000)  # 1% critical value
 
@@ -94,7 +107,7 @@ class TestKSTwoSample:
         assert p == 1.0
 
     def test_separated_distributions(self):
-        a = wf.synthetic_normal_vectors(np.eye(1), 1000, seed=3)[:, 0]
+        a = synthetic_normal_vectors(np.eye(1), 1000, seed=3)[:, 0]
         b = a + 3.0
         d, p = wf.ks_two_sample(a, b)
         assert p < 1e-6
@@ -102,8 +115,8 @@ class TestKSTwoSample:
     def test_calibration_under_null(self):
         flags = []
         for rep in range(200):
-            a = wf.synthetic_normal_vectors(np.eye(1), 1000, seed=wf.mix_trial_seed(1000, rep))[:, 0]
-            b = wf.synthetic_normal_vectors(np.eye(1), 1000, seed=wf.mix_trial_seed(2000, rep))[:, 0]
+            a = synthetic_normal_vectors(np.eye(1), 1000, seed=wf.mix_trial_seed(1000, rep))[:, 0]
+            b = synthetic_normal_vectors(np.eye(1), 1000, seed=wf.mix_trial_seed(2000, rep))[:, 0]
             _, p = wf.ks_two_sample(a, b)
             flags.append(p < 0.05)
         rate = np.mean(flags)
@@ -126,7 +139,7 @@ class TestEmpiricalCorr:
         assert m[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_independent_pairs(self):
-        x = wf.synthetic_normal_vectors(np.eye(2), 10_000, seed=9)
+        x = synthetic_normal_vectors(np.eye(2), 10_000, seed=9)
         m = wf.empirical_corr(x)
         assert abs(m[0, 1]) < 0.05
 
@@ -215,7 +228,7 @@ class TestVerdictCalibration:
         # very high repetition probability
         failures = 0
         for rep in range(100):
-            x = wf.synthetic_normal_vectors(np.eye(1), 2000, seed=wf.mix_trial_seed(7, rep))
+            x = synthetic_normal_vectors(np.eye(1), 2000, seed=wf.mix_trial_seed(7, rep))
             summary = wf.summarize_vectors(
                 x, wf.IndexSpec(regime="bulk", indices=(1,)), Thresholds(ks_max=0.08)
             )
@@ -224,7 +237,7 @@ class TestVerdictCalibration:
 
     def test_variance_and_corr_criteria(self):
         lam = np.array([[1.0, 0.5], [0.5, 1.0]])
-        x = wf.synthetic_normal_vectors(lam, 3000, seed=123)
+        x = synthetic_normal_vectors(lam, 3000, seed=123)
         spec = wf.IndexSpec(regime="bulk", indices=(1, 2), thetas=(0.5,))
         summary = wf.summarize_vectors(
             x, spec, Thresholds(var_lo=0.8, var_hi=1.25, corr_tol=0.12)
