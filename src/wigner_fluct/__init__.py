@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .ensembles import (
     EnsembleKind,
     EnsembleSpec,
-    EntryDistribution,
     MatrixSample,
     gse_from_goe,
     mix_trial_seed,
@@ -32,16 +31,11 @@ from .errors import (
     UnsupportedError,
 )
 from .fluctuations import (
-    FluctuationVector,
     IndexSpec,
     bulk_index_spec,
     edge_index_spec,
     normalize,
-    normalize_bulk,
-    normalize_edge,
     predicted_cov,
-    predicted_cov_bulk,
-    predicted_cov_edge,
     thetas_from_indices,
 )
 from .kernel import (

@@ -332,12 +332,13 @@ def _write_csv(vectors, path):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _svg_histogram(values, path, title, density=None, bins=40):
+def _svg_histogram(values, path, title, density):
+    """40-bin density histogram of values with the curve density overlaid."""
     values = np.asarray(values, dtype=float)
     lo, hi = float(np.min(values)), float(np.max(values))
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     lo, hi = lo - pad, hi + pad
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi), density=True)
+    counts, edges = np.histogram(values, bins=40, range=(lo, hi), density=True)
     width, height = 640, 420
     ml, mr, mt, mb = 55, 15, 30, 40
     plot_w, plot_h = width - ml - mr, height - mt - mb
@@ -362,10 +363,9 @@ def _svg_histogram(values, path, title, density=None, bins=40):
             f'<rect x="{sx(e0):.2f}" y="{sy(c):.2f}" width="{sx(e1) - sx(e0):.2f}" '
             f'height="{sy(0) - sy(c):.2f}" fill="#9ecae1" stroke="#3182bd" stroke-width="0.5"/>'
         )
-    if density is not None:
-        xs = np.linspace(lo, hi, 300)
-        pts = " ".join(f"{sx(x):.2f},{sy(density(x)):.2f}" for x in xs)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#de2d26" stroke-width="1.5"/>')
+    xs = np.linspace(lo, hi, 300)
+    pts = " ".join(f"{sx(x):.2f},{sy(density(x)):.2f}" for x in xs)
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="#de2d26" stroke-width="1.5"/>')
     # axes with integer ticks
     parts.append(
         f'<line x1="{ml}" y1="{sy(0):.2f}" x2="{width - mr}" y2="{sy(0):.2f}" stroke="black"/>'
@@ -531,11 +531,7 @@ def _cmd_semicircle_check(args):
     else:
         sample = ensembles.sample_goe(n, args.seed)
     values = spectra.eigenvalues(sample).values / math.sqrt(2.0 * n)
-    clipped = np.clip(values, -1.0, 1.0)
-    cdf = np.array([semicircle.semicircle_cdf(v) for v in clipped])
-    upper = float(np.max(np.arange(1, n + 1) / n - cdf))
-    lower = float(np.max(cdf - np.arange(0, n) / n))
-    sup = max(upper, lower)
+    sup = stats.ks_one_sample(np.clip(values, -1.0, 1.0), semicircle.semicircle_cdf)
     passed = sup <= args.threshold
     payload = {
         "meta": _meta(

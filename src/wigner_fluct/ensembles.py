@@ -17,8 +17,10 @@ yields a bit-identical matrix regardless of scheduling.  That order is
 coded once, in _upper_triangle_draws; the dense samplers only map its draws
 to entries and write both triangles through _hermitian.  The tridiagonal
 model's stream (diagonal normals, then gammas) is coded once, in
-sample_tridiag_beta.  Per-trial seeds are derived from a master seed with
-the SplitMix64 mixing function; stats drives every trial loop from them.
+sample_tridiag_beta.  Every sampler builds its EnsembleSpec before it
+draws, and the spec is the one check of n and beta.  Per-trial seeds are
+derived from a master seed with the SplitMix64 mixing function; stats
+drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -125,66 +127,24 @@ class MatrixSample:
         return self.spec.n
 
 
-@dataclass(frozen=True)
-class EntryDistribution:
-    """Entry law with its analytically declared moments (mean is always 0).
-
-    kind "gaussian": N(0, variance).
-    kind "three-point": P(+c) = P(-c) = p, P(0) = 1 - 2p, so the moments in
-    closed form are E X^2 = 2 p c^2, E X^3 = 0, E X^4 = 2 p c^4.
-    """
-
-    kind: str
-    variance: float
-    third: float
-    fourth: float
-    c: float = 0.0
-    p: float = 0.0
-
-    @staticmethod
-    def gaussian(variance):
-        return EntryDistribution(
-            kind="gaussian", variance=variance, third=0.0, fourth=3.0 * variance**2
-        )
-
-    @staticmethod
-    def three_point(c, p=1.0 / 6.0):
-        if not 0.0 < p <= 0.5:
-            raise UnsupportedError(f"atom weight p must be in (0, 1/2], got {p}")
-        return EntryDistribution(
-            kind="three-point",
-            variance=2.0 * p * c * c,
-            third=0.0,
-            fourth=2.0 * p * c**4,
-            c=c,
-            p=p,
-        )
-
-    def sample_from_uniforms(self, u):
-        """Map uniform(0,1) draws to this law (inverse-CDF, vectorized)."""
-        u = np.asarray(u)
-        if self.kind == "gaussian":
-            return ndtri(u) * sqrt(self.variance)
-        out = np.zeros_like(u, dtype=float)
-        out[u < self.p] = self.c
-        out[(u >= self.p) & (u < 2.0 * self.p)] = -self.c
-        return out
+# Off-diagonal atoms of the matched-moment entry laws: the symmetric
+# three-point law with P(+-c) = 1/6 has variance c^2/3 and fourth moment
+# c^4/3 = 3 variance^2, matching the Gaussian moments up to order four.
+_REAL_MATCHED_C = sqrt(1.5)  # variance 1/2
+_HERMITIAN_MATCHED_C = sqrt(3.0) / 2.0  # variance 1/4 per component
 
 
-# Matched-moment entry laws: the symmetric three-point distribution with
-# P(+-c) = 1/6 has fourth moment exactly 3 * variance^2, i.e. it matches the
-# Gaussian second and fourth moments once c is chosen for the target variance.
-REAL_MATCHED_OFFDIAG = EntryDistribution.three_point(c=sqrt(1.5))        # var 1/2
-HERMITIAN_MATCHED_COMPONENT = EntryDistribution.three_point(c=sqrt(3.0) / 2.0)  # var 1/4
+def _three_point(u, c):
+    """Inverse CDF of the law P(+c) = P(-c) = 1/6, P(0) = 2/3 at the
+    uniform(0,1) draws u: +c below 1/6, -c on [1/6, 1/3), else 0."""
+    out = np.zeros_like(u, dtype=float)
+    out[u < 1.0 / 6.0] = c
+    out[(u >= 1.0 / 6.0) & (u < 1.0 / 3.0)] = -c
+    return out
 
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-
-
-def _check_n(n):
-    if n < 1:
-        raise InvalidSizeError(f"matrix size must be >= 1, got {n}")
 
 
 def _upper_triangle_draws(n, draw, c):
@@ -226,11 +186,11 @@ def sample_goe(n, seed):
     Stream layout: one standard normal per upper-triangle entry; the diagonal
     keeps unit variance, off-diagonal draws are scaled by 1/sqrt(2).
     """
-    _check_n(n)
+    spec = EnsembleSpec(EnsembleKind.GOE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
     return MatrixSample(
         storage="real-symmetric",
-        spec=EnsembleSpec(EnsembleKind.GOE, n, seed=seed),
+        spec=spec,
         array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)),
     )
 
@@ -242,11 +202,11 @@ def sample_gue(n, seed):
     Stream layout: a diagonal entry takes one draw, an off-diagonal entry two
     (Re then Im).
     """
-    _check_n(n)
+    spec = EnsembleSpec(EnsembleKind.GUE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
     return MatrixSample(
         storage="complex-hermitian",
-        spec=EnsembleSpec(EnsembleKind.GUE, n, seed=seed),
+        spec=spec,
         array=_hermitian(diag * sqrt(0.5), upper, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
     )
 
@@ -261,7 +221,7 @@ def sample_gse(n, seed):
     2k+1.  Every eigenvalue of the embedding appears with multiplicity
     exactly 2.
     """
-    _check_n(n)
+    spec = EnsembleSpec(EnsembleKind.GSE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
     q = off * sqrt(1.0 / 8.0)
     # block entries (0,0), (0,1), (1,0), (1,1) from the parts (a, b, c, d)
@@ -273,7 +233,7 @@ def sample_gse(n, seed):
     cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
     return MatrixSample(
         storage="quaternion-embedded",
-        spec=EnsembleSpec(EnsembleKind.GSE, n, seed=seed),
+        spec=spec,
         array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), (rows, cols), blocks),
     )
 
@@ -291,21 +251,22 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     Stream layout: one uniform draw per entry component (the diagonal
     Gaussian is produced from its uniform through the inverse normal CDF).
     """
-    _check_n(n)
     if symmetry not in ("real", "hermitian"):
         raise UnsupportedError(f"symmetry must be 'real' or 'hermitian', got {symmetry!r}")
     hermitian = symmetry == "hermitian"
+    kind = EnsembleKind.WIGNER_HERMITIAN_MATCHED if hermitian else EnsembleKind.WIGNER_REAL_MATCHED
+    spec = EnsembleSpec(kind, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
     if hermitian:
-        parts = HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(off)
+        parts = _three_point(off, _HERMITIAN_MATCHED_C)
         vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
-        kind, storage = EnsembleKind.WIGNER_HERMITIAN_MATCHED, "complex-hermitian"
     else:
-        vals, diag_variance = REAL_MATCHED_OFFDIAG.sample_from_uniforms(off[:, 0]), 1.0
-        kind, storage = EnsembleKind.WIGNER_REAL_MATCHED, "real-symmetric"
-    diag = EntryDistribution.gaussian(diag_variance).sample_from_uniforms(diag)
-    h = _hermitian(diag, upper, vals)
-    return MatrixSample(storage=storage, spec=EnsembleSpec(kind, n, seed=seed), array=h)
+        vals, diag_variance = _three_point(off[:, 0], _REAL_MATCHED_C), 1.0
+    return MatrixSample(
+        storage="complex-hermitian" if hermitian else "real-symmetric",
+        spec=spec,
+        array=_hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals),
+    )
 
 
 def sample_tridiag_beta(n, beta, seed):
@@ -322,15 +283,13 @@ def sample_tridiag_beta(n, beta, seed):
     The 1/sqrt(beta) eigenvalue rescale is the caller's responsibility
     (spectra applies it to every spectrum and count it computes).
     """
-    _check_n(n)
-    if beta not in (1, 2, 4):
-        raise UnsupportedError(f"beta must be 1, 2 or 4, got {beta}")
+    spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta)
     rng = _rng(seed)
     diag = rng.standard_normal(n)
     dof = beta * np.arange(n - 1, 0, -1, dtype=float)
     return MatrixSample(
         storage="tridiagonal",
-        spec=EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta),
+        spec=spec,
         diag=diag,
         offdiag=np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0),
     )

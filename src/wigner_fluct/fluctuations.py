@@ -91,20 +91,6 @@ def edge_index_spec(indices, n):
     return IndexSpec(regime="edge", indices=idx, thetas=thetas, gamma=gamma)
 
 
-@dataclass(frozen=True)
-class FluctuationVector:
-    """Normalized coordinates of one trial."""
-
-    x: np.ndarray
-    trial: int = 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", arr)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("fluctuation coordinates must be finite")
-
-
 def coordinates(spec: IndexSpec, n, beta):
     """(positions, centers, scales): for each coordinate, the 0-based
     position it reads in an ascending spectrum of size n (k - 1 in the bulk,
@@ -127,27 +113,17 @@ def coordinates(spec: IndexSpec, n, beta):
 
 
 def normalize(spectrum, spec: IndexSpec, beta):
-    """X_i = (x - center_i) / scale_i for the eigenvalue x that coordinate i
-    reads, with the positions, centers and scales of coordinates()."""
+    """The coordinates X_i = (x - center_i) / scale_i, as an array, for the
+    eigenvalue x that coordinate i reads (x_{k_i} in the bulk, x_{n-k_i} at
+    the edge), with the positions, centers and scales of coordinates().
+    The spectrum (a SpectrumSample or an ascending array) may come from
+    outside the package, so a non-finite coordinate raises DomainError."""
     values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
-    trial = spectrum.trial if isinstance(spectrum, SpectrumSample) else 0
     positions, centers, scales = coordinates(spec, values.size, beta)
-    return FluctuationVector(x=(values[positions] - centers) / scales, trial=trial)
-
-
-def normalize_bulk(spectrum, spec: IndexSpec, beta):
-    """normalize() for a bulk IndexSpec: X_i = (x_{k_i} - center_i) / scale_i."""
-    if spec.regime != "bulk":
-        raise DomainError("normalize_bulk requires a bulk IndexSpec")
-    return normalize(spectrum, spec, beta)
-
-
-def normalize_edge(spectrum, spec: IndexSpec, beta):
-    """normalize() for an edge IndexSpec: X_i = (x_{n-k_i} - center_i) / scale_i,
-    offset k_i counted from the top of the spectrum."""
-    if spec.regime != "edge":
-        raise DomainError("normalize_edge requires an edge IndexSpec")
-    return normalize(spectrum, spec, beta)
+    x = (values[positions] - centers) / scales
+    if not np.all(np.isfinite(x)):
+        raise DomainError("fluctuation coordinates must be finite")
+    return x
 
 
 def predicted_cov(spec: IndexSpec):
@@ -164,16 +140,3 @@ def predicted_cov(spec: IndexSpec):
             lam[i, j] = lam[j, i] = 1.0 - max(spec.thetas[i:j]) / divisor
     return lam
 
-
-def predicted_cov_bulk(spec: IndexSpec):
-    """predicted_cov() for a bulk IndexSpec."""
-    if spec.regime != "bulk":
-        raise DomainError("predicted_cov_bulk requires a bulk IndexSpec")
-    return predicted_cov(spec)
-
-
-def predicted_cov_edge(spec: IndexSpec):
-    """predicted_cov() for an edge IndexSpec."""
-    if spec.regime != "edge":
-        raise DomainError("predicted_cov_edge requires an edge IndexSpec")
-    return predicted_cov(spec)

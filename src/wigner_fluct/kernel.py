@@ -293,18 +293,10 @@ class KernelOperator:
         return self.nodes.size
 
 
-def discretize_operator(
-    n,
-    interval,
-    order=32,
-    band_tol=1e-8,
-    trace_tol=1e-6,
-    wavelengths_per_panel=3.0,
-    validate_band=True,
-):
+def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, validate_band=True):
     """Build the Nystrom operator and validate it: Tr A must match
-    expected_count to trace_tol and the spectrum must lie in
-    [-band_tol, 1 + band_tol].
+    expected_count to 1e-6 (relative once the count exceeds 1) and the
+    spectrum must lie in [-1e-8, 1 + 1e-8].
 
     The band check costs a dense eigendecomposition (O(size^3)); callers
     building very large operators may pass validate_band=False after having
@@ -324,7 +316,7 @@ def discretize_operator(
 
     tr = float(np.trace(matrix))
     ref = expected_count(n, (a, b))
-    if abs(tr - ref) > trace_tol * max(1.0, abs(ref)):
+    if abs(tr - ref) > 1e-6 * max(1.0, abs(ref)):
         raise DiscretizationFailureError(
             "Nystrom trace disagrees with the exact Gram expectation",
             trace=tr,
@@ -333,7 +325,7 @@ def discretize_operator(
         )
     if validate_band:
         eigs = np.linalg.eigvalsh(matrix)
-        if eigs[0] < -band_tol or eigs[-1] > 1.0 + band_tol:
+        if eigs[0] < -1e-8 or eigs[-1] > 1.0 + 1e-8:
             raise DiscretizationFailureError(
                 "Nystrom spectrum escapes [0, 1] band; raise the quadrature order",
                 min_eig=float(eigs[0]),

@@ -61,22 +61,12 @@ class Tridiagonal:
     def n(self):
         return self.diag.size
 
-    def gershgorin_bounds(self):
-        """Interval certainly containing the whole spectrum."""
-        r = np.zeros(self.n)
-        if self.n > 1:
-            r[:-1] += np.abs(self.offdiag)
-            r[1:] += np.abs(self.offdiag)
-        return float(np.min(self.diag - r)), float(np.max(self.diag + r))
-
 
 @dataclass
 class SpectrumSample:
     """Strictly increasing eigenvalues of one sampled matrix."""
 
     values: np.ndarray
-    spec: EnsembleSpec | None = None
-    trial: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -173,7 +163,7 @@ def count_above(diag, offdiag, cut, spec: EnsembleSpec):
     return diag.shape[1] - sturm_count_below_batch(diag, offdiag, cut * _model_scale(spec))
 
 
-def check_interlacing(parent, child, tol=0.0):
+def check_interlacing(parent, child):
     """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
     parent eigenvalues and s the (one fewer) child eigenvalues."""
     r = np.asarray(parent.values if isinstance(parent, SpectrumSample) else parent)
@@ -182,7 +172,7 @@ def check_interlacing(parent, child, tol=0.0):
         raise ShapeError(
             f"parent must have exactly one more eigenvalue (got {r.size} vs {s.size})"
         )
-    return bool(np.all(r[:-1] <= s + tol) and np.all(s <= r[1:] + tol))
+    return bool(np.all(r[:-1] <= s) and np.all(s <= r[1:]))
 
 
 def _real_embedding(h):
@@ -248,11 +238,11 @@ def _collapse_multiplicity(values, mult):
     return groups.mean(axis=1)
 
 
-def _solve(sample, positions, **context):
+def _solve(sample, positions):
     """Eigenvalues of the sample in the common convention: the whole
     ascending spectrum when positions is None, else the value at each
     0-based ascending position, in the order given.  A numerical failure
-    carries the sample's provenance and the given context."""
+    carries the sample's seed and size."""
     try:
         t, mult, divisor = _reduce(sample)
         if positions is None:
@@ -264,7 +254,7 @@ def _solve(sample, positions, **context):
         if mult > 1:
             values = _collapse_multiplicity(values, mult)
     except NumericalFailureError as exc:
-        for key, value in {**_context(sample), **context}.items():
+        for key, value in _context(sample).items():
             exc.context.setdefault(key, value)
         raise
     return values / divisor if divisor != 1.0 else values
@@ -276,7 +266,7 @@ def _context(sample):
     return {}
 
 
-def eigenvalues(sample, trial=0):
+def eigenvalues(sample):
     """Full ordered spectrum of a MatrixSample, in the ensemble's natural
     eigenvalue units.
 
@@ -286,13 +276,10 @@ def eigenvalues(sample, trial=0):
     Plain arrays (complex ones through their real embedding) and Tridiagonal
     instances are accepted and solved as-is.
     """
-    values = _solve(sample, None, trial=trial)
-    spec = sample.spec if isinstance(sample, MatrixSample) else None
-    if spec is not None and values.size > 1 and not np.all(np.diff(values) > 0):
-        raise NumericalFailureError(
-            "computed spectrum is not simple", **_context(sample), trial=trial
-        )
-    return SpectrumSample(values=values, spec=spec, trial=trial)
+    values = _solve(sample, None)
+    if isinstance(sample, MatrixSample) and values.size > 1 and not np.all(np.diff(values) > 0):
+        raise NumericalFailureError("computed spectrum is not simple", **_context(sample))
+    return SpectrumSample(values=values)
 
 
 def eigenvalues_at(sample, positions):

@@ -2,13 +2,10 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import wigner_fluct as wf
-from wigner_fluct.ensembles import (
-    HERMITIAN_MATCHED_COMPONENT,
-    REAL_MATCHED_OFFDIAG,
-    EntryDistribution,
-)
+from wigner_fluct.ensembles import _HERMITIAN_MATCHED_C, _REAL_MATCHED_C, _three_point
 
 STREAM_SIZES = (1, 2, 5, 17)
 STREAM_SEEDS = (0, 1, 12345, 2**63 + 5)
@@ -19,6 +16,16 @@ def three_point_moment_oracle(c, p, k):
     enumeration over the support."""
     support = [(-c, p), (0.0, 1.0 - 2.0 * p), (c, p)]
     return sum(prob * x**k for x, prob in support)
+
+
+def gaussian_from_uniform(variance):
+    """Scalar inverse-CDF map of N(0, variance)."""
+    return lambda u: ndtri(u) * sqrt(variance)
+
+
+def three_point_from_uniform(c):
+    """Scalar inverse-CDF map of the law P(+c) = P(-c) = 1/6, P(0) = 2/3."""
+    return lambda u: c if u < 1.0 / 6.0 else -c if u < 1.0 / 3.0 else 0.0
 
 
 def _generator(seed):
@@ -103,8 +110,8 @@ DENSE_STREAM_CASES = {
             seed,
             True,
             1,
-            EntryDistribution.gaussian(1.0).sample_from_uniforms,
-            REAL_MATCHED_OFFDIAG.sample_from_uniforms,
+            gaussian_from_uniform(1.0),
+            three_point_from_uniform(sqrt(1.5)),
             float,
         ),
     ),
@@ -115,10 +122,10 @@ DENSE_STREAM_CASES = {
             seed,
             True,
             2,
-            EntryDistribution.gaussian(0.5).sample_from_uniforms,
+            gaussian_from_uniform(0.5),
             lambda u, v: complex(
-                HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(u),
-                HERMITIAN_MATCHED_COMPONENT.sample_from_uniforms(v),
+                three_point_from_uniform(sqrt(3.0) / 2.0)(u),
+                three_point_from_uniform(sqrt(3.0) / 2.0)(v),
             ),
             complex,
         ),
@@ -138,6 +145,9 @@ class TestStreamLayout:
                 want = reference(n, seed)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (ensemble, n, seed)
+        # the sampler's EnsembleSpec is its one size check
+        with pytest.raises(wf.InvalidSizeError):
+            sampler(0, 0)
 
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_tridiagonal_sampler_matches_scalar_oracle(self, beta):
@@ -147,6 +157,8 @@ class TestStreamLayout:
                 diag, offdiag = tridiag_stream_reference(n, beta, seed)
                 assert np.array_equal(s.diag, diag), (beta, n, seed)
                 assert np.array_equal(s.offdiag, offdiag), (beta, n, seed)
+        with pytest.raises(wf.InvalidSizeError):
+            wf.sample_tridiag_beta(0, beta, 0)
 
 
 class TestSeedMixing:
@@ -246,23 +258,16 @@ class TestGSE:
 
 class TestMatchedWigner:
     def test_three_point_closed_form_matches_bruteforce(self):
-        for dist, var_target, fourth_target in (
-            (REAL_MATCHED_OFFDIAG, 0.5, 0.75),
-            (HERMITIAN_MATCHED_COMPONENT, 0.25, 3.0 / 16.0),
-        ):
-            for k in (1, 2, 3, 4):
-                oracle = three_point_moment_oracle(dist.c, dist.p, k)
-                declared = {1: 0.0, 2: dist.variance, 3: dist.third, 4: dist.fourth}[k]
-                assert declared == pytest.approx(oracle, abs=1e-15)
-            assert dist.variance == pytest.approx(var_target)
-            assert dist.fourth == pytest.approx(fourth_target)
-            # matched fourth moment means exactly 3 * variance^2
-            assert dist.fourth == pytest.approx(3.0 * dist.variance**2)
+        # the moment-matching condition: at the package's atoms, moments 1-4 of
+        # the three-point law are the Gaussian's closed forms (0, var, 0, 3 var^2)
+        for c, var in ((_REAL_MATCHED_C, 0.5), (_HERMITIAN_MATCHED_C, 0.25)):
+            moments = [three_point_moment_oracle(c, 1.0 / 6.0, k) for k in (1, 2, 3, 4)]
+            assert moments == pytest.approx([0.0, var, 0.0, 3.0 * var**2], abs=1e-15)
 
     def test_three_point_large_sample_moments(self):
         rng = np.random.default_rng(4)
         u = rng.random(200_000)
-        x = REAL_MATCHED_OFFDIAG.sample_from_uniforms(u)
+        x = _three_point(u, _REAL_MATCHED_C)
         n = x.size
         assert abs(x.mean()) <= 5 / np.sqrt(n)
         assert abs(x.var(ddof=1) - 0.5) <= 10 / np.sqrt(n)
@@ -415,14 +420,3 @@ class TestEnsembleSpec:
         b = wf.sample_gue(4, 99).array
         assert np.array_equal(a, b)
 
-
-class TestEntryDistribution:
-    def test_gaussian_declared_moments(self):
-        d = EntryDistribution.gaussian(0.5)
-        assert d.variance == 0.5
-        assert d.third == 0.0
-        assert d.fourth == pytest.approx(0.75)
-
-    def test_bad_atom_weight(self):
-        with pytest.raises(wf.UnsupportedError):
-            EntryDistribution.three_point(1.0, p=0.6)

@@ -59,13 +59,6 @@ class TestCoordinates:
         with pytest.raises(wf.ShapeError, match="edge offset 100"):
             coordinates(spec, 100, 1)
 
-    def test_regime_specific_entry_points_check_the_regime(self):
-        spec = wf.IndexSpec(regime="bulk", indices=(5,))
-        with pytest.raises(wf.DomainError):
-            wf.normalize_edge(synthetic_spectrum(10), spec, 1)
-        with pytest.raises(wf.DomainError):
-            wf.predicted_cov_edge(spec)
-
 
 class TestNormalizeBulk:
     def test_center_maps_to_zero(self):
@@ -76,7 +69,7 @@ class TestNormalizeBulk:
         values = np.sort(values)
         # re-anchor index after the sort: center 0 stays at position k-1 here
         spec = wf.IndexSpec(regime="bulk", indices=(k,))
-        x = wf.normalize_bulk(values, spec, beta).x
+        x = wf.normalize(values, spec, beta)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_one_scale_unit_shift(self):
@@ -85,7 +78,7 @@ class TestNormalizeBulk:
         values = synthetic_spectrum(n)
         values[k - 1] = cs.center + cs.scale
         spec = wf.IndexSpec(regime="bulk", indices=(k,))
-        x = wf.normalize_bulk(values, spec, beta).x
+        x = wf.normalize(values, spec, beta)
         assert x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_response(self):
@@ -96,13 +89,13 @@ class TestNormalizeBulk:
         for shift in (-2.0, 0.5, 3.0):
             values = base.copy()
             values[k - 1] = cs.center + shift * cs.scale
-            x = wf.normalize_bulk(values, spec, beta).x
+            x = wf.normalize(values, spec, beta)
             assert x[0] == pytest.approx(shift, abs=1e-12)
 
     def test_index_out_of_range(self):
         spec = wf.IndexSpec(regime="bulk", indices=(500,))
         with pytest.raises(wf.ShapeError):
-            wf.normalize_bulk(synthetic_spectrum(100), spec, 1)
+            wf.normalize(synthetic_spectrum(100), spec, 1)
 
 
 class TestNormalizeEdge:
@@ -112,7 +105,7 @@ class TestNormalizeEdge:
         values = synthetic_spectrum(n)
         values[n - k - 1] = cs.center
         spec = wf.IndexSpec(regime="edge", indices=(k,), gamma=log(k) / log(n))
-        x = wf.normalize_edge(values, spec, beta).x
+        x = wf.normalize(values, spec, beta)
         assert x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_beta_comparison_scales_by_two(self):
@@ -120,42 +113,43 @@ class TestNormalizeEdge:
         n, k = 500, 25
         values = synthetic_spectrum(n)
         spec = wf.IndexSpec(regime="edge", indices=(k,), gamma=log(k) / log(n))
-        x1 = wf.normalize_edge(values, spec, 1).x[0]
-        x4 = wf.normalize_edge(values, spec, 4).x[0]
+        x1 = wf.normalize(values, spec, 1)[0]
+        x4 = wf.normalize(values, spec, 4)[0]
         center = wf.edge_center_scale(k, n, 1).center
         ratio = (values[n - k - 1] - center)
         if ratio != 0:
             assert x4 / x1 == pytest.approx(2.0, rel=1e-12)
 
     def test_dispatch(self):
+        # an edge spec reads eigenvalue n - k and normalizes it at the edge
         n, k = 300, 20
         values = synthetic_spectrum(n)
         spec = wf.IndexSpec(regime="edge", indices=(k,), gamma=log(k) / log(n))
-        a = wf.normalize(values, spec, 1).x
-        b = wf.normalize_edge(values, spec, 1).x
-        assert np.array_equal(a, b)
+        cs = wf.edge_center_scale(k, n, 1)
+        x = wf.normalize(values, spec, 1)
+        assert x.tolist() == [(values[n - k - 1] - cs.center) / cs.scale]
 
 
 class TestPredictedCovBulk:
     def test_theta_one_gives_independence(self):
         spec = wf.IndexSpec(regime="bulk", indices=(1, 2), thetas=(1.0,))
-        lam = wf.predicted_cov_bulk(spec)
+        lam = wf.predicted_cov(spec)
         assert lam[0, 1] == 0.0
 
     def test_theta_half(self):
         spec = wf.IndexSpec(regime="bulk", indices=(1, 2), thetas=(0.5,))
-        assert wf.predicted_cov_bulk(spec)[0, 1] == 0.5
+        assert wf.predicted_cov(spec)[0, 1] == 0.5
 
     def test_three_coordinates(self):
         spec = wf.IndexSpec(regime="bulk", indices=(1, 2, 3), thetas=(0.3, 0.7))
-        lam = wf.predicted_cov_bulk(spec)
+        lam = wf.predicted_cov(spec)
         assert lam[0, 1] == pytest.approx(0.7)
         assert lam[0, 2] == pytest.approx(0.3)
         assert lam[1, 2] == pytest.approx(0.3)
 
     def test_structure(self):
         spec = wf.IndexSpec(regime="bulk", indices=(1, 5, 9, 20), thetas=(0.2, 0.9, 0.4))
-        lam = wf.predicted_cov_bulk(spec)
+        lam = wf.predicted_cov(spec)
         assert np.array_equal(lam, lam.T)
         assert np.all(np.diag(lam) == 1.0)
         assert np.all((lam >= 0.0) & (lam <= 1.0))
@@ -167,19 +161,19 @@ class TestPredictedCovBulk:
             t2 = np.minimum(t1 + rng.uniform(0.0, 0.3, size=3), 1.0)
             s1 = wf.IndexSpec(regime="bulk", indices=(1, 2, 3, 4), thetas=tuple(t1))
             s2 = wf.IndexSpec(regime="bulk", indices=(1, 2, 3, 4), thetas=tuple(t2))
-            assert np.all(wf.predicted_cov_bulk(s2) <= wf.predicted_cov_bulk(s1) + 1e-15)
+            assert np.all(wf.predicted_cov(s2) <= wf.predicted_cov(s1) + 1e-15)
 
 
 class TestPredictedCovEdge:
     def test_reference_value(self):
         spec = wf.IndexSpec(regime="edge", indices=(10, 20), thetas=(0.4,), gamma=0.8)
-        assert wf.predicted_cov_edge(spec)[0, 1] == pytest.approx(0.5)
+        assert wf.predicted_cov(spec)[0, 1] == pytest.approx(0.5)
 
     def test_theta_to_gamma_limit(self):
         lam = []
         for theta in (0.79, 0.799, 0.7999):
             spec = wf.IndexSpec(regime="edge", indices=(10, 20), thetas=(theta,), gamma=0.8)
-            lam.append(wf.predicted_cov_edge(spec)[0, 1])
+            lam.append(wf.predicted_cov(spec)[0, 1])
         assert lam[0] > lam[1] > lam[2] >= 0.0
         assert lam[2] == pytest.approx(0.0, abs=2e-4)
 
@@ -187,7 +181,7 @@ class TestPredictedCovEdge:
         spec = wf.IndexSpec(
             regime="edge", indices=(10, 20, 40), thetas=(0.3, 0.6), gamma=0.9
         )
-        lam = wf.predicted_cov_edge(spec)
+        lam = wf.predicted_cov(spec)
         assert lam[0, 1] == pytest.approx(2.0 / 3.0)
         assert lam[0, 2] == pytest.approx(1.0 / 3.0)
         assert lam[1, 2] == pytest.approx(1.0 / 3.0)
@@ -198,6 +192,11 @@ class TestPredictedCovEdge:
 
 
 class TestFluctuationVector:
+    """normalize() returns the coordinate vector as a plain array."""
+
     def test_rejects_nonfinite(self):
+        values = synthetic_spectrum(10)
+        values[4] = np.nan
+        spec = wf.IndexSpec(regime="bulk", indices=(5,))
         with pytest.raises(wf.DomainError):
-            wf.FluctuationVector(x=np.array([np.nan]))
+            wf.normalize(values, spec, 1)

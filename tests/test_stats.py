@@ -197,7 +197,7 @@ class TestRunMC:
             sample = wf.sample(
                 wf.EnsembleSpec(spec.kind, n, seed=wf.mix_trial_seed(seed, trial), beta=spec.beta)
             )
-            manual = wf.normalize(wf.eigenvalues(sample), index_spec, spec.beta).x
+            manual = wf.normalize(wf.eigenvalues(sample), index_spec, spec.beta)
             assert np.allclose(result.vectors[trial], manual, rtol=0, atol=1e-12)
 
     def test_multiplicity_failure_names_the_trial(self, monkeypatch, capsys):
