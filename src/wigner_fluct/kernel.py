@@ -18,7 +18,9 @@ integer exponent per point): the seed psi_0 = pi^(-1/4) exp(-x^2/2)
 underflows for |x| > 38, yet the terminal values psi_{n-2..n} are O(1) in
 the bulk, so unscaled upward recursion silently zeroes the outer bulk for
 n >= 1000.  Scaling keeps the evaluation exact up to n = 10^4 on
-|x| <= sqrt(2n) + 10.
+|x| <= sqrt(2n) + 10; the scale is checked once every 16 steps, which the
+per-step growth bound on that range allows without changing a bit of the
+descaled values.
 
 Evaluation of K_n off the diagonal uses the Christoffel-Darboux form
 
@@ -43,6 +45,11 @@ diagonal as one cumulative sum from G_00 = erfc(t)/2,
 
 Both need only psi_0 .. psi_n at t, from the scaled recurrence.  The
 variance streams the strict upper triangle of G in fixed blocks of rows.
+
+The Nystrom operator A of K_n on an interval is checked against the band
+-1e-8 <= A <= 1 + 1e-8 by two Cholesky factorizations, of A + 1e-8 I and of
+(1 + 1e-8) I - A, instead of an eigendecomposition; its cumulants come from
+the upper triangle of A A, one BLAS syrk.
 """
 
 from collections import deque
@@ -50,6 +57,7 @@ from dataclasses import dataclass
 from math import erfc, pi, sqrt
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import (
     DiscretizationFailureError,
@@ -62,6 +70,8 @@ from .errors import (
 _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
 _GRAM_BLOCK_ROWS = 64  # rows of G per streamed block: 64 x n doubles
+_RESCALE_EVERY = 16  # psi recurrence steps between scale checks; see _psi_scaled
+_BAND = (-1e-8, 1.0 + 1e-8)  # admitted spectrum of a Nystrom operator
 
 
 def _hermite_guard(i):
@@ -103,12 +113,24 @@ def _rescale(pm, pc, expo):
 
 def _psi_scaled(n, x):
     """Yield psi_0 .. psi_n at the points x as (mantissa, exponent) pairs,
-    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence."""
+    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence.
+
+    The scale is checked every _RESCALE_EVERY = 16 steps.  On the admitted
+    range |x| <= sqrt(2 * 10^4) + 10 one step changes the pair
+    |psi_{i-1}| + |psi_i| by a factor of at most 2^7.8 either way, so 16
+    unchecked steps move it at most 2^125 past the 2^(+-300) thresholds of
+    _rescale, far from overflow and from the subnormal range.  There every
+    power-of-two scaling is exact, so the descaled values are bit-identical
+    to those of a check after every step."""
     pm, pc, expo = _psi_seed(x)
     yield pm, expo
-    for i in range(1, n):
-        pm, pc = pc, x * sqrt(2.0 / (i + 1)) * pc - sqrt(i / (i + 1)) * pm
-        pm, pc, expo = _rescale(pm, pc, expo)
+    steps = np.arange(1, n)
+    up = np.sqrt(2.0 / (steps + 1)).tolist()
+    down = np.sqrt(steps / (steps + 1)).tolist()
+    for i, (u, d) in enumerate(zip(up, down), start=1):
+        pm, pc = pc, x * u * pc - d * pm
+        if i % _RESCALE_EVERY == 0:
+            pm, pc, expo = _rescale(pm, pc, expo)
         yield pm, expo
     yield pc, expo
 
@@ -155,15 +177,19 @@ def hermite_phi(i, x):
     return out if np.ndim(x) else float(out[0])
 
 
+def _confluent_diag(n, p2, p1, p0):
+    """K_n(x, x) from psi_{n-2}, psi_{n-1}, psi_n at x: the confluent
+    Christoffel-Darboux form."""
+    if n == 1:
+        return p1 * p1
+    return n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
+
+
 def kernel_diag(n, x):
     """K_n(x, x) via the confluent Christoffel-Darboux form."""
     if n < 1:
         raise ShapeError(f"kernel order must be >= 1, got {n}")
-    p2, p1, p0 = _psi_top_three(n, x)
-    if n == 1:
-        out = p1 * p1
-    else:
-        out = n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
+    out = _confluent_diag(n, *_psi_top_three(n, x))
     return out if np.ndim(x) else float(out[0])
 
 
@@ -178,20 +204,18 @@ def kernel_point(n, x, y):
     return float(sqrt(n / 2.0) * (p0[0] * p1[1] - p1[0] * p0[1]) / (x - y))
 
 
-def _kernel_cross(n, x_rows, x_cols):
-    """K_n on the grid x_rows x x_cols.  Exactly coincident points use the
-    confluent form; x arrays are assumed to come from the same node set so
-    coincidence only happens elementwise-equal."""
-    _, p1r, p0r = _psi_top_three(n, x_rows)
-    _, p1c, p0c = _psi_top_three(n, x_cols)
-    num = p0r[:, None] * p1c[None, :] - p1r[:, None] * p0c[None, :]
-    den = x_rows[:, None] - x_cols[None, :]
+def _kernel_cross(n, nodes):
+    """K_n on the grid nodes x nodes, from one psi recurrence.  Exactly
+    coincident points use the confluent form."""
+    top = _psi_top_three(n, nodes)
+    _, p1, p0 = top
+    num = p0[:, None] * p1[None, :] - p1[:, None] * p0[None, :]
+    den = nodes[:, None] - nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         k = sqrt(n / 2.0) * num / den
     eq = den == 0.0
     if np.any(eq):
-        diag_rows = kernel_diag(n, x_rows)
-        k[eq] = np.broadcast_to(np.atleast_1d(diag_rows)[:, None], k.shape)[eq]
+        k[eq] = np.broadcast_to(_confluent_diag(n, *top)[:, None], k.shape)[eq]
     return k
 
 
@@ -293,14 +317,42 @@ class KernelOperator:
         return self.nodes.size
 
 
+def _check_band(matrix, n):
+    """Raise DiscretizationFailureError unless the spectrum of the symmetric
+    matrix lies in [lo, hi] = _BAND.  By Sylvester's law of inertia it does
+    (up to O(size * eps)) iff A - lo I and hi I - A are both positive
+    definite, i.e. iff both Cholesky factorizations succeed; they run in
+    place in one Fortran-ordered scratch matrix.  Only a failure pays for
+    the eigenvalues that the error reports."""
+    lo, hi = _BAND
+    diag = np.arange(matrix.shape[0])
+    # matrix.T holds the same symmetric matrix, already in Fortran order
+    # when matrix is C-ordered, so both fills are plain copies
+    work = np.array(matrix.T, order="F")
+    work[diag, diag] -= lo
+    ok = lapack.dpotrf(work, overwrite_a=1, clean=0)[1] == 0
+    if ok:
+        np.negative(matrix.T, out=work)
+        work[diag, diag] += hi
+        ok = lapack.dpotrf(work, overwrite_a=1, clean=0)[1] == 0
+    if not ok:
+        eigs = np.linalg.eigvalsh(matrix)
+        raise DiscretizationFailureError(
+            "Nystrom spectrum escapes [0, 1] band; raise the quadrature order",
+            min_eig=float(eigs[0]),
+            max_eig=float(eigs[-1]),
+            n=n,
+        )
+
+
 def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, validate_band=True):
     """Build the Nystrom operator and validate it: Tr A must match
     expected_count to 1e-6 (relative once the count exceeds 1) and the
     spectrum must lie in [-1e-8, 1 + 1e-8].
 
-    The band check costs a dense eigendecomposition (O(size^3)); callers
-    building very large operators may pass validate_band=False after having
-    established the band on a coarser version of the same interval.
+    The band check costs two Cholesky factorizations (O(size^3 / 3) each);
+    callers building very large operators may pass validate_band=False after
+    having established the band on a coarser version of the same interval.
     """
     if order < 16:
         raise UnsupportedError(f"quadrature order must be >= 16, got {order}")
@@ -308,7 +360,7 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     if a >= b:
         raise ShapeError(f"interval {interval} is empty after truncation")
     nodes, weights = _composite_gl(n, a, b, order, wavelengths_per_panel)
-    k = _kernel_cross(n, nodes, nodes)
+    k = _kernel_cross(n, nodes)
     sw = np.sqrt(weights)
     matrix = sw[:, None] * k * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)
@@ -324,14 +376,7 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
             n=n,
         )
     if validate_band:
-        eigs = np.linalg.eigvalsh(matrix)
-        if eigs[0] < -1e-8 or eigs[-1] > 1.0 + 1e-8:
-            raise DiscretizationFailureError(
-                "Nystrom spectrum escapes [0, 1] band; raise the quadrature order",
-                min_eig=float(eigs[0]),
-                max_eig=float(eigs[-1]),
-                n=n,
-            )
+        _check_band(matrix, n)
     return op
 
 
@@ -360,15 +405,22 @@ def counting_cumulants(op: KernelOperator):
       C_3 = T_1 - 3 T_2 + 2 T_3,
       C_4 = T_1 - 7 T_2 + 12 T_3 - 6 T_4.
     A is symmetric, so one product A2 = A A gives them all:
-    T_2 = ||A||_F^2, T_3 = <A2, A> and T_4 = ||A2||_F^2 (Frobenius).
+    T_2 = ||A||_F^2, T_3 = <A2, A> and T_4 = ||A2||_F^2 (Frobenius).  BLAS
+    syrk forms only the upper triangle U of A2 (zeros below), so
+    T_3 = 2 <U, A> - <diag U, diag A> and T_4 = 2 ||U||_F^2 - ||diag U||^2.
     """
     a = op.matrix
-    a2 = a @ a
+    # A itself in Fortran order, which syrk reads in place (A^T = A)
+    af = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    upper = blas.dsyrk(1.0, af)
+    # Frobenius products on C-ordered views: np.vdot copies any other layout
+    ac, uc = af.T, upper.T
+    du, da = np.diagonal(upper), np.diagonal(a)
     traces = {
         1: float(np.trace(a)),
-        2: float(np.vdot(a, a)),
-        3: float(np.vdot(a2, a)),
-        4: float(np.vdot(a2, a2)),
+        2: float(np.vdot(ac, ac)),
+        3: float(2.0 * np.vdot(uc, ac) - np.dot(du, da)),
+        4: float(2.0 * np.vdot(uc, uc) - np.dot(du, du)),
     }
     t1, t2, t3, t4 = (traces[l] for l in range(1, 5))
     c2 = t1 - t2

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial, log, pi, sqrt
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 
 import wigner_fluct as wf
 from wigner_fluct.kernel import (
+    _BAND,
+    _check_band,
     _clip_interval,
     _composite_gl,
+    _psi_scaled,
+    _psi_seed,
     _psi_top_three,
+    _rescale,
     truncation_halfwidth,
 )
 
@@ -101,6 +107,48 @@ def quadrature_variance_count(n, interval):
     raise wf.NumericalFailureError("variance quadrature did not converge", n=n)
 
 
+def psi_scaled_per_step(n, x):
+    """psi_0 .. psi_n at the points x as (mantissa, exponent) pairs, with the
+    scale checked after every step of the recurrence; the oracle for the
+    package's recurrence, which checks it every 16 steps."""
+    pm, pc, expo = _psi_seed(x)
+    yield pm, expo
+    for i in range(1, n):
+        pm, pc = pc, x * sqrt(2.0 / (i + 1)) * pc - sqrt(i / (i + 1)) * pm
+        pm, pc, expo = _rescale(pm, pc, expo)
+        yield pm, expo
+    yield pc, expo
+
+
+def descaled(pairs):
+    return np.array([np.ldexp(m, e) for m, e in pairs])
+
+
+def rotated_diagonal(eigs, rng):
+    """Exactly symmetric Q diag(eigs) Q^T for a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    a = (q * np.asarray(eigs, dtype=float)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def in_band(matrix):
+    try:
+        _check_band(matrix, n=0)
+    except wf.DiscretizationFailureError:
+        return False
+    return True
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates through traced allocators."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def diag_operator(probs):
     probs = np.asarray(probs, dtype=float)
     m = probs.size
@@ -152,6 +200,16 @@ class TestHermiteFunctions:
             wf.hermite_phi(5, 100.0)
         with pytest.raises(wf.NumericalRangeError):
             wf.hermite_psi(10**4 + 1, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000, 10**4])
+    def test_sparse_scale_checks_are_bit_identical(self, n):
+        # 40 is past the psi_0 underflow at |x| > 38
+        edge = sqrt(2.0 * n)
+        pts = np.array([0.0, 1e-3, -1e-3, 1.0, -1.0, edge, -edge, edge + 10, -edge - 10, 40.0])
+        got = descaled(_psi_scaled(n, pts))
+        want = descaled(psi_scaled_per_step(n, pts))
+        assert got.shape == (n + 1, pts.size)
+        assert np.array_equal(got, want)
 
     def test_scaled_recurrence_survives_deep_bulk(self):
         # seed value e^{-x^2/2} underflows at x = 40 but psi_n is O(1) there
@@ -299,6 +357,48 @@ class TestDiscretizeOperator:
         with pytest.raises(wf.UnsupportedError):
             wf.discretize_operator(5, (-1.0, 1.0), order=8)
 
+    def test_band_failure_reports_the_spectrum(self):
+        # 6 wavelengths per 16-node panel: the trace still matches, but the
+        # top eigenvalue of the coarse operator exceeds 1 + 1e-8
+        args = (5, (-np.inf, np.inf))
+        kw = dict(order=16, wavelengths_per_panel=6.0)
+        eigs = np.linalg.eigvalsh(wf.discretize_operator(*args, **kw, validate_band=False).matrix)
+        assert eigs[-1] > _BAND[1]
+        with pytest.raises(wf.DiscretizationFailureError) as err:
+            wf.discretize_operator(*args, **kw)
+        assert err.value.context["min_eig"] == pytest.approx(eigs[0], rel=1e-12, abs=1e-15)
+        assert err.value.context["max_eig"] == pytest.approx(eigs[-1], rel=1e-12)
+        assert err.value.context["n"] == 5
+
+
+class TestBandCheck:
+    def test_cholesky_verdict_matches_eigenvalues(self):
+        # one eigenvalue 1e-12 .. 1e-6 inside or outside either end of the band
+        rng = np.random.default_rng(35)
+        for _ in range(400):
+            eigs = rng.uniform(0.05, 0.95, size=40)
+            gap = 10.0 ** rng.uniform(-12.0, -6.0)
+            eigs[0] = _BAND[rng.integers(2)] + rng.choice([-1.0, 1.0]) * gap
+            a = rotated_diagonal(eigs, rng)
+            spectrum = np.linalg.eigvalsh(a)
+            assert in_band(a) == (_BAND[0] <= spectrum[0] and spectrum[-1] <= _BAND[1])
+
+    @pytest.mark.parametrize("outlier", [-1e-6, 1.0 + 1e-6])
+    def test_failure_carries_the_extreme_eigenvalues(self, outlier):
+        rng = np.random.default_rng(36)
+        eigs = np.append(rng.uniform(0.05, 0.95, size=30), outlier)
+        a = rotated_diagonal(eigs, rng)
+        spectrum = np.linalg.eigvalsh(a)
+        with pytest.raises(wf.DiscretizationFailureError) as err:
+            _check_band(a, n=7)
+        assert err.value.context == {"min_eig": spectrum[0], "max_eig": spectrum[-1], "n": 7}
+
+    def test_scratch_space_is_one_matrix(self):
+        rng = np.random.default_rng(37)
+        a = rotated_diagonal(rng.uniform(0.0, 1.0, size=600), rng)
+        assert in_band(a)
+        assert traced_peak(_check_band, a, 0) <= 1.1 * a.nbytes
+
 
 class TestCountingCumulants:
     def test_projection_has_no_fluctuations(self):
@@ -331,6 +431,25 @@ class TestCountingCumulants:
             assert rep.traces[l] == pytest.approx(power, rel=1e-12)
         k2, k3, k4 = bernoulli_cumulant_oracle(probs)
         assert (rep.c2, rep.c3, rep.c4) == pytest.approx((k2, k3, k4), abs=1e-10)
+
+    @pytest.mark.parametrize("m, layout", [(1, "C"), (1, "F"), (40, "F")])
+    def test_size_and_layout_keep_matrix_power_traces(self, m, layout):
+        rng = np.random.default_rng(40)
+        op = diag_operator(np.zeros(m))
+        op.matrix = np.asarray(rotated_diagonal(rng.uniform(0.0, 1.0, size=m), rng), order=layout)
+        rep = wf.counting_cumulants(op)
+        for l in (1, 2, 3, 4):
+            power = np.trace(np.linalg.matrix_power(op.matrix, l))
+            assert rep.traces[l] == pytest.approx(power, rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_memory_stays_within_one_product(self, layout):
+        # one 600 x 600 triangle of A A; a Fortran-ordered copy for np.vdot
+        # would double it
+        rng = np.random.default_rng(39)
+        op = diag_operator(np.zeros(600))
+        op.matrix = np.asarray(rotated_diagonal(rng.uniform(0.0, 1.0, size=600), rng), order=layout)
+        assert traced_peak(wf.counting_cumulants, op) <= 1.1 * op.matrix.nbytes
 
     def test_single_atom_closed_form(self):
         a = 0.3
