@@ -488,10 +488,11 @@ def _cmd_fr_check(args):
 
 
 def _cmd_kernel(args):
-    expected = kernel.expected_count(args.n, args.interval)
+    # one Gram factorization serves both moments
+    expected, variance = kernel._count_moments(args.n, args.interval, args.variance)
     summary = {"expected_count": expected}
     if args.variance:
-        summary["variance_count"] = kernel.variance_count(args.n, args.interval)
+        summary["variance_count"] = variance
     payload = {
         "meta": _meta(args, config={"n": args.n, "interval": list(args.interval)}),
         "plan": {"n": args.n, "interval": list(args.interval)},

@@ -14,7 +14,8 @@ Reproducibility contract: each sampler consumes its PCG64 stream in a fixed
 documented order (row-major over the upper triangle, diagonal included,
 with each entry taking its draws consecutively), so a (spec, seed) pair
 yields a bit-identical matrix regardless of scheduling.  That order is
-coded once, in _upper_triangle_draws; the dense samplers only map its draws
+coded once, in _upper_triangle_draws and its index arrays (_stream_layout,
+kept read-only for small orders); the dense samplers only map its draws
 to entries and write both triangles through _hermitian.  The tridiagonal
 model's stream (diagonal normals, then gammas) is coded once, in
 sample_tridiag_beta.  Every sampler builds its EnsembleSpec before it
@@ -147,6 +148,36 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
 
 
+# Layouts of orders up to this bound are kept, read-only, after their first
+# use: building one is about 15 of sample_goe(8)'s 35-50 us, and all of them
+# (n <= 64, c in 1, 2, 4) hold about 0.7 MB.  Larger layouts cost little next
+# to their draws and are rebuilt on each call; keeping n = 2000's would hold
+# 6 MB.  Threads that miss on the same key at once build equal layouts and
+# either one is kept.
+_LAYOUT_MEMO_MAX_N = 64
+_layout_memo = {}
+
+
+def _stream_layout(n, c):
+    """(upper, at_diag, is_off) for _upper_triangle_draws: the strict upper
+    triangle mask of an n x n matrix, and where the diagonal and the
+    off-diagonal draws sit in a stream of n + c n(n-1)/2 draws."""
+    layout = _layout_memo.get((n, c))
+    if layout is not None:
+        return layout
+    r = np.arange(n)
+    # the diagonal draw of row i follows c draws per off-diagonal entry of rows < i
+    at_diag = r + c * (r * n - r * (r + 1) // 2)
+    is_off = np.ones(n + c * (n * (n - 1) // 2), dtype=bool)
+    is_off[at_diag] = False
+    layout = (r[:, None] < r, at_diag, is_off)
+    if n <= _LAYOUT_MEMO_MAX_N:
+        for a in layout:
+            a.setflags(write=False)
+        _layout_memo[(n, c)] = layout
+    return layout
+
+
 def _upper_triangle_draws(n, draw, c):
     """The documented stream layout, the one place it is coded: one
     ``draw(size)`` call walks the upper triangle of an n x n matrix
@@ -158,13 +189,9 @@ def _upper_triangle_draws(n, draw, c):
     as an (entries, c) array, one row per True entry of upper in row-major
     order (the order in which boolean indexing visits them).
     """
-    r = np.arange(n)
-    z = draw(n + c * (n * (n - 1) // 2))
-    # the diagonal draw of row i follows c draws per off-diagonal entry of rows < i
-    at_diag = r + c * (r * n - r * (r + 1) // 2)
-    is_off = np.ones(z.size, dtype=bool)
-    is_off[at_diag] = False
-    return r[:, None] < r, z[at_diag], z[is_off].reshape(-1, c)
+    upper, at_diag, is_off = _stream_layout(n, c)
+    z = draw(is_off.size)
+    return upper, z[at_diag], z[is_off].reshape(-1, c)
 
 
 def _hermitian(diag, upper, vals):
@@ -299,7 +326,7 @@ def _check_strictly_increasing(values, name):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ShapeError(f"{name} must be a 1-d array of eigenvalues")
-    if values.size > 1 and not np.all(np.diff(values) > 0):
+    if not (values[1:] > values[:-1]).all():
         raise ShapeError(f"{name} must be strictly increasing")
     return values
 

@@ -278,24 +278,32 @@ def _interval_gram(n, interval):
 
 def expected_count(n, interval):
     """Expected number of eigenvalues in the interval: tr G, O(n)."""
-    gram = _interval_gram(n, interval)
-    return 0.0 if gram is None else float(np.sum(gram[-1]))
+    return _count_moments(n, interval, variance=False)[0]
 
 
 def variance_count(n, interval):
     """Variance of the eigenvalue count in the interval: tr G - ||G||_F^2,
     with the strict upper triangle of G streamed in blocks of rows."""
+    return _count_moments(n, interval, variance=True)[1]
+
+
+def _count_moments(n, interval, variance):
+    """(expected_count, variance_count) of the interval from one Gram
+    factorization; the variance is None unless asked for."""
     gram = _interval_gram(n, interval)
     if gram is None:
-        return 0.0
+        return 0.0, 0.0 if variance else None
     u, v, diag = gram
+    mean = float(np.sum(diag))
+    if not variance:
+        return mean, None
     offset = np.arange(n)[None, :] - np.arange(_GRAM_BLOCK_ROWS)[:, None]
     inv = np.divide(0.5, offset, out=np.zeros(offset.shape), where=offset > 0)
     upper = 0.0
     for r in range(0, n, _GRAM_BLOCK_ROWS):
         block = (u[r : r + _GRAM_BLOCK_ROWS] @ v[r:].T) * inv[: n - r, : n - r]
         upper += float(np.vdot(block, block))
-    return float(np.dot(diag, 1.0 - diag)) - 2.0 * upper
+    return mean, float(np.dot(diag, 1.0 - diag)) - 2.0 * upper
 
 
 @dataclass

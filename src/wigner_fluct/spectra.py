@@ -16,13 +16,23 @@ count_above multiplies cuts by it.  The Sturm-bisection reference path that
 cross-checks LAPACK, its scalar Sturm count and interval counting live in
 tests/test_spectra.py as oracles; the batched Sturm count used by counting
 experiments stays here.
+
+The float64 LAPACK handles (dsterf, dstebz, dsytrd and its workspace query)
+are looked up once, at import, and called directly with the arguments
+scipy.linalg.eigvalsh_tridiagonal would pass them, so the results are
+bit-identical to that wrapper's.  The wrapper's own work (argument
+validation, a handle lookup and a batching layer on every call) costs more
+than the solve at the orders 4-17 of the superposition/decimation checks,
+which make thousands of calls; the validation it repeats is done once, by
+Tridiagonal, and sytrd's workspace query runs once per order.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import get_lapack_funcs
 
 from .ensembles import EnsembleKind, EnsembleSpec, MatrixSample
 from .errors import (
@@ -34,6 +44,10 @@ from .errors import (
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
 _DEDUP_RTOL = 1e-8
+
+_STERF, _STEBZ, _SYTRD, _SYTRD_LWORK = get_lapack_funcs(
+    ("sterf", "stebz", "sytrd", "sytrd_lwork"), dtype=np.float64
+)
 
 
 @dataclass(frozen=True)
@@ -73,8 +87,16 @@ class SpectrumSample:
         self.values = v
         if v.ndim != 1:
             raise ShapeError("spectrum must be one-dimensional")
-        if v.size > 1 and not np.all(np.diff(v) > 0):
+        if not (v[1:] > v[:-1]).all():
             raise ShapeError("spectrum must be strictly increasing")
+
+    @classmethod
+    def _checked(cls, values):
+        """A spectrum from a 1-d float array the caller has already found
+        strictly increasing, without checking it again."""
+        spectrum = cls.__new__(cls)
+        spectrum.values = values
+        return spectrum
 
     @property
     def n(self):
@@ -88,34 +110,41 @@ def tridiagonalize(matrix):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidDataError("matrix entries must be finite")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ShapeError("matrix is not exactly symmetric")
     n = a.shape[0]
     if n == 1:
         return Tridiagonal(diag=a.diagonal().copy(), offdiag=np.zeros(0))
-    sytrd, sytrd_lwork = sla.get_lapack_funcs(("sytrd", "sytrd_lwork"), (a,))
-    # the wrapper's default workspace (n) is below the blocked path's n*nb,
-    # so without the queried size LAPACK falls back to unblocked sytd2
-    lwork, info = sytrd_lwork(n, lower=0)
-    if info != 0:
-        raise NumericalFailureError("sytrd workspace query failed", info=int(info), n=n)
-    _, d, e, _, info = sytrd(a, lower=0, lwork=int(lwork))
+    _, d, e, _, info = _SYTRD(a, lower=0, lwork=_sytrd_lwork(n))
     if info != 0:
         raise NumericalFailureError("sytrd failed", info=int(info), n=n)
     return Tridiagonal(diag=d, offdiag=e)
 
 
-# Tridiagonal has validated its entries as finite, so the solvers below skip
-# scipy's second check (a few microseconds per call).
+@lru_cache(maxsize=256)
+def _sytrd_lwork(n):
+    """sytrd's own workspace size for order n.  The wrapper's default (n) is
+    below the blocked path's n*nb, so without the queried size LAPACK falls
+    back to unblocked sytd2."""
+    lwork, info = _SYTRD_LWORK(n, lower=0)
+    if info != 0:
+        raise NumericalFailureError("sytrd workspace query failed", info=int(info), n=n)
+    return int(lwork)
+
+
+# Tridiagonal has validated its entries as finite and its shapes, which is
+# all the checking scipy's eigvalsh_tridiagonal would add before the same
+# LAPACK call.
 def tridiag_eigenvalues(t: Tridiagonal):
     """All eigenvalues, ascending (LAPACK implicit-shift QL/QR path)."""
     if t.n == 1:
         return t.diag.copy()
-    return sla.eigvalsh_tridiagonal(
-        t.diag, t.offdiag, lapack_driver="sterf", check_finite=False
-    )
+    w, info = _STERF(t.diag, t.offdiag)
+    if info != 0:
+        raise NumericalFailureError("sterf failed", info=int(info), n=t.n)
+    return w
 
 
 def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
@@ -124,9 +153,11 @@ def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
         raise ShapeError(f"index range [{lo}, {hi}] invalid for n={t.n}")
     if t.n == 1:
         return t.diag.copy()
-    return sla.eigvalsh_tridiagonal(
-        t.diag, t.offdiag, select="i", select_range=(lo, hi), check_finite=False
-    )
+    # range 2: by 1-based index (vl, vu unused); abstol 0 picks LAPACK's default
+    m, w, _, _, info = _STEBZ(t.diag, t.offdiag, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    if info != 0:
+        raise NumericalFailureError("stebz failed", info=int(info), n=t.n)
+    return w[:m]
 
 
 def sturm_count_below_batch(diag, offdiag, x):
@@ -178,9 +209,12 @@ def check_interlacing(parent, child):
 def _real_embedding(h):
     """Real symmetric 2n x 2n matrix with the spectrum of the complex
     Hermitian h doubled: [[Re h, -Im h], [Im h, Re h]]."""
-    re = h.real
-    im = h.imag
-    return np.block([[re, -im], [im, re]])
+    n = h.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=h.real.dtype)
+    out[:n, :n] = out[n:, n:] = h.real
+    out[n:, :n] = h.imag
+    np.negative(h.imag, out=out[:n, n:])
+    return out
 
 
 # How often the real embedding of each dense storage repeats an eigenvalue:
@@ -277,9 +311,11 @@ def eigenvalues(sample):
     instances are accepted and solved as-is.
     """
     values = _solve(sample, None)
-    if isinstance(sample, MatrixSample) and values.size > 1 and not np.all(np.diff(values) > 0):
-        raise NumericalFailureError("computed spectrum is not simple", **_context(sample))
-    return SpectrumSample(values=values)
+    if not (values[1:] > values[:-1]).all():
+        if isinstance(sample, MatrixSample):
+            raise NumericalFailureError("computed spectrum is not simple", **_context(sample))
+        raise ShapeError("spectrum must be strictly increasing")
+    return SpectrumSample._checked(values)
 
 
 def eigenvalues_at(sample, positions):

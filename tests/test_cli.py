@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy
 
-from wigner_fluct import cli, spectra, stats
+from wigner_fluct import cli, kernel, spectra, stats
 from wigner_fluct.ensembles import EnsembleKind, mix_trial_seed
 from wigner_fluct.errors import NumericalFailureError
 
@@ -93,6 +93,27 @@ class TestKernelCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["summary"]["variance_count"] - 0.25) <= 1e-6
+
+    def test_variance_runs_one_gram_factorization(self, tmp_path, monkeypatch):
+        calls = []
+        half_line_gram = kernel._half_line_gram
+
+        def counting_gram(n, x):
+            calls.append(n)
+            return half_line_gram(n, x)
+
+        monkeypatch.setattr(kernel, "_half_line_gram", counting_gram)
+        out = tmp_path / "kv.json"
+        code = run(["kernel", "--n", "50", "--interval=-1,2", "--variance", "--out", str(out)])
+        assert code == 0
+        assert calls == [50]
+        # the shared factorization gives what the public functions give alone
+        summary = json.loads(out.read_text())["summary"]
+        assert summary == {
+            "expected_count": kernel.expected_count(50, (-1.0, 2.0)),
+            "variance_count": kernel.variance_count(50, (-1.0, 2.0)),
+        }
+        assert calls == [50, 50, 50]
 
 
 class TestFluctCommands:

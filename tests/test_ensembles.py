@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 import wigner_fluct as wf
+from wigner_fluct import ensembles
 from wigner_fluct.ensembles import _HERMITIAN_MATCHED_C, _REAL_MATCHED_C, _three_point
 
 STREAM_SIZES = (1, 2, 5, 17)
@@ -159,6 +160,29 @@ class TestStreamLayout:
                 assert np.array_equal(s.offdiag, offdiag), (beta, n, seed)
         with pytest.raises(wf.InvalidSizeError):
             wf.sample_tridiag_beta(0, beta, 0)
+
+
+class TestLayoutMemo:
+    """Stream layouts of small orders are kept read-only; large ones are not kept."""
+
+    def test_cached_layout_is_read_only(self):
+        wf.sample_gse(3, 0)
+        layout = ensembles._layout_memo[(3, 4)]
+        for a in layout:
+            with pytest.raises(ValueError):
+                a[0] = a[-1]
+        # the samples drawn through the kept layout are the stream oracle's
+        assert np.array_equal(wf.sample_gse(3, 1).array, gse_stream_reference(3, 1))
+        assert ensembles._layout_memo[(3, 4)] is layout
+
+    def test_large_layouts_are_not_kept(self):
+        wf.sample_goe(2000, 0)
+        bound = ensembles._LAYOUT_MEMO_MAX_N
+        # the longest kept array: the stream mask at the bound, four draws per entry
+        longest = bound + 4 * (bound * (bound - 1) // 2)
+        for (n, c), layout in ensembles._layout_memo.items():
+            assert n <= bound
+            assert all(a.nbytes <= longest for a in layout), (n, c)
 
 
 class TestSeedMixing:

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 import wigner_fluct as wf
+from wigner_fluct import spectra
+from wigner_fluct.stats import ExperimentPlan
 
 
 def eig_2x2_oracle(a, b, d):
@@ -246,6 +249,104 @@ class TestEigenvalues:
         assert np.allclose(got, full[positions], rtol=0, atol=1e-12 * np.sqrt(50))
         with pytest.raises(wf.ShapeError):
             wf.eigenvalues_at(sample, [25])
+
+
+def random_tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    return wf.Tridiagonal(diag=rng.standard_normal(n), offdiag=rng.standard_normal(n - 1))
+
+
+def grouped_tridiagonal(n, mult, seed):
+    """Reduced tridiagonal of order about n whose eigenvalues come in groups of
+    mult consecutive copies: a GUE (mult 2) or GSE (mult 4) real embedding."""
+    sampler = wf.sample_gue if mult == 2 else wf.sample_gse
+    t, got_mult, _ = spectra._reduce(sampler(n // mult, seed))
+    assert got_mult == mult and t.n == mult * (n // mult)
+    return t
+
+
+def failing_handle(info):
+    """A LAPACK handle that reports the error code info, in the shape of the
+    result of dsterf (two values) or dstebz (five values)."""
+
+    def handle(d, e, *args):
+        w = np.zeros(d.size)
+        return (w, info) if not args else (0, w, None, None, info)
+
+    return handle
+
+
+class TestDirectLapack:
+    """The direct dsterf/dstebz calls return exactly what scipy's
+    eigvalsh_tridiagonal, the wrapper they replace, returns."""
+
+    SIZES = (1, 2, 3, 17, 500, 1000)
+
+    @staticmethod
+    def assert_selected_match(t, lo, hi):
+        d, e = t.diag.copy(), t.offdiag.copy()
+        got = wf.tridiag_eigenvalues_selected(t, lo, hi)
+        want = eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi))
+        assert got.dtype == want.dtype and np.array_equal(got, want), (t.n, lo, hi)
+        assert np.array_equal(t.diag, d) and np.array_equal(t.offdiag, e)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_full_spectrum_matches_wrapper(self, n):
+        t = random_tridiagonal(n, n)
+        d, e = t.diag.copy(), t.offdiag.copy()
+        got = wf.tridiag_eigenvalues(t)
+        want = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(t.diag, d) and np.array_equal(t.offdiag, e)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_selected_positions_match_wrapper(self, n):
+        t = random_tridiagonal(n, n + 1)
+        for p in sorted({0, n // 2, n - 1}):
+            self.assert_selected_match(t, p, p)
+
+    @pytest.mark.parametrize("mult", [2, 4])
+    @pytest.mark.parametrize("n", [n for n in SIZES if n >= 4])
+    def test_grouped_ranges_match_wrapper(self, n, mult):
+        t = grouped_tridiagonal(n, mult, n + mult)
+        groups = t.n // mult
+        for p in sorted({0, groups // 2, groups - 1}):
+            self.assert_selected_match(t, mult * p, mult * p + mult - 1)
+
+    def test_sterf_failure_carries_info_and_n(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_STERF", failing_handle(3))
+        with pytest.raises(wf.NumericalFailureError) as exc:
+            wf.tridiag_eigenvalues(random_tridiagonal(5, 0))
+        assert exc.value.context == {"info": 3, "n": 5}
+
+    def test_stebz_failure_carries_info_and_n(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_STEBZ", failing_handle(-4))
+        with pytest.raises(wf.NumericalFailureError) as exc:
+            wf.tridiag_eigenvalues_selected(random_tridiagonal(6, 0), 2, 3)
+        assert exc.value.context == {"info": -4, "n": 6}
+
+    def test_stebz_failure_names_the_trial(self, monkeypatch):
+        # one stebz call per trial: the third call is trial 2's
+        calls = []
+        stebz = spectra._STEBZ
+
+        def third_call_fails(*args):
+            calls.append(args)
+            return failing_handle(1)(*args) if len(calls) == 3 else stebz(*args)
+
+        monkeypatch.setattr(spectra, "_STEBZ", third_call_fails)
+        plan = ExperimentPlan(
+            ensemble=wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 30, beta=2),
+            index_spec=wf.IndexSpec(regime="bulk", indices=(15,)),
+            trials=4,
+            seed=8,
+        )
+        with pytest.raises(wf.NumericalFailureError) as exc:
+            wf.run_mc(plan)
+        context = exc.value.context
+        assert (context["info"], context["n"], context["trial"]) == (1, 30, 2)
+        assert context["trial_seed"] == wf.mix_trial_seed(8, 2)
+        assert context["seed"] == wf.mix_trial_seed(8, 2)
 
 
 class TestSturm:
