@@ -44,10 +44,8 @@ from .kernel import (
     counting_cumulants,
     discretize_operator,
     expected_count,
-    hermite_phi,
     hermite_psi,
     kernel_diag,
-    kernel_point,
     variance_count,
 )
 from .semicircle import (

@@ -1,5 +1,17 @@
 """Command-line surface: configure experiments, run them, emit JSON/CSV/SVG.
 
+One of each path:
+
+- a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
+  ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
+  runs all three; every integer flag is parsed by ``_int_arg``;
+- one dispatch: each subparser names its handler with
+  ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
+  class to the exit code;
+- one payload builder: ``_write_payload`` assembles and writes every
+  command's JSON, ``meta`` (config echo, the thresholds that are set, env),
+  ``plan`` and ``summary``.
+
 Exit codes, from the outcome or the error class that ``execute`` catches:
 
   0  success
@@ -17,7 +29,9 @@ An exact tie in the superposed spectra of ``fr-check``
 """
 
 import argparse
+import dataclasses
 import datetime as _dt
+import functools
 import json
 import math
 import os
@@ -48,37 +62,20 @@ _ENSEMBLE_FLAGS = {
 }
 
 
-def _positive_int(flag):
+def _int_arg(flag, least=1, choices=None):
+    """argparse type of flag: an integer >= least, or one of choices if given."""
+    rule = f"one of {{{','.join(map(str, choices))}}}" if choices else f">= {least}"
+
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{flag} expects an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= 1, got {value}")
+        if (value not in choices) if choices else value < least:
+            raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value}")
         return value
 
     return parse
-
-
-def _seed_arg(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--seed expects an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {value}")
-    return value
-
-
-def _beta_arg(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--beta expects an integer, got {text!r}")
-    if value not in (1, 2, 4):
-        raise argparse.ArgumentTypeError(f"--beta must be one of {{1,2,4}}, got {value}")
-    return value
 
 
 def _index_list(flag):
@@ -112,6 +109,32 @@ def _interval_arg(text):
     return (a, b)
 
 
+# The fluctuation commands, all run by _cmd_fluct.  Per command: help, the
+# regime (None: the --regime flag chooses), the --k parser and help, the
+# default trial count, the --check help, the threshold flags (their dests
+# are Thresholds fields) with defaults, and the SVG title, formatted with
+# the parsed flags.
+_FLUCT_COMMANDS = {
+    "bulk-fluct": (
+        "bulk eigenvalue fluctuation experiment", "bulk", _int_arg("--k"), None, 2000,
+        "exit 1 unless thresholds hold", {"--ks-max": 0.08, "--var-lo": 0.8, "--var-hi": 1.25},
+        "{regime} fluctuation, n={n}, k={k}",
+    ),
+    "edge-fluct": (
+        "edge eigenvalue fluctuation experiment", "edge", _int_arg("--k"),
+        "offset from the top edge; normalizes eigenvalue n-k", 2000,
+        None, {"--ks-max": 0.1, "--var-lo": 0.75, "--var-hi": 1.3},
+        "{regime} fluctuation, n={n}, k={k}",
+    ),
+    "joint-fluct": (
+        "joint fluctuations of several eigenvalues", None, _index_list("--k"),
+        "comma-separated indices (bulk) or edge offsets (edge)", 3000,
+        None, {"--corr-tol": 0.12},
+        "joint {regime} fluctuations, n={n}",
+    ),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wigner-fluct",
@@ -120,95 +143,77 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    n_arg, seed_arg = _int_arg("--n"), _int_arg("--seed", least=0)
+    beta_arg = _int_arg("--beta", choices=(1, 2, 4))
 
-    def add_common(p, trials_default=2000):
-        p.add_argument("--seed", type=_seed_arg, default=0)
-        p.add_argument("--trials", type=_positive_int("--trials"), default=trials_default)
-        p.add_argument("--threads", type=_positive_int("--threads"), default=None)
-        add_output(p)
+    def add_common(p, trials_default, run):
+        p.add_argument("--seed", type=seed_arg, default=0)
+        p.add_argument("--trials", type=_int_arg("--trials"), default=trials_default)
+        p.add_argument("--threads", type=_int_arg("--threads"), default=None)
+        add_output(p, run)
 
-    def add_output(p):
+    def add_output(p, run):
+        """The output flags, last in every command, and run as its handler."""
         p.add_argument("--out", help="write the JSON result here instead of stdout")
         p.add_argument("--csv", help="write per-trial vectors as CSV")
         p.add_argument("--svg", help="write an SVG histogram of the first coordinate")
         p.add_argument("--per-trial", action="store_true", help="embed per-trial vectors in the JSON")
         p.add_argument("--no-timestamp", action="store_true")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("sample", help="draw one matrix and report its spectrum")
     p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), required=True)
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    p.add_argument("--beta", type=_beta_arg, default=None)
-    add_output(p)
+    p.add_argument("--n", type=n_arg, required=True)
+    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--beta", type=beta_arg, default=None)
+    add_output(p, _cmd_sample)
 
-    p = sub.add_parser("bulk-fluct", help="bulk eigenvalue fluctuation experiment")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--k", type=_positive_int("--k"), required=True)
-    p.add_argument("--beta", type=_beta_arg, default=None)
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
-    p.add_argument("--check", action="store_true", help="exit 1 unless thresholds hold")
-    p.add_argument("--ks-max", type=float, default=0.08)
-    p.add_argument("--var-lo", type=float, default=0.8)
-    p.add_argument("--var-hi", type=float, default=1.25)
-    add_common(p)
-
-    p = sub.add_parser("edge-fluct", help="edge eigenvalue fluctuation experiment")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--k", type=_positive_int("--k"), required=True,
-                   help="offset from the top edge; normalizes eigenvalue n-k")
-    p.add_argument("--beta", type=_beta_arg, default=None)
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--ks-max", type=float, default=0.1)
-    p.add_argument("--var-lo", type=float, default=0.75)
-    p.add_argument("--var-hi", type=float, default=1.3)
-    add_common(p)
-
-    p = sub.add_parser("joint-fluct", help="joint fluctuations of several eigenvalues")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
-    p.add_argument("--k", type=_index_list("--k"), required=True,
-                   help="comma-separated indices (bulk) or edge offsets (edge)")
-    p.add_argument("--regime", choices=("bulk", "edge"), default="bulk")
-    p.add_argument("--beta", type=_beta_arg, default=None)
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--corr-tol", type=float, default=0.12)
-    add_common(p, trials_default=3000)
+    for name, row in _FLUCT_COMMANDS.items():
+        help_, regime, k_type, k_help, trials, check_help, thresholds, title = row
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--n", type=n_arg, required=True)
+        p.add_argument("--k", type=k_type, required=True, help=k_help)
+        if regime is None:
+            p.add_argument("--regime", choices=("bulk", "edge"), default="bulk")
+        else:
+            p.set_defaults(regime=regime)
+        p.add_argument("--beta", type=beta_arg, default=None)
+        p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
+        p.add_argument("--check", action="store_true", help=check_help)
+        for flag, default in thresholds.items():
+            p.add_argument(flag, type=float, default=default)
+        add_common(p, trials, functools.partial(_cmd_fluct, title=title))
 
     p = sub.add_parser("fr-check", help="superposition/decimation identity check")
     p.add_argument("--which", choices=("gue", "gse"), required=True)
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
+    p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--k", type=_index_list("--k"), default=None,
                    help="indices to compare (default: all)")
     p.add_argument("--p-min", type=float, default=0.01)
-    add_common(p, trials_default=5000)
+    add_common(p, 5000, _cmd_fr_check)
 
     p = sub.add_parser("kernel", help="counting expectation/variance from the exact Gram matrix")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
+    p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--variance", action="store_true", help="also compute the count variance")
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    add_output(p)
+    p.add_argument("--seed", type=seed_arg, default=0)
+    add_output(p, _cmd_kernel)
 
     p = sub.add_parser("cumulants", help="counting-statistic cumulants of the kernel operator")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
+    p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--order", type=_positive_int("--order"), default=32)
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    add_output(p)
+    p.add_argument("--order", type=_int_arg("--order"), default=32)
+    p.add_argument("--seed", type=seed_arg, default=0)
+    add_output(p, _cmd_cumulants)
 
     p = sub.add_parser("semicircle-check", help="empirical spectral CDF vs the semicircle law")
-    p.add_argument("--n", type=_positive_int("--n"), required=True)
+    p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
-    p.add_argument("--seed", type=_seed_arg, default=0)
-    add_output(p)
+    p.add_argument("--seed", type=seed_arg, default=0)
+    add_output(p, _cmd_semicircle_check)
 
     return parser
-
-
-def parse_args(argv):
-    return build_parser().parse_args(argv)
 
 
 def _blas_build(module):
@@ -231,21 +236,6 @@ def _env():
     }
 
 
-def _meta(args, config, thresholds=None):
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "version": __version__,
-        "seed": getattr(args, "seed", 0),
-        "config": config,
-        "thresholds": thresholds or {},
-        "env": _env(),
-    }
-    if not getattr(args, "no_timestamp", False):
-        meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    return meta
-
-
 def _threads(args):
     """--threads, else WIGNER_FLUCT_THREADS under the same rule, else 1."""
     if args.threads:
@@ -254,68 +244,37 @@ def _threads(args):
     if not env:
         return 1
     try:
-        return _positive_int("WIGNER_FLUCT_THREADS")(env)
+        return _int_arg("WIGNER_FLUCT_THREADS")(env)
     except argparse.ArgumentTypeError as exc:
         raise InvalidSizeError(str(exc)) from None
 
 
-def _ensemble_spec(name, n, beta):
+def _ensemble_spec(name, n, beta, seed=0):
     """EnsembleSpec from CLI flags; beta=None means 'implied by the kind'."""
     kind = _ENSEMBLE_FLAGS[name]
-    if kind is EnsembleKind.TRIDIAG_BETA:
-        if beta is None:
-            raise UnsupportedError("--beta is required for the tridiag ensemble")
-        return EnsembleSpec(kind, n, beta=beta)
-    return EnsembleSpec(kind, n, beta=beta or 0)
+    if kind is EnsembleKind.TRIDIAG_BETA and beta is None:
+        raise UnsupportedError("--beta is required for the tridiag ensemble")
+    return EnsembleSpec(kind, n, seed=seed, beta=beta or 0)
 
 
-def _run_fluct(args, plan, title):
-    """Run a fluctuation plan and write its JSON, CSV and SVG (titled with
-    title and the plan's beta); returns the exit code (1 when --check is
-    given and a threshold fails)."""
-    result = stats.run_mc(plan, threads=_threads(args))
-    payload = {
-        "meta": _meta(
-            args,
-            config={
-                "ensemble": plan.ensemble.kind.value,
-                "n": plan.ensemble.n,
-                "beta": plan.ensemble.beta,
-                "regime": plan.index_spec.regime,
-                "indices": list(plan.index_spec.indices),
-                "trials": plan.trials,
-            },
-            thresholds=_thresholds_dict(plan.thresholds),
-        ),
-        "plan": {
-            "ensemble": plan.ensemble.kind.value,
-            "n": plan.ensemble.n,
-            "beta": plan.ensemble.beta,
-            "regime": plan.index_spec.regime,
-            "indices": list(plan.index_spec.indices),
-            "thetas": list(plan.index_spec.thetas),
-            "gamma": plan.index_spec.gamma,
-            "trials": plan.trials,
-            "seed": plan.seed,
-        },
-        "summary": result.summary,
+def _write_payload(args, config, plan, summary, thresholds=None, per_trial=None):
+    """Write a run's JSON to --out or stdout: meta (the config echo, the
+    thresholds that are set, env, and a timestamp unless --no-timestamp),
+    plan and summary, plus the per_trial vectors when --per-trial is given."""
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "version": __version__,
+        "seed": args.seed,
+        "config": config,
+        "thresholds": {k: v for k, v in (thresholds or {}).items() if v is not None},
+        "env": _env(),
     }
-    if args.per_trial:
-        payload["per_trial"] = result.vectors.tolist()
-    _write_json(payload, args)
-    if args.csv:
-        _write_csv(result.vectors, args.csv)
-    if args.svg:
-        title = f"{title}, beta={plan.ensemble.beta}"
-        _svg_histogram(result.vectors[:, 0], args.svg, title, density=_normal_density)
-    return 1 if args.check and not result.passed else 0
-
-
-def _thresholds_dict(th: Thresholds):
-    return {k: v for k, v in vars(th).items() if v is not None}
-
-
-def _write_json(payload, args):
+    if not args.no_timestamp:
+        meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    payload = {"meta": meta, "plan": plan, "summary": summary}
+    if args.per_trial and per_trial is not None:
+        payload["per_trial"] = per_trial.tolist()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -390,27 +349,21 @@ def _normal_density(x):
 
 
 def _cmd_sample(args):
-    spec = _ensemble_spec(args.ensemble, args.n, args.beta)
-    sample = ensembles.sample(
-        EnsembleSpec(spec.kind, spec.n, seed=args.seed, beta=spec.beta)
-    )
-    spectrum = spectra.eigenvalues(sample)
-    payload = {
-        "meta": _meta(args, config={"ensemble": args.ensemble, "n": args.n, "beta": spec.beta}),
-        "plan": {"ensemble": args.ensemble, "n": args.n, "beta": spec.beta, "seed": args.seed},
-        "summary": {
-            "eigenvalues": spectrum.values.tolist(),
-            "trace": float(np.sum(spectrum.values)),
-        },
-    }
-    _write_json(payload, args)
+    spec = _ensemble_spec(args.ensemble, args.n, args.beta, args.seed)
+    values = spectra.eigenvalues(ensembles.sample(spec)).values
+    config = {"ensemble": args.ensemble, "n": args.n, "beta": spec.beta}
+    summary = {"eigenvalues": values.tolist(), "trace": float(np.sum(values))}
+    _write_payload(args, config, {**config, "seed": args.seed}, summary)
     return 0
 
 
-def _cmd_bulk_edge(args, regime):
-    make_spec = fluctuations.bulk_index_spec if regime == "bulk" else fluctuations.edge_index_spec
-    index_spec = make_spec((args.k,), args.n)
-    th = Thresholds(ks_max=args.ks_max, var_lo=args.var_lo, var_hi=args.var_hi)
+def _cmd_fluct(args, title):
+    """Run a fluctuation command and write its JSON, CSV and SVG (titled with
+    title and the plan's beta); exit code 1 when --check finds a failure."""
+    bulk = args.regime == "bulk"
+    make_spec = fluctuations.bulk_index_spec if bulk else fluctuations.edge_index_spec
+    index_spec = make_spec(args.k if isinstance(args.k, tuple) else (args.k,), args.n)
+    th = Thresholds(**{f.name: getattr(args, f.name, None) for f in dataclasses.fields(Thresholds)})
     plan = ExperimentPlan(
         ensemble=_ensemble_spec(args.ensemble, args.n, args.beta),
         index_spec=index_spec,
@@ -418,23 +371,26 @@ def _cmd_bulk_edge(args, regime):
         seed=args.seed,
         thresholds=th,
     )
-    return _run_fluct(args, plan, f"{regime} fluctuation, n={args.n}, k={args.k}")
-
-
-def _cmd_joint(args):
-    if args.regime == "bulk":
-        index_spec = fluctuations.bulk_index_spec(args.k, args.n)
-    else:
-        index_spec = fluctuations.edge_index_spec(args.k, args.n)
-    th = Thresholds(corr_tol=args.corr_tol)
-    plan = ExperimentPlan(
-        ensemble=_ensemble_spec(args.ensemble, args.n, args.beta),
-        index_spec=index_spec,
-        trials=args.trials,
-        seed=args.seed,
-        thresholds=th,
-    )
-    return _run_fluct(args, plan, f"joint {args.regime} fluctuations, n={args.n}")
+    result = stats.run_mc(plan, threads=_threads(args))
+    spec = plan.ensemble
+    config = {
+        "ensemble": spec.kind.value,
+        "n": spec.n,
+        "beta": spec.beta,
+        "regime": index_spec.regime,
+        "indices": list(index_spec.indices),
+        "trials": plan.trials,
+    }
+    plan_echo = {
+        **config, "thetas": list(index_spec.thetas), "gamma": index_spec.gamma, "seed": plan.seed
+    }
+    _write_payload(args, config, plan_echo, result.summary, vars(th), result.vectors)
+    if args.csv:
+        _write_csv(result.vectors, args.csv)
+    if args.svg:
+        title = f"{title.format(**vars(args))}, beta={spec.beta}"
+        _svg_histogram(result.vectors[:, 0], args.svg, title, density=_normal_density)
+    return 1 if args.check and not result.passed else 0
 
 
 def fr_check_samples(which, n, trials, seed, threads=1):
@@ -474,16 +430,10 @@ def _cmd_fr_check(args):
         d, p = stats.ks_two_sample(left[:, k - 1], right[:, k - 1])
         ks[str(k)] = {"d": d, "ks_p": p, "passed": bool(p > args.p_min)}
         all_pass &= p > args.p_min
-    payload = {
-        "meta": _meta(
-            args,
-            config={"which": args.which, "n": n, "indices": list(indices), "trials": args.trials},
-            thresholds={"p_min": args.p_min},
-        ),
-        "plan": {"which": args.which, "n": n, "trials": args.trials, "seed": args.seed},
-        "summary": {"ks_p": ks, "passed": bool(all_pass)},
-    }
-    _write_json(payload, args)
+    config = {"which": args.which, "n": n, "indices": list(indices), "trials": args.trials}
+    plan = {"which": args.which, "n": n, "trials": args.trials, "seed": args.seed}
+    summary = {"ks_p": ks, "passed": bool(all_pass)}
+    _write_payload(args, config, plan, summary, {"p_min": args.p_min})
     return 0 if all_pass else 1
 
 
@@ -493,12 +443,8 @@ def _cmd_kernel(args):
     summary = {"expected_count": expected}
     if args.variance:
         summary["variance_count"] = variance
-    payload = {
-        "meta": _meta(args, config={"n": args.n, "interval": list(args.interval)}),
-        "plan": {"n": args.n, "interval": list(args.interval)},
-        "summary": summary,
-    }
-    _write_json(payload, args)
+    config = {"n": args.n, "interval": list(args.interval)}
+    _write_payload(args, config, config, summary)
     return 0
 
 
@@ -506,22 +452,17 @@ def _cmd_cumulants(args):
     op = kernel.discretize_operator(args.n, args.interval, order=args.order)
     report = kernel.counting_cumulants(op)
     norm3, norm4 = report.normalized()
-    payload = {
-        "meta": _meta(
-            args, config={"n": args.n, "interval": list(args.interval), "order": args.order}
-        ),
-        "plan": {"n": args.n, "interval": list(args.interval), "order": args.order},
-        "summary": {
-            "c2": report.c2,
-            "c3": report.c3,
-            "c4": report.c4,
-            "traces": {str(k): v for k, v in report.traces.items()},
-            "c3_normalized": norm3,
-            "c4_normalized": norm4,
-            "nodes": int(op.size),
-        },
+    config = {"n": args.n, "interval": list(args.interval), "order": args.order}
+    summary = {
+        "c2": report.c2,
+        "c3": report.c3,
+        "c4": report.c4,
+        "traces": {str(k): v for k, v in report.traces.items()},
+        "c3_normalized": norm3,
+        "c4_normalized": norm4,
+        "nodes": int(op.size),
     }
-    _write_json(payload, args)
+    _write_payload(args, config, config, summary)
     return 0
 
 
@@ -534,16 +475,10 @@ def _cmd_semicircle_check(args):
     values = spectra.eigenvalues(sample).values / math.sqrt(2.0 * n)
     sup = stats.ks_one_sample(np.clip(values, -1.0, 1.0), semicircle.semicircle_cdf)
     passed = sup <= args.threshold
-    payload = {
-        "meta": _meta(
-            args,
-            config={"n": n, "path": args.path},
-            thresholds={"sup_max": args.threshold},
-        ),
-        "plan": {"n": n, "path": args.path, "seed": args.seed},
-        "summary": {"sup_distance": sup, "passed": bool(passed)},
-    }
-    _write_json(payload, args)
+    config = {"n": n, "path": args.path}
+    summary = {"sup_distance": sup, "passed": bool(passed)}
+    plan = {**config, "seed": args.seed}
+    _write_payload(args, config, plan, summary, {"sup_max": args.threshold})
     if args.svg:
         _svg_histogram(
             values,
@@ -557,23 +492,7 @@ def _cmd_semicircle_check(args):
 def execute(args):
     """Run a parsed command; returns the process exit code."""
     try:
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "bulk-fluct":
-            return _cmd_bulk_edge(args, "bulk")
-        if args.command == "edge-fluct":
-            return _cmd_bulk_edge(args, "edge")
-        if args.command == "joint-fluct":
-            return _cmd_joint(args)
-        if args.command == "fr-check":
-            return _cmd_fr_check(args)
-        if args.command == "kernel":
-            return _cmd_kernel(args)
-        if args.command == "cumulants":
-            return _cmd_cumulants(args)
-        if args.command == "semicircle-check":
-            return _cmd_semicircle_check(args)
-        raise UnsupportedError(f"unknown command {args.command!r}")
+        return args.run(args)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc} {exc.context}", file=sys.stderr)
         return 3
@@ -589,7 +508,7 @@ def execute(args):
 
 
 def main(argv=None):
-    args = parse_args(argv if argv is not None else sys.argv[1:])
+    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     code = execute(args)
     if argv is None:
         sys.exit(code)

@@ -15,13 +15,13 @@ documented order (row-major over the upper triangle, diagonal included,
 with each entry taking its draws consecutively), so a (spec, seed) pair
 yields a bit-identical matrix regardless of scheduling.  That order is
 coded once, in _upper_triangle_draws and its index arrays (_stream_layout,
-kept read-only for small orders); the dense samplers only map its draws
-to entries and write both triangles through _hermitian.  The tridiagonal
-model's stream (diagonal normals, then gammas) is coded once, in
-sample_tridiag_beta.  Every sampler builds its EnsembleSpec before it
-draws, and the spec is the one check of n and beta.  Per-trial seeds are
-derived from a master seed with the SplitMix64 mixing function; stats
-drives every trial loop from them.
+kept read-only for small orders, as are sample_gse's block positions); the
+dense samplers only map its draws to entries and write both triangles
+through _hermitian.  The tridiagonal model's stream (diagonal normals, then
+gammas) is coded once, in sample_tridiag_beta.  Every sampler builds its
+EnsembleSpec before it draws, and the spec is the one check of n and beta.
+Per-trial seeds are derived from a master seed with the SplitMix64 mixing
+function; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -153,9 +153,22 @@ def _rng(seed):
 # (n <= 64, c in 1, 2, 4) hold about 0.7 MB.  Larger layouts cost little next
 # to their draws and are rebuilt on each call; keeping n = 2000's would hold
 # 6 MB.  Threads that miss on the same key at once build equal layouts and
-# either one is kept.
+# either one is kept.  sample_gse's block positions are kept beside them
+# under the same bound (about 11 of sample_gse(4)'s 54 us; at most 2.8 MB
+# for every order up to 64).
 _LAYOUT_MEMO_MAX_N = 64
 _layout_memo = {}
+_gse_block_memo = {}
+
+
+def _keep(memo, key, n, arrays):
+    """arrays, made read-only and kept in memo under key if n is within
+    _LAYOUT_MEMO_MAX_N."""
+    if n <= _LAYOUT_MEMO_MAX_N:
+        for a in arrays:
+            a.setflags(write=False)
+        memo[key] = arrays
+    return arrays
 
 
 def _stream_layout(n, c):
@@ -170,12 +183,20 @@ def _stream_layout(n, c):
     at_diag = r + c * (r * n - r * (r + 1) // 2)
     is_off = np.ones(n + c * (n * (n - 1) // 2), dtype=bool)
     is_off[at_diag] = False
-    layout = (r[:, None] < r, at_diag, is_off)
-    if n <= _LAYOUT_MEMO_MAX_N:
-        for a in layout:
-            a.setflags(write=False)
-        _layout_memo[(n, c)] = layout
-    return layout
+    return _keep(_layout_memo, (n, c), n, (r[:, None] < r, at_diag, is_off))
+
+
+def _gse_blocks(n, upper):
+    """(rows, cols) of the 2n x 2n GSE embedding: row i holds the four
+    positions of the 2x2 block of the i-th True entry of upper (row-major),
+    in the order (0,0), (0,1), (1,0), (1,1)."""
+    blocks = _gse_block_memo.get(n)
+    if blocks is not None:
+        return blocks
+    iu = np.nonzero(upper)
+    rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
+    cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
+    return _keep(_gse_block_memo, n, n, (rows, cols))
 
 
 def _upper_triangle_draws(n, draw, c):
@@ -255,13 +276,10 @@ def sample_gse(n, seed):
     blocks = np.empty(q.shape, dtype=complex)
     blocks.real = q[:, [0, 2, 2, 0]] * [1.0, 1.0, -1.0, 1.0]
     blocks.imag = q[:, [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]
-    iu = np.nonzero(upper)
-    rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
-    cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
     return MatrixSample(
         storage="quaternion-embedded",
         spec=spec,
-        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), (rows, cols), blocks),
+        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), _gse_blocks(n, upper), blocks),
     )
 
 

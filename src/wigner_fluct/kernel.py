@@ -159,24 +159,6 @@ def hermite_psi(i, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def hermite_phi(i, x):
-    """Orthonormal Hermite polynomial phi_i(x), with
-    integral phi_i phi_j e^{-x^2} dx = delta_ij.
-
-    Computed as psi_i(x) e^{x^2/2}; raises NumericalRangeError when the
-    result (or the unweighting factor) cannot be represented.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _hermite_guard(i)
-    if np.any(0.5 * x_arr * x_arr > 700.0):
-        raise NumericalRangeError("e^{x^2/2} overflows double precision")
-    psi = hermite_psi(i, x_arr)
-    out = np.atleast_1d(psi) * np.exp(0.5 * x_arr * x_arr)
-    if not np.all(np.isfinite(out)):
-        raise NumericalRangeError(f"phi_{i} overflows at |x| up to {np.max(np.abs(x_arr))}")
-    return out if np.ndim(x) else float(out[0])
-
-
 def _confluent_diag(n, p2, p1, p0):
     """K_n(x, x) from psi_{n-2}, psi_{n-1}, psi_n at x: the confluent
     Christoffel-Darboux form."""
@@ -191,17 +173,6 @@ def kernel_diag(n, x):
         raise ShapeError(f"kernel order must be >= 1, got {n}")
     out = _confluent_diag(n, *_psi_top_three(n, x))
     return out if np.ndim(x) else float(out[0])
-
-
-def kernel_point(n, x, y):
-    """K_n(x, y): Christoffel-Darboux off the diagonal, confluent form on it."""
-    if n < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
-    if x == y:
-        return kernel_diag(n, x)
-    pts = np.array([x, y], dtype=float)
-    _, p1, p0 = _psi_top_three(n, pts)
-    return float(sqrt(n / 2.0) * (p0[0] * p1[1] - p1[0] * p0[1]) / (x - y))
 
 
 def _kernel_cross(n, nodes):

@@ -9,6 +9,8 @@ those units.
 
 from dataclasses import dataclass
 from math import asin, log, pi, sqrt
+import os
+import sys
 import warnings
 
 from .errors import DomainError, InvalidSizeError
@@ -18,6 +20,17 @@ from .errors import DomainError, InvalidSizeError
 _BULK_GUARD = 1e-6
 
 _EDGE_SMALL_K = 10
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn_outside_package(message):
+    """warnings.warn attributed to the first calling frame outside the
+    package (the skip_file_prefixes of Python 3.12, by hand)."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def semicircle_density(x, sigma=1.0):
@@ -134,10 +147,9 @@ def edge_center_scale(k, n, beta):
         raise DomainError("edge scaling degenerates at k = 1 (log k = 0)")
     small = k < _EDGE_SMALL_K
     if small:
-        warnings.warn(
+        _warn_outside_package(
             f"edge scaling requested at k={k} < {_EDGE_SMALL_K}; far from the "
-            "large-k regime",
-            stacklevel=2,
+            "large-k regime"
         )
     center = sqrt(2.0 * n) * (1.0 - (3.0 * pi * k / (4.0 * sqrt(2.0) * n)) ** (2.0 / 3.0))
     scale = sqrt(

@@ -89,8 +89,6 @@ class Thresholds:
     ks_max: float | None = None
     var_lo: float | None = None
     var_hi: float | None = None
-    mean_lo: float | None = None
-    mean_hi: float | None = None
     corr_tol: float | None = None
 
 
@@ -181,18 +179,6 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
                     "value": float(var[i]),
                     "bound": {"min": lo, "max": hi},
                     "passed": bool(lo <= var[i] <= hi),
-                }
-            )
-        if th.mean_lo is not None or th.mean_hi is not None:
-            lo = -np.inf if th.mean_lo is None else th.mean_lo
-            hi = np.inf if th.mean_hi is None else th.mean_hi
-            records.append(
-                {
-                    "criterion": "sample_mean",
-                    "coordinate": i,
-                    "value": float(mean[i]),
-                    "bound": {"min": lo, "max": hi},
-                    "passed": bool(lo <= mean[i] <= hi),
                 }
             )
     if th.corr_tol is not None:

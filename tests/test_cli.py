@@ -16,31 +16,120 @@ def run(argv):
 
 class TestParsing:
     def test_sample_config_valid(self):
-        args = cli.parse_args(["sample", "--ensemble", "goe", "--n", "100", "--seed", "7"])
+        args = cli.build_parser().parse_args(
+            ["sample", "--ensemble", "goe", "--n", "100", "--seed", "7"]
+        )
         assert args.command == "sample"
         assert args.n == 100 and args.seed == 7
 
     def test_bulk_config_valid(self):
-        args = cli.parse_args(
+        args = cli.build_parser().parse_args(
             ["bulk-fluct", "--n", "500", "--k", "250", "--beta", "1", "--trials", "2000"]
         )
         assert (args.n, args.k, args.beta, args.trials) == (500, 250, 1, 2000)
 
     def test_bad_beta_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["bulk-fluct", "--n", "10", "--k", "5", "--beta", "3"])
+            cli.build_parser().parse_args(["bulk-fluct", "--n", "10", "--k", "5", "--beta", "3"])
         assert exc.value.code == 2
         assert "{1,2,4}" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            cli.parse_args(["sample", "--ensemble", "goe", "--n", "4", "--frobnicate"])
+            cli.build_parser().parse_args(
+                ["sample", "--ensemble", "goe", "--n", "4", "--frobnicate"]
+            )
         assert exc.value.code == 2
 
     def test_invalid_trials_names_flag(self, capsys):
         with pytest.raises(SystemExit):
-            cli.parse_args(["bulk-fluct", "--n", "10", "--k", "5", "--trials", "0"])
+            cli.build_parser().parse_args(["bulk-fluct", "--n", "10", "--k", "5", "--trials", "0"])
         assert "--trials" in capsys.readouterr().err
+
+
+FLUCT_KEYS = {"ensemble", "n", "beta", "regime", "indices", "trials"}
+FLUCT_PLAN_KEYS = FLUCT_KEYS | {"thetas", "gamma", "seed"}
+
+# (argv, meta.config keys, plan keys, meta.thresholds) of one run per subcommand
+SCHEMA_CASES = {
+    "sample": (
+        ["--ensemble", "goe", "--n", "3"],
+        {"ensemble", "n", "beta"},
+        {"ensemble", "n", "beta", "seed"},
+        {},
+    ),
+    "bulk-fluct": (
+        ["--n", "20", "--k", "10", "--beta", "1", "--trials", "3"],
+        FLUCT_KEYS,
+        FLUCT_PLAN_KEYS,
+        {"ks_max": 0.08, "var_lo": 0.8, "var_hi": 1.25},
+    ),
+    "edge-fluct": (
+        ["--n", "40", "--k", "12", "--beta", "2", "--trials", "3"],
+        FLUCT_KEYS,
+        FLUCT_PLAN_KEYS,
+        {"ks_max": 0.1, "var_lo": 0.75, "var_hi": 1.3},
+    ),
+    "joint-fluct": (
+        ["--n", "40", "--k", "10,20", "--beta", "1", "--trials", "3"],
+        FLUCT_KEYS,
+        FLUCT_PLAN_KEYS,
+        {"corr_tol": 0.12},
+    ),
+    "fr-check": (
+        ["--which", "gse", "--n", "2", "--trials", "3"],
+        {"which", "n", "indices", "trials"},
+        {"which", "n", "trials", "seed"},
+        {"p_min": 0.01},
+    ),
+    "kernel": (["--n", "3", "--interval=0,inf"], {"n", "interval"}, {"n", "interval"}, {}),
+    "cumulants": (
+        ["--n", "4", "--interval=0,2", "--order", "16"],
+        {"n", "interval", "order"},
+        {"n", "interval", "order"},
+        {},
+    ),
+    "semicircle-check": (
+        ["--n", "20"],
+        {"n", "path"},
+        {"n", "path", "seed"},
+        {"sup_max": 0.05},
+    ),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
+    def test_payload_blocks(self, command, tmp_path):
+        argv, config_keys, plan_keys, thresholds = SCHEMA_CASES[command]
+        out = tmp_path / "schema.json"
+        assert run([command, *argv, "--out", str(out), "--no-timestamp"]) in (0, 1)
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"meta", "plan", "summary"}
+        meta = payload["meta"]
+        assert set(meta) == {
+            "schema_version", "command", "version", "seed", "config", "thresholds", "env",
+        }
+        assert meta["command"] == command and meta["seed"] == 0
+        assert set(meta["config"]) == config_keys
+        assert set(payload["plan"]) == plan_keys
+        assert meta["thresholds"] == thresholds
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "argument --seed: --seed must be >= 0, got -1"),
+            ("--beta", "3", "argument --beta: --beta must be one of {1,2,4}, got 3"),
+            ("--n", "x", "argument --n: --n expects an integer, got 'x'"),
+        ],
+    )
+    def test_parse_error_messages(self, flag, value, message, capsys):
+        argv = ["bulk-fluct", "--n", "10", "--k", "5", "--beta", "1", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"wigner-fluct bulk-fluct: error: {message}"
 
 
 class TestSampleCommand:

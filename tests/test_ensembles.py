@@ -184,6 +184,24 @@ class TestLayoutMemo:
             assert n <= bound
             assert all(a.nbytes <= longest for a in layout), (n, c)
 
+    @pytest.mark.parametrize("n", [1, 3, 64, 65])
+    def test_gse_blocks_match_a_fresh_build(self, n):
+        # orders at and below the bound are kept read-only, larger ones rebuilt
+        upper = np.arange(n)[:, None] < np.arange(n)
+        iu = np.nonzero(upper)
+        fresh = (2 * iu[0][:, None] + [0, 0, 1, 1], 2 * iu[1][:, None] + [0, 1, 0, 1])
+        for seed in (0, 1):
+            assert np.array_equal(wf.sample_gse(n, seed).array, gse_stream_reference(n, seed))
+            blocks = ensembles._gse_blocks(n, upper)
+            assert all(np.array_equal(a, b) for a, b in zip(blocks, fresh))
+        kept = ensembles._gse_block_memo.get(n)
+        if n <= ensembles._LAYOUT_MEMO_MAX_N:
+            assert kept is blocks
+            with pytest.raises(ValueError):
+                kept[0][0, 0] = 1
+        else:
+            assert kept is None
+
 
 class TestSeedMixing:
     def test_deterministic(self):

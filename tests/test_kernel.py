@@ -10,12 +10,44 @@ from wigner_fluct.kernel import (
     _check_band,
     _clip_interval,
     _composite_gl,
+    _hermite_guard,
     _psi_scaled,
     _psi_seed,
     _psi_top_three,
     _rescale,
     truncation_halfwidth,
 )
+
+
+def hermite_phi(i, x):
+    """Orthonormal Hermite polynomial phi_i(x), with
+    integral phi_i phi_j e^{-x^2} dx = delta_ij; the package works with
+    psi_i only, and this unweighted form checks it against the polynomials.
+
+    Computed as psi_i(x) e^{x^2/2}; raises NumericalRangeError when the
+    result (or the unweighting factor) cannot be represented.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    _hermite_guard(i)
+    if np.any(0.5 * x_arr * x_arr > 700.0):
+        raise wf.NumericalRangeError("e^{x^2/2} overflows double precision")
+    psi = wf.hermite_psi(i, x_arr)
+    out = np.atleast_1d(psi) * np.exp(0.5 * x_arr * x_arr)
+    if not np.all(np.isfinite(out)):
+        raise wf.NumericalRangeError(f"phi_{i} overflows at |x| up to {np.max(np.abs(x_arr))}")
+    return out if np.ndim(x) else float(out[0])
+
+
+def kernel_point(n, x, y):
+    """K_n(x, y): Christoffel-Darboux off the diagonal, confluent form on it;
+    the pointwise form of the package's _kernel_cross."""
+    if n < 1:
+        raise wf.ShapeError(f"kernel order must be >= 1, got {n}")
+    if x == y:
+        return wf.kernel_diag(n, x)
+    pts = np.array([x, y], dtype=float)
+    _, p1, p0 = _psi_top_three(n, pts)
+    return float(sqrt(n / 2.0) * (p0[0] * p1[1] - p1[0] * p0[1]) / (x - y))
 
 
 def kernel_sum_direct(n, x, y):
@@ -164,10 +196,10 @@ def diag_operator(probs):
 class TestHermiteFunctions:
     def test_phi0_constant(self):
         for x in (-3.0, 0.0, 1.7):
-            assert wf.hermite_phi(0, x) == pytest.approx(pi**-0.25, rel=1e-14)
+            assert hermite_phi(0, x) == pytest.approx(pi**-0.25, rel=1e-14)
 
     def test_phi1_at_one(self):
-        got = wf.hermite_phi(1, 1.0)
+        got = hermite_phi(1, 1.0)
         assert got == pytest.approx(sqrt(2.0) * pi**-0.25, rel=1e-13)
         assert got == pytest.approx(phi_polynomial_oracle(1, 1.0), rel=1e-13)
         assert got == pytest.approx(1.06225, abs=5e-5)
@@ -175,20 +207,20 @@ class TestHermiteFunctions:
     @pytest.mark.parametrize("i", [2, 3, 7, 15, 30])
     def test_matches_polynomial_oracle(self, i):
         xs = np.linspace(-4.0, 4.0, 17)
-        got = wf.hermite_phi(i, xs)
+        got = hermite_phi(i, xs)
         want = phi_polynomial_oracle(i, xs)
         assert np.allclose(got, want, rtol=1e-11, atol=1e-12)
 
     def test_orthogonality_by_gauss_hermite(self):
         nodes, weights = np.polynomial.hermite.hermgauss(64)
-        inner = float(np.sum(weights * wf.hermite_phi(3, nodes) * wf.hermite_phi(5, nodes)))
+        inner = float(np.sum(weights * hermite_phi(3, nodes) * hermite_phi(5, nodes)))
         assert abs(inner) < 1e-10
 
     def test_basis_orthonormality(self):
         nodes, weights = np.polynomial.hermite.hermgauss(80)
         for i in (0, 4, 11, 29):
             for j in (0, 4, 11, 29):
-                inner = float(np.sum(weights * wf.hermite_phi(i, nodes) * wf.hermite_phi(j, nodes)))
+                inner = float(np.sum(weights * hermite_phi(i, nodes) * hermite_phi(j, nodes)))
                 assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     def test_psi_decays_in_tail(self):
@@ -197,7 +229,7 @@ class TestHermiteFunctions:
 
     def test_overflow_guard(self):
         with pytest.raises(wf.NumericalRangeError):
-            wf.hermite_phi(5, 100.0)
+            hermite_phi(5, 100.0)
         with pytest.raises(wf.NumericalRangeError):
             wf.hermite_psi(10**4 + 1, 0.0)
 
@@ -225,7 +257,7 @@ class TestKernelEvaluation:
 
     def test_symmetry_exact(self):
         for x, y in ((0.3, -1.2), (2.0, 1.9), (-4.0, 4.0)):
-            assert wf.kernel_point(12, x, y) == wf.kernel_point(12, y, x)
+            assert kernel_point(12, x, y) == kernel_point(12, y, x)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 50])
     def test_christoffel_darboux_vs_direct_sum(self, n):
@@ -234,7 +266,7 @@ class TestKernelEvaluation:
         for x in pts[:4]:
             for y in pts[4:]:
                 direct = kernel_sum_direct(n, x, y)
-                cd = wf.kernel_point(n, x, y)
+                cd = kernel_point(n, x, y)
                 assert cd == pytest.approx(direct, rel=1e-10, abs=1e-12)
         for x in pts[:3]:
             assert wf.kernel_diag(n, x) == pytest.approx(

@@ -127,6 +127,17 @@ class TestEdgeCenterScale:
             cs = wf.edge_center_scale(5, 100, 1)
         assert cs.small_k_warning
 
+    def test_small_k_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="edge scaling") as record:
+            wf.edge_center_scale(5, 100, 1)
+        assert record[0].filename == __file__
+        # through two package frames: normalize -> coordinates -> edge_center_scale
+        spec = wf.edge_index_spec((5,), 100)
+        with pytest.warns(UserWarning, match="edge scaling") as record:
+            wf.normalize(np.linspace(-14.0, 14.0, 100), spec, 1)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
     def test_k1_degenerate(self):
         with pytest.raises(wf.DomainError):
             wf.edge_center_scale(1, 100, 1)
