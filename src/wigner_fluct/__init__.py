@@ -73,7 +73,6 @@ from .stats import (
     Thresholds,
     counting_experiment,
     empirical_corr,
-    kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
     run_mc,

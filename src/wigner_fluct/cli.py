@@ -10,7 +10,10 @@ One of each path:
   class to the exit code;
 - one payload builder: ``_write_payload`` assembles and writes every
   command's JSON, ``meta`` (config echo, the thresholds that are set, env),
-  ``plan`` and ``summary``.
+  ``plan`` and ``summary``;
+- output flags only where they write: every command takes ``--out`` and
+  ``--no-timestamp``, the fluctuation commands also ``--csv``, ``--svg``
+  and ``--per-trial``, and ``semicircle-check`` also ``--svg``.
 
 Exit codes, from the outcome or the error class that ``execute`` catches:
 
@@ -135,6 +138,15 @@ _FLUCT_COMMANDS = {
 }
 
 
+# The flags of the files a command can write: the fluctuation commands take
+# all three, semicircle-check only --svg.
+_FILE_FLAGS = {
+    "--csv": {"help": "write per-trial vectors as CSV"},
+    "--svg": {"help": "write an SVG histogram of the first coordinate"},
+    "--per-trial": {"action": "store_true", "help": "embed per-trial vectors in the JSON"},
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wigner-fluct",
@@ -146,18 +158,18 @@ def build_parser():
     n_arg, seed_arg = _int_arg("--n"), _int_arg("--seed", least=0)
     beta_arg = _int_arg("--beta", choices=(1, 2, 4))
 
-    def add_common(p, trials_default, run):
+    def add_common(p, trials_default, run, *files):
         p.add_argument("--seed", type=seed_arg, default=0)
         p.add_argument("--trials", type=_int_arg("--trials"), default=trials_default)
         p.add_argument("--threads", type=_int_arg("--threads"), default=None)
-        add_output(p, run)
+        add_output(p, run, *files)
 
-    def add_output(p, run):
-        """The output flags, last in every command, and run as its handler."""
+    def add_output(p, run, *files):
+        """The output flags, last in every command, and run as its handler;
+        files (keys of _FILE_FLAGS) go between --out and --no-timestamp."""
         p.add_argument("--out", help="write the JSON result here instead of stdout")
-        p.add_argument("--csv", help="write per-trial vectors as CSV")
-        p.add_argument("--svg", help="write an SVG histogram of the first coordinate")
-        p.add_argument("--per-trial", action="store_true", help="embed per-trial vectors in the JSON")
+        for flag in files:
+            p.add_argument(flag, **_FILE_FLAGS[flag])
         p.add_argument("--no-timestamp", action="store_true")
         p.set_defaults(run=run)
 
@@ -182,7 +194,7 @@ def build_parser():
         p.add_argument("--check", action="store_true", help=check_help)
         for flag, default in thresholds.items():
             p.add_argument(flag, type=float, default=default)
-        add_common(p, trials, functools.partial(_cmd_fluct, title=title))
+        add_common(p, trials, functools.partial(_cmd_fluct, title=title), *_FILE_FLAGS)
 
     p = sub.add_parser("fr-check", help="superposition/decimation identity check")
     p.add_argument("--which", choices=("gue", "gse"), required=True)
@@ -202,7 +214,7 @@ def build_parser():
     p = sub.add_parser("cumulants", help="counting-statistic cumulants of the kernel operator")
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--order", type=_int_arg("--order"), default=32)
+    p.add_argument("--order", type=_int_arg("--order", least=16), default=32)
     p.add_argument("--seed", type=seed_arg, default=0)
     add_output(p, _cmd_cumulants)
 
@@ -211,7 +223,7 @@ def build_parser():
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
     p.add_argument("--seed", type=seed_arg, default=0)
-    add_output(p, _cmd_semicircle_check)
+    add_output(p, _cmd_semicircle_check, "--svg")
 
     return parser
 
@@ -260,7 +272,7 @@ def _ensemble_spec(name, n, beta, seed=0):
 def _write_payload(args, config, plan, summary, thresholds=None, per_trial=None):
     """Write a run's JSON to --out or stdout: meta (the config echo, the
     thresholds that are set, env, and a timestamp unless --no-timestamp),
-    plan and summary, plus the per_trial vectors when --per-trial is given."""
+    plan and summary, plus a per_trial block when per_trial is an array."""
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -273,7 +285,7 @@ def _write_payload(args, config, plan, summary, thresholds=None, per_trial=None)
     if not args.no_timestamp:
         meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
     payload = {"meta": meta, "plan": plan, "summary": summary}
-    if args.per_trial and per_trial is not None:
+    if per_trial is not None:
         payload["per_trial"] = per_trial.tolist()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -384,7 +396,8 @@ def _cmd_fluct(args, title):
     plan_echo = {
         **config, "thetas": list(index_spec.thetas), "gamma": index_spec.gamma, "seed": plan.seed
     }
-    _write_payload(args, config, plan_echo, result.summary, vars(th), result.vectors)
+    per_trial = result.vectors if args.per_trial else None
+    _write_payload(args, config, plan_echo, result.summary, vars(th), per_trial)
     if args.csv:
         _write_csv(result.vectors, args.csv)
     if args.svg:

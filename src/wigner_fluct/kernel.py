@@ -286,9 +286,7 @@ class KernelOperator:
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     matrix: np.ndarray
-    interval: tuple
     n: int
 
     @property
@@ -343,7 +341,7 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     sw = np.sqrt(weights)
     matrix = sw[:, None] * k * sw[None, :]
     matrix = 0.5 * (matrix + matrix.T)
-    op = KernelOperator(nodes=nodes, weights=weights, matrix=matrix, interval=(a, b), n=n)
+    op = KernelOperator(nodes=nodes, matrix=matrix, n=n)
 
     tr = float(np.trace(matrix))
     ref = expected_count(n, (a, b))

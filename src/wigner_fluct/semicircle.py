@@ -97,11 +97,6 @@ class CenterScale:
 
     center: float
     scale: float
-    regime: str  # "bulk" or "edge"
-    beta: int
-    k: int
-    n: int
-    small_k_warning: bool = False
 
     def __post_init__(self):
         if self.scale <= 0.0:
@@ -125,7 +120,7 @@ def bulk_center_scale(k, n, beta):
         raise DomainError(f"bulk quantile t = {t} is singular")
     center = t * sqrt(2.0 * n)
     scale = sqrt(log(n) / (2.0 * beta * (1.0 - t * t) * n))
-    return CenterScale(center=center, scale=scale, regime="bulk", beta=beta, k=k, n=n)
+    return CenterScale(center=center, scale=scale)
 
 
 def edge_center_scale(k, n, beta):
@@ -136,7 +131,7 @@ def edge_center_scale(k, n, beta):
 
     k counts inward from the edge and must satisfy 2 <= k < n (k = 1 makes
     the scale collapse to zero).  k < 10 is far outside the intended
-    k -> infinity regime, so the result carries a warning flag.
+    k -> infinity regime, so it issues a UserWarning.
     """
     _check_beta(beta)
     if n < 1:
@@ -145,8 +140,7 @@ def edge_center_scale(k, n, beta):
         raise DomainError(f"edge index k must satisfy 1 <= k < n, got k={k}, n={n}")
     if k == 1:
         raise DomainError("edge scaling degenerates at k = 1 (log k = 0)")
-    small = k < _EDGE_SMALL_K
-    if small:
+    if k < _EDGE_SMALL_K:
         _warn_outside_package(
             f"edge scaling requested at k={k} < {_EDGE_SMALL_K}; far from the "
             "large-k regime"
@@ -158,15 +152,7 @@ def edge_center_scale(k, n, beta):
         * log(k)
         / (beta * n ** (1.0 / 3.0) * k ** (2.0 / 3.0))
     )
-    return CenterScale(
-        center=center,
-        scale=scale,
-        regime="edge",
-        beta=beta,
-        k=k,
-        n=n,
-        small_k_warning=small,
-    )
+    return CenterScale(center=center, scale=scale)
 
 
 def _check_beta(beta):

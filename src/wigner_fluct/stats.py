@@ -46,15 +46,9 @@ def ks_one_sample(samples, cdf=standard_normal_cdf):
     return float(max(upper, lower))
 
 
-def kolmogorov_sf(lam):
-    """Asymptotic Kolmogorov survival function 2 sum (-1)^{j-1} e^{-2 j^2 lam^2}
-    (scipy.special.kolmogorov, accurate for small lam, where the series
-    converges slowly)."""
-    return float(kolmogorov(lam))
-
-
 def ks_two_sample(a, b):
-    """Two-sample KS statistic and its asymptotic p-value."""
+    """Two-sample KS statistic d and its asymptotic p-value, the Kolmogorov
+    survival function (scipy.special.kolmogorov) at sqrt(nm / (n + m)) d."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -64,7 +58,7 @@ def ks_two_sample(a, b):
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     eff = sqrt(a.size * b.size / (a.size + b.size))
-    return d, kolmogorov_sf(eff * d)
+    return d, float(kolmogorov(eff * d))
 
 
 def empirical_corr(vectors):

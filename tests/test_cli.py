@@ -98,6 +98,15 @@ SCHEMA_CASES = {
 }
 
 
+# the file outputs of each command; every other command refuses these flags
+FILE_FLAGS = {
+    "bulk-fluct": ("--csv", "--svg", "--per-trial"),
+    "edge-fluct": ("--csv", "--svg", "--per-trial"),
+    "joint-fluct": ("--csv", "--svg", "--per-trial"),
+    "semicircle-check": ("--svg",),
+}
+
+
 class TestSchema:
     @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
     def test_payload_blocks(self, command, tmp_path):
@@ -121,15 +130,37 @@ class TestSchema:
             ("--seed", "-1", "argument --seed: --seed must be >= 0, got -1"),
             ("--beta", "3", "argument --beta: --beta must be one of {1,2,4}, got 3"),
             ("--n", "x", "argument --n: --n expects an integer, got 'x'"),
+            # the quadrature order discretize_operator accepts
+            ("--order", "8", "argument --order: --order must be >= 16, got 8"),
         ],
     )
     def test_parse_error_messages(self, flag, value, message, capsys):
-        argv = ["bulk-fluct", "--n", "10", "--k", "5", "--beta", "1", flag, value]
+        command = "cumulants" if flag == "--order" else "bulk-fluct"
+        argv = [command, *SCHEMA_CASES[command][0], flag, value]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == f"wigner-fluct bulk-fluct: error: {message}"
+        assert err[-1] == f"wigner-fluct {command}: error: {message}"
+
+    @pytest.mark.parametrize("flag", ["--csv", "--svg", "--per-trial"])
+    @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
+    def test_output_flag_writes_or_is_refused(self, command, flag, tmp_path, capsys):
+        out, target = tmp_path / "run.json", tmp_path / "target"
+        value = [] if flag == "--per-trial" else [str(target)]
+        argv = [command, *SCHEMA_CASES[command][0], "--out", str(out), flag, *value]
+        if flag in FILE_FLAGS.get(command, ()):
+            assert run(argv) in (0, 1)
+            if flag == "--per-trial":
+                assert "per_trial" in json.loads(out.read_text())
+            else:
+                assert target.stat().st_size > 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not out.exists() and not target.exists()
 
 
 class TestSampleCommand:

@@ -184,13 +184,7 @@ def traced_peak(fn, *args):
 def diag_operator(probs):
     probs = np.asarray(probs, dtype=float)
     m = probs.size
-    return wf.KernelOperator(
-        nodes=np.arange(m, dtype=float),
-        weights=np.ones(m),
-        matrix=np.diag(probs),
-        interval=(0.0, float(m)),
-        n=m,
-    )
+    return wf.KernelOperator(nodes=np.arange(m, dtype=float), matrix=np.diag(probs), n=m)
 
 
 class TestHermiteFunctions:

@@ -123,9 +123,9 @@ class TestEdgeCenterScale:
         assert s4 / s1 == pytest.approx(0.5, rel=1e-14)
 
     def test_small_k_warns_and_flags(self):
-        with pytest.warns(UserWarning, match="edge scaling"):
-            cs = wf.edge_center_scale(5, 100, 1)
-        assert cs.small_k_warning
+        # the warning is the only small-k signal: CenterScale has no flag
+        with pytest.warns(UserWarning, match="edge scaling requested at k=5 < 10"):
+            wf.edge_center_scale(5, 100, 1)
 
     def test_small_k_warning_points_at_the_caller(self):
         with pytest.warns(UserWarning, match="edge scaling") as record:

@@ -85,20 +85,6 @@ class TestKSOneSample:
             wf.ks_one_sample([])
 
 
-class TestKolmogorovSF:
-    def test_classic_critical_point(self):
-        # lambda = 1.358 is the standard 5% point of the Kolmogorov law
-        assert wf.kolmogorov_sf(1.358) == pytest.approx(0.05, abs=0.002)
-
-    def test_limits(self):
-        assert wf.kolmogorov_sf(0.0) == 1.0
-        assert wf.kolmogorov_sf(10.0) < 1e-80
-
-    def test_small_lambda_is_one(self):
-        # the alternating series converges only after ~1/lambda terms here
-        assert wf.kolmogorov_sf(1e-3) == 1.0
-
-
 class TestKSTwoSample:
     def test_identical_multisets(self):
         a = np.array([0.3, -1.2, 0.3, 2.0])
