@@ -86,6 +86,8 @@ def bulk_index_spec(indices, n):
 def edge_index_spec(indices, n):
     """IndexSpec for edge offsets with gamma and exponents inferred."""
     idx = tuple(indices)
+    if n < 2:
+        raise DomainError("need n >= 2 to define the edge exponent gamma")
     gamma = log(idx[0]) / log(n)
     thetas = thetas_from_indices(idx, n) if len(idx) > 1 else ()
     return IndexSpec(regime="edge", indices=idx, thetas=thetas, gamma=gamma)

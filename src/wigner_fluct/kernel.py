@@ -22,12 +22,9 @@ n >= 1000.  Scaling keeps the evaluation exact up to n = 10^4 on
 per-step growth bound on that range allows without changing a bit of the
 descaled values.
 
-Evaluation of K_n off the diagonal uses the Christoffel-Darboux form
-
-    K_n(x, y) = sqrt(n/2) [psi_n(x) psi_{n-1}(y) - psi_{n-1}(x) psi_n(y)] / (x - y)
-
-and its confluent limit n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n on the
-diagonal.
+The diagonal K_n(x, x) (kernel_diag) is the confluent Christoffel-Darboux
+form n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n; it and hermite_psi read
+only the top three psi of the recurrence.
 
 Counting statistics use no quadrature.  The count in I is a sum of
 independent Bernoulli(eig G), G_ij = int_I psi_i psi_j the n x n Gram
@@ -46,10 +43,15 @@ diagonal as one cumulative sum from G_00 = erfc(t)/2,
 Both need only psi_0 .. psi_n at t, from the scaled recurrence.  The
 variance streams the strict upper triangle of G in fixed blocks of rows.
 
-The Nystrom operator A of K_n on an interval is checked against the band
--1e-8 <= A <= 1 + 1e-8 by two Cholesky factorizations, of A + 1e-8 I and of
-(1 + 1e-8) I - A, instead of an eigendecomposition; its cumulants come from
-the upper triangle of A A, one BLAS syrk.
+The Nystrom operator of K_n on an interval, with quadrature nodes x_a and
+weights w_a, is A = S^T S for S_ia = psi_i(x_a) sqrt(w_a), i < n, because
+K_n(x, y) = sum_{i<n} psi_i(x) psi_i(y); S comes from the same psi table as
+the Gram matrix.  One BLAS syrk forms the smaller of S^T S (nodes x nodes)
+and S S^T (n x n).  Both have A's nonzero spectrum, so the trace, the band
+and the cumulants are those of A.  The band -1e-8 <= A <= 1 + 1e-8 is
+checked by two Cholesky factorizations, of A + 1e-8 I and of
+(1 + 1e-8) I - A, instead of an eigendecomposition; the cumulants come from
+the upper triangle of A A, one more syrk.
 """
 
 from collections import deque
@@ -147,6 +149,13 @@ def _psi_top_three(n, x):
     return tuple(np.ldexp(m, e) for m, e in top)
 
 
+def _psi_table(n, x):
+    """psi_0 .. psi_n at the points x, one row per index, descaled to plain
+    floats."""
+    _hermite_guard(n)
+    return np.array([np.ldexp(m, e) for m, e in _psi_scaled(n, x)])
+
+
 def hermite_psi(i, x):
     """Weighted orthonormal Hermite function psi_i(x) = phi_i(x) e^{-x^2/2}."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -161,9 +170,7 @@ def hermite_psi(i, x):
 
 def _confluent_diag(n, p2, p1, p0):
     """K_n(x, x) from psi_{n-2}, psi_{n-1}, psi_n at x: the confluent
-    Christoffel-Darboux form."""
-    if n == 1:
-        return p1 * p1
+    Christoffel-Darboux form (at n = 1 the second term is 0 * 0)."""
     return n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
 
 
@@ -173,21 +180,6 @@ def kernel_diag(n, x):
         raise ShapeError(f"kernel order must be >= 1, got {n}")
     out = _confluent_diag(n, *_psi_top_three(n, x))
     return out if np.ndim(x) else float(out[0])
-
-
-def _kernel_cross(n, nodes):
-    """K_n on the grid nodes x nodes, from one psi recurrence.  Exactly
-    coincident points use the confluent form."""
-    top = _psi_top_three(n, nodes)
-    _, p1, p0 = top
-    num = p0[:, None] * p1[None, :] - p1[:, None] * p0[None, :]
-    den = nodes[:, None] - nodes[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = sqrt(n / 2.0) * num / den
-    eq = den == 0.0
-    if np.any(eq):
-        k[eq] = np.broadcast_to(_confluent_diag(n, *top)[:, None], k.shape)[eq]
-    return k
 
 
 def truncation_halfwidth(n):
@@ -222,8 +214,7 @@ def _half_line_gram(n, x):
     """p_i = psi_i(t), q_i = sqrt(2i) psi_{i-1}(t) (i < n) and the diagonal of
     G(t), one column per point t of x; off the diagonal of G(t),
     G(t)_ij = (p_i q_j - q_i p_j) / (2(j - i))."""
-    _hermite_guard(n)
-    p = np.array([np.ldexp(m, e) for m, e in _psi_scaled(n, x)])
+    p = _psi_table(n, x)
     q = np.sqrt(2.0 * np.arange(n + 1))[:, None] * np.vstack([np.zeros_like(x), p[:-1]])
     # h[k] = G_{k-1,k+1}, with G_{-1,1} = 0
     h = np.vstack([np.zeros_like(x), 0.25 * (p[:-2] * q[2:] - q[:-2] * p[2:])])
@@ -281,8 +272,10 @@ def _count_moments(n, interval, variance):
 class KernelOperator:
     """Nystrom discretization of K_n restricted to an interval.
 
-    matrix[a, b] = sqrt(w_a) K_n(x_a, x_b) sqrt(w_b); symmetric, and its
-    spectrum discretizes the operator inequality 0 <= A <= 1.
+    A[a, b] = sqrt(w_a) K_n(x_a, x_b) sqrt(w_b) is S^T S for
+    S_ia = psi_i(x_a) sqrt(w_a), i < n.  matrix is the smaller of S^T S and
+    S S^T, of order min(n, nodes): symmetric, with A's nonzero spectrum,
+    which discretizes the operator inequality 0 <= A <= 1.
     """
 
     nodes: np.ndarray
@@ -327,9 +320,10 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     expected_count to 1e-6 (relative once the count exceeds 1) and the
     spectrum must lie in [-1e-8, 1 + 1e-8].
 
-    The band check costs two Cholesky factorizations (O(size^3 / 3) each);
-    callers building very large operators may pass validate_band=False after
-    having established the band on a coarser version of the same interval.
+    The band check costs two Cholesky factorizations of the operator matrix
+    (O(min(n, size)^3 / 3) each); callers building very large operators may
+    pass validate_band=False after having established the band on a coarser
+    version of the same interval.
     """
     if order < 16:
         raise UnsupportedError(f"quadrature order must be >= 16, got {order}")
@@ -337,10 +331,12 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     if a >= b:
         raise ShapeError(f"interval {interval} is empty after truncation")
     nodes, weights = _composite_gl(n, a, b, order, wavelengths_per_panel)
-    k = _kernel_cross(n, nodes)
-    sw = np.sqrt(weights)
-    matrix = sw[:, None] * k * sw[None, :]
-    matrix = 0.5 * (matrix + matrix.T)
+    # S = s (n x nodes); syrk reads S^T in place as s.T and forms the upper
+    # triangle of S S^T when there are at least n nodes, else of S^T S = A
+    s = _psi_table(n, nodes)[:n]
+    s *= np.sqrt(weights)
+    upper = blas.dsyrk(1.0, s.T, trans=int(nodes.size >= n))
+    matrix = upper.T + np.triu(upper, 1)  # C-ordered, mirrored
     op = KernelOperator(nodes=nodes, matrix=matrix, n=n)
 
     tr = float(np.trace(matrix))

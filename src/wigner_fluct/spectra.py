@@ -115,8 +115,6 @@ def tridiagonalize(matrix):
     if not (a == a.T).all():
         raise ShapeError("matrix is not exactly symmetric")
     n = a.shape[0]
-    if n == 1:
-        return Tridiagonal(diag=a.diagonal().copy(), offdiag=np.zeros(0))
     _, d, e, _, info = _SYTRD(a, lower=0, lwork=_sytrd_lwork(n))
     if info != 0:
         raise NumericalFailureError("sytrd failed", info=int(info), n=n)

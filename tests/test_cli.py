@@ -439,6 +439,12 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "WIGNER_FLUCT_THREADS" in err[0]
 
+    @pytest.mark.parametrize("command", [["edge-fluct"], ["joint-fluct", "--regime", "edge"]])
+    def test_edge_at_one_level_is_2(self, command, capsys):
+        assert run([*command, "--n", "1", "--k", "1", "--beta", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n >= 2" in err[0]
+
     def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
         assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1

@@ -34,6 +34,11 @@ class TestIndexSpec:
         assert th[0] == pytest.approx(log(31) / log(1000))
         assert th[1] == pytest.approx(log(100) / log(1000))
 
+    def test_edge_index_spec_needs_two_levels(self):
+        # gamma = log k / log n has no meaning at n = 1
+        with pytest.raises(wf.DomainError, match="n >= 2"):
+            wf.edge_index_spec((1,), 1)
+
     def test_bulk_index_spec_clamps_theta(self):
         spec = wf.bulk_index_spec((10, 910), 900)  # gap exceeds n
         assert spec.thetas[0] == 1.0

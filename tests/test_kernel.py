@@ -10,6 +10,7 @@ from wigner_fluct.kernel import (
     _check_band,
     _clip_interval,
     _composite_gl,
+    _confluent_diag,
     _hermite_guard,
     _psi_scaled,
     _psi_seed,
@@ -40,7 +41,7 @@ def hermite_phi(i, x):
 
 def kernel_point(n, x, y):
     """K_n(x, y): Christoffel-Darboux off the diagonal, confluent form on it;
-    the pointwise form of the package's _kernel_cross."""
+    the oracle for the Nystrom operator's Hermite-sum form of K_n."""
     if n < 1:
         raise wf.ShapeError(f"kernel order must be >= 1, got {n}")
     if x == y:
@@ -249,6 +250,12 @@ class TestKernelEvaluation:
     def test_k1_origin(self):
         assert wf.kernel_diag(1, 0.0) == pytest.approx(1.0 / sqrt(pi), rel=1e-14)
 
+    def test_order_one_confluent_form_is_psi0_squared(self):
+        # at n = 1 the term sqrt(n(n-1)) psi_{n-2} psi_n is 0 * 0
+        x = np.array([0.0, -0.0, 1e-300, 0.7, -5.0, 38.5, -40.0])
+        p2, p1, p0 = _psi_top_three(1, x)
+        assert np.array_equal(_confluent_diag(1, p2, p1, p0), p1 * p1)
+
     def test_symmetry_exact(self):
         for x, y in ((0.3, -1.2), (2.0, 1.9), (-4.0, 4.0)):
             assert kernel_point(12, x, y) == kernel_point(12, y, x)
@@ -378,6 +385,25 @@ class TestDiscretizeOperator:
             op = wf.discretize_operator(n, (-2.0, 2.0), order=order)
             tr2.append(float(np.trace(op.matrix @ op.matrix)))
         assert abs(tr2[1] - tr2[0]) < 1e-8
+
+    # 64 nodes for n = 20 (S S^T) and 320 nodes for n = 1000 (S^T S = A)
+    @pytest.mark.parametrize("n, interval", [(20, (0.0, 2.5)), (1000, (-1.0, 1.0))])
+    def test_matrix_is_the_smaller_gram_product(self, n, interval):
+        op = wf.discretize_operator(n, interval, order=32)
+        order = min(n, op.size)
+        assert op.matrix.shape == (order, order)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        nodes, weights = _composite_gl(n, *_clip_interval(n, interval), 32, 3.0)
+        assert np.array_equal(op.nodes, nodes)
+        tr_a, tr_a2 = _trace_pair(n, nodes, weights)
+        assert float(np.trace(op.matrix)) == pytest.approx(tr_a, rel=1e-10)
+        assert float(np.vdot(op.matrix, op.matrix)) == pytest.approx(tr_a2, rel=1e-10)
+
+    def test_memory_stays_within_the_hermite_table(self):
+        # the (n + 1) x nodes table of psi values bounds the working set
+        args = (200, (2.0, np.inf), 20)
+        table_bytes = (args[0] + 1) * wf.discretize_operator(*args).size * 8
+        assert traced_peak(wf.discretize_operator, *args) <= 3 * table_bytes
 
     def test_low_order_rejected(self):
         with pytest.raises(wf.UnsupportedError):

@@ -126,6 +126,14 @@ class TestTridiagonalize:
         assert got[0] == pytest.approx(lo, abs=1e-12)
         assert got[1] == pytest.approx(hi, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -3.25, 5e-324, 1e308])
+    def test_order_one_is_the_entry_itself(self, value):
+        # sytrd at order 1 returns d = [a00] and an empty e; no special case
+        t = wf.tridiagonalize(np.array([[value]]))
+        assert np.array_equal(t.diag, [value]) and np.signbit(t.diag[0]) == np.signbit(value)
+        assert t.offdiag.shape == (0,)
+        assert np.array_equal(wf.tridiag_eigenvalues(t), [value])
+
     def test_trace_preserved(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((10, 10))
