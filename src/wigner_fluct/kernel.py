@@ -22,6 +22,18 @@ n >= 1000.  Scaling keeps the evaluation exact up to n = 10^4 on
 per-step growth bound on that range allows without changing a bit of the
 descaled values.
 
+Every psi table comes from _psi_table, in one of two layouts chosen only by
+the number of points.  The vector layout steps all points at once with
+numpy; its fixed cost of a few numpy calls per step dominates for few
+points.  Up to _FEW_POINTS = 16 points (the Gram path's two interval
+endpoints, the scalar x of kernel_diag and hermite_psi) the scalar layout
+runs the recurrence for each point alone in Python floats instead.  At
+n = 1000 on a 2-vCPU x86-64 host one point costs 0.3-0.5 ms against 3-6 ms
+for the vector layout, and the two cost the same at 16-20 points.  Both
+perform the same IEEE operations in the same order, with the same scale
+checks and exact power-of-two scalings, so every psi value is
+bit-identical in both.
+
 The diagonal K_n(x, x) (kernel_diag) is the confluent Christoffel-Darboux
 form n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n; it and hermite_psi read
 only the top three psi of the recurrence.
@@ -54,9 +66,9 @@ checked by two Cholesky factorizations, of A + 1e-8 I and of
 the upper triangle of A A, one more syrk.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from math import erfc, pi, sqrt
+from itertools import islice
+from math import erfc, ldexp, pi, sqrt
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -73,6 +85,8 @@ _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
 _GRAM_BLOCK_ROWS = 64  # rows of G per streamed block: 64 x n doubles
 _RESCALE_EVERY = 16  # psi recurrence steps between scale checks; see _psi_scaled
+_SCALE_HI, _SCALE_LO, _SCALE_SHIFT = 2.0**300, 2.0**-300, 600  # thresholds, power-of-two shift
+_FEW_POINTS = 16  # psi tables of at most this many points run the scalar layout
 _BAND = (-1e-8, 1.0 + 1e-8)  # admitted spectrum of a Nystrom operator
 
 
@@ -98,24 +112,34 @@ def _psi_seed(x):
     return m0, m1, expo
 
 
+def _recurrence_weights(n):
+    """sqrt(2/(i+1)) and sqrt(i/(i+1)) for the steps i = 1 .. n-1, as lists of
+    Python floats."""
+    steps = np.arange(1, n)
+    return np.sqrt(2.0 / (steps + 1)).tolist(), np.sqrt(steps / (steps + 1)).tolist()
+
+
 def _rescale(pm, pc, expo):
     a = np.abs(pc) + np.abs(pm)
-    big = a > 2.0**300
+    big = a > _SCALE_HI
     if np.any(big):
-        pc = np.where(big, np.ldexp(pc, -600), pc)
-        pm = np.where(big, np.ldexp(pm, -600), pm)
-        expo = expo + np.where(big, 600, 0)
-    small = (a < 2.0**-300) & (a > 0.0)
+        pc = np.where(big, np.ldexp(pc, -_SCALE_SHIFT), pc)
+        pm = np.where(big, np.ldexp(pm, -_SCALE_SHIFT), pm)
+        expo = expo + np.where(big, _SCALE_SHIFT, 0)
+    small = (a < _SCALE_LO) & (a > 0.0)
     if np.any(small):
-        pc = np.where(small, np.ldexp(pc, 600), pc)
-        pm = np.where(small, np.ldexp(pm, 600), pm)
-        expo = expo - np.where(small, 600, 0)
+        pc = np.where(small, np.ldexp(pc, _SCALE_SHIFT), pc)
+        pm = np.where(small, np.ldexp(pm, _SCALE_SHIFT), pm)
+        expo = expo - np.where(small, _SCALE_SHIFT, 0)
     return pm, pc, expo
 
 
 def _psi_scaled(n, x):
     """Yield psi_0 .. psi_n at the points x as (mantissa, exponent) pairs,
-    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence.
+    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence; the
+    vector layout of _psi_table, one numpy step for all points.  _psi_table
+    takes it for more than _FEW_POINTS = 16 points, where it is cheaper than
+    the scalar layout of _psi_point (they cost the same at 16-20 points).
 
     The scale is checked every _RESCALE_EVERY = 16 steps.  On the admitted
     range |x| <= sqrt(2 * 10^4) + 10 one step changes the pair
@@ -123,13 +147,13 @@ def _psi_scaled(n, x):
     unchecked steps move it at most 2^125 past the 2^(+-300) thresholds of
     _rescale, far from overflow and from the subnormal range.  There every
     power-of-two scaling is exact, so the descaled values are bit-identical
-    to those of a check after every step."""
+    to those of a check after every step.  _psi_point is the same recurrence
+    for one point in Python floats: the same IEEE operations in the same
+    order, x * u * pc - d * pm, the same checks and the same exact scalings,
+    so its values are bit-identical to these."""
     pm, pc, expo = _psi_seed(x)
     yield pm, expo
-    steps = np.arange(1, n)
-    up = np.sqrt(2.0 / (steps + 1)).tolist()
-    down = np.sqrt(steps / (steps + 1)).tolist()
-    for i, (u, d) in enumerate(zip(up, down), start=1):
+    for i, (u, d) in enumerate(zip(*_recurrence_weights(n)), start=1):
         pm, pc = pc, x * u * pc - d * pm
         if i % _RESCALE_EVERY == 0:
             pm, pc, expo = _rescale(pm, pc, expo)
@@ -137,23 +161,60 @@ def _psi_scaled(n, x):
     yield pc, expo
 
 
+def _psi_point(x, pm, pc, expo, up, down):
+    """The scalar layout of _psi_scaled at one point x, from its seed
+    psi_0 = (pm, expo) and psi_1 = (pc, expo) and the step weights up, down
+    of _recurrence_weights: the mantissas and exponents of psi_0 .. psi_n as
+    two lists, all in Python floats and ints."""
+    mant, expos = [pm], [expo]
+    for i, (u, d) in enumerate(zip(up, down), start=1):
+        pm, pc = pc, x * u * pc - d * pm
+        if i % _RESCALE_EVERY == 0:
+            a = abs(pc) + abs(pm)
+            shift = -_SCALE_SHIFT if a > _SCALE_HI else _SCALE_SHIFT if 0.0 < a < _SCALE_LO else 0
+            if shift:
+                pm, pc, expo = ldexp(pm, shift), ldexp(pc, shift), expo - shift
+        mant.append(pm)
+        expos.append(expo)
+    mant.append(pc)
+    expos.append(expo)
+    return mant, expos
+
+
+def _psi_table(n, x, rows=None):
+    """The last rows of psi_0 .. psi_n (all n + 1 by default) at the points x
+    (n >= 1), one row per index, descaled to plain floats.  Every psi
+    evaluation passes through here.  At most _FEW_POINTS points run the
+    scalar layout, one _psi_point loop per point; more run the vector layout
+    of _psi_scaled.  Both write each descaled row or column into the table
+    in place."""
+    _hermite_guard(n)
+    x = np.asarray(x, dtype=float)
+    rows = n + 1 if rows is None else rows
+    table = np.empty((rows,) + x.shape)
+    if x.size <= _FEW_POINTS:
+        flat = x.ravel()
+        up, down = _recurrence_weights(n)
+        columns = table.reshape(rows, -1)
+        seeds = zip(flat.tolist(), *(part.tolist() for part in _psi_seed(flat)))
+        for column, seed in zip(columns.T, seeds):
+            mant, expos = _psi_point(*seed, up, down)
+            np.ldexp(mant[-rows:], expos[-rows:], out=column)
+    else:
+        for row, (m, e) in zip(table, islice(_psi_scaled(n, x), n + 1 - rows, None)):
+            np.ldexp(m, e, out=row)
+    return table
+
+
 def _psi_top_three(n, x):
     """psi_{n-2}, psi_{n-1}, psi_n at the points x (n >= 1), descaled to
     plain floats (values below the double-precision floor flush to zero,
     which is exact to working precision)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _hermite_guard(n)
-    top = deque(_psi_scaled(n, x), maxlen=3)
+    top = _psi_table(n, x, rows=min(n + 1, 3))
     if n == 1:
-        top.appendleft((np.zeros_like(x), 0))
-    return tuple(np.ldexp(m, e) for m, e in top)
-
-
-def _psi_table(n, x):
-    """psi_0 .. psi_n at the points x, one row per index, descaled to plain
-    floats."""
-    _hermite_guard(n)
-    return np.array([np.ldexp(m, e) for m, e in _psi_scaled(n, x)])
+        top = np.concatenate([np.zeros((1,) + x.shape), top])
+    return tuple(top)
 
 
 def hermite_psi(i, x):

@@ -11,9 +11,11 @@ from wigner_fluct.kernel import (
     _clip_interval,
     _composite_gl,
     _confluent_diag,
+    _FEW_POINTS,
     _hermite_guard,
     _psi_scaled,
     _psi_seed,
+    _psi_table,
     _psi_top_three,
     _rescale,
     truncation_halfwidth,
@@ -238,6 +240,34 @@ class TestHermiteFunctions:
         assert got.shape == (n + 1, pts.size)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 1000, 10**4])
+    def test_point_and_vector_layouts_are_bit_identical(self, n):
+        # the set above plus -0.0; each point alone and the whole set run the
+        # scalar layout, the set twice over runs the vector layout
+        edge = sqrt(2.0 * n)
+        pts = np.array(
+            [0.0, -0.0, 1e-3, -1e-3, 1.0, -1.0, edge, -edge, edge + 10, -edge - 10, 40.0]
+        )
+        assert pts.size <= _FEW_POINTS < 2 * pts.size
+        want = descaled(psi_scaled_per_step(n, pts))
+        alone = np.hstack([_psi_table(n, pts[k : k + 1]) for k in range(pts.size)])
+        together = _psi_table(n, pts)
+        vector = _psi_table(n, np.tile(pts, 2))
+        for got in (alone, together, vector[:, : pts.size], vector[:, pts.size :]):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            # Python floats overflow to inf without numpy's RuntimeWarning
+            assert np.isfinite(got).all()
+        top = min(n + 1, 3)
+        for x in (pts, np.tile(pts, 2)):
+            assert np.array_equal(_psi_table(n, x, rows=top)[:, : pts.size], want[-top:])
+
+    def test_table_peak_is_the_table(self):
+        # rows are descaled into the preallocated table, not stacked from a list
+        nodes = wf.discretize_operator(200, (2.0, np.inf), order=20).nodes
+        assert nodes.size > _FEW_POINTS
+        assert traced_peak(_psi_table, 200, nodes) <= 1.1 * 201 * nodes.size * 8
+
     def test_scaled_recurrence_survives_deep_bulk(self):
         # seed value e^{-x^2/2} underflows at x = 40 but psi_n is O(1) there
         val = wf.kernel_diag(2000, 40.0)
@@ -403,7 +433,7 @@ class TestDiscretizeOperator:
         # the (n + 1) x nodes table of psi values bounds the working set
         args = (200, (2.0, np.inf), 20)
         table_bytes = (args[0] + 1) * wf.discretize_operator(*args).size * 8
-        assert traced_peak(wf.discretize_operator, *args) <= 3 * table_bytes
+        assert traced_peak(wf.discretize_operator, *args) <= 2 * table_bytes
 
     def test_low_order_rejected(self):
         with pytest.raises(wf.UnsupportedError):
