@@ -4,7 +4,8 @@ One of each path:
 
 - a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
   ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
-  runs all three; every integer flag is parsed by ``_int_arg``;
+  runs all three; every integer flag is parsed by ``_int_arg`` and every
+  threshold flag by ``_finite_arg``;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
@@ -76,6 +77,21 @@ def _int_arg(flag, least=1, choices=None):
             raise argparse.ArgumentTypeError(f"{flag} expects an integer, got {text!r}")
         if (value not in choices) if choices else value < least:
             raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_arg(flag):
+    """argparse type of flag: a finite float (a nan or inf bound never passes)."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{flag} expects a finite number, got {text!r}")
         return value
 
     return parse
@@ -193,7 +209,7 @@ def build_parser():
         p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
         p.add_argument("--check", action="store_true", help=check_help)
         for flag, default in thresholds.items():
-            p.add_argument(flag, type=float, default=default)
+            p.add_argument(flag, type=_finite_arg(flag), default=default)
         add_common(p, trials, functools.partial(_cmd_fluct, title=title), *_FILE_FLAGS)
 
     p = sub.add_parser("fr-check", help="superposition/decimation identity check")
@@ -201,7 +217,7 @@ def build_parser():
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--k", type=_index_list("--k"), default=None,
                    help="indices to compare (default: all)")
-    p.add_argument("--p-min", type=float, default=0.01)
+    p.add_argument("--p-min", type=_finite_arg("--p-min"), default=0.01)
     add_common(p, 5000, _cmd_fr_check)
 
     p = sub.add_parser("kernel", help="counting expectation/variance from the exact Gram matrix")
@@ -220,7 +236,7 @@ def build_parser():
 
     p = sub.add_parser("semicircle-check", help="empirical spectral CDF vs the semicircle law")
     p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=_finite_arg("--threshold"), default=0.05)
     p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
     p.add_argument("--seed", type=seed_arg, default=0)
     add_output(p, _cmd_semicircle_check, "--svg")
@@ -450,13 +466,18 @@ def _cmd_fr_check(args):
     return 0 if all_pass else 1
 
 
+def _interval_echo(interval):
+    """--interval for the JSON, which has no inf: "inf" or "-inf" stand for it."""
+    return [v if math.isfinite(v) else str(v) for v in interval]
+
+
 def _cmd_kernel(args):
     # one Gram factorization serves both moments
     expected, variance = kernel._count_moments(args.n, args.interval, args.variance)
     summary = {"expected_count": expected}
     if args.variance:
         summary["variance_count"] = variance
-    config = {"n": args.n, "interval": list(args.interval)}
+    config = {"n": args.n, "interval": _interval_echo(args.interval)}
     _write_payload(args, config, config, summary)
     return 0
 
@@ -465,7 +486,7 @@ def _cmd_cumulants(args):
     op = kernel.discretize_operator(args.n, args.interval, order=args.order)
     report = kernel.counting_cumulants(op)
     norm3, norm4 = report.normalized()
-    config = {"n": args.n, "interval": list(args.interval), "order": args.order}
+    config = {"n": args.n, "interval": _interval_echo(args.interval), "order": args.order}
     summary = {
         "c2": report.c2,
         "c3": report.c3,

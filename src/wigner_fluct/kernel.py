@@ -22,7 +22,10 @@ n >= 1000.  Scaling keeps the evaluation exact up to n = 10^4 on
 per-step growth bound on that range allows without changing a bit of the
 descaled values.
 
-Every psi table comes from _psi_table, in one of two layouts chosen only by
+Every psi evaluation reads _psi_table: hermite_psi takes its last row,
+kernel_diag the last three for the confluent Christoffel-Darboux form
+K_n(x, x) = n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n, and the Gram and
+Nystrom paths the whole table.  The table has two layouts, chosen only by
 the number of points.  The vector layout steps all points at once with
 numpy; its fixed cost of a few numpy calls per step dominates for few
 points.  Up to _FEW_POINTS = 16 points (the Gram path's two interval
@@ -33,10 +36,6 @@ for the vector layout, and the two cost the same at 16-20 points.  Both
 perform the same IEEE operations in the same order, with the same scale
 checks and exact power-of-two scalings, so every psi value is
 bit-identical in both.
-
-The diagonal K_n(x, x) (kernel_diag) is the confluent Christoffel-Darboux
-form n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n; it and hermite_psi read
-only the top three psi of the recurrence.
 
 Counting statistics use no quadrature.  The count in I is a sum of
 independent Bernoulli(eig G), G_ij = int_I psi_i psi_j the n x n Gram
@@ -119,38 +118,34 @@ def _recurrence_weights(n):
     return np.sqrt(2.0 / (steps + 1)).tolist(), np.sqrt(steps / (steps + 1)).tolist()
 
 
+def _exponent_shift(a):
+    """Exponent shift into 2^(+-300) of a = |psi_{i-1}| + |psi_i|, float or
+    array: -600 above, +600 below (not at 0), else 0; 1 * makes the bools ints."""
+    return _SCALE_SHIFT * (1 * ((a < _SCALE_LO) & (a > 0.0)) - (a > _SCALE_HI))
+
+
 def _rescale(pm, pc, expo):
-    a = np.abs(pc) + np.abs(pm)
-    big = a > _SCALE_HI
-    if np.any(big):
-        pc = np.where(big, np.ldexp(pc, -_SCALE_SHIFT), pc)
-        pm = np.where(big, np.ldexp(pm, -_SCALE_SHIFT), pm)
-        expo = expo + np.where(big, _SCALE_SHIFT, 0)
-    small = (a < _SCALE_LO) & (a > 0.0)
-    if np.any(small):
-        pc = np.where(small, np.ldexp(pc, _SCALE_SHIFT), pc)
-        pm = np.where(small, np.ldexp(pm, _SCALE_SHIFT), pm)
-        expo = expo - np.where(small, _SCALE_SHIFT, 0)
-    return pm, pc, expo
+    shift = _exponent_shift(np.abs(pc) + np.abs(pm))
+    return np.ldexp(pm, shift), np.ldexp(pc, shift), expo - shift
 
 
 def _psi_scaled(n, x):
-    """Yield psi_0 .. psi_n at the points x as (mantissa, exponent) pairs,
-    psi_i = ldexp(mantissa, exponent), by the scaled upward recurrence; the
-    vector layout of _psi_table, one numpy step for all points.  _psi_table
-    takes it for more than _FEW_POINTS = 16 points, where it is cheaper than
-    the scalar layout of _psi_point (they cost the same at 16-20 points).
+    """Yield psi_0 .. psi_n (psi_0, psi_1 at n = 0) at the points x as
+    (mantissa, exponent) pairs, psi_i = ldexp(mantissa, exponent), by the
+    scaled upward recurrence, one numpy step for all points: the vector
+    layout of _psi_table, which hermite_psi, kernel_diag and the Gram and
+    Nystrom paths read, for more than _FEW_POINTS = 16 points.
 
     The scale is checked every _RESCALE_EVERY = 16 steps.  On the admitted
     range |x| <= sqrt(2 * 10^4) + 10 one step changes the pair
     |psi_{i-1}| + |psi_i| by a factor of at most 2^7.8 either way, so 16
     unchecked steps move it at most 2^125 past the 2^(+-300) thresholds of
-    _rescale, far from overflow and from the subnormal range.  There every
-    power-of-two scaling is exact, so the descaled values are bit-identical
-    to those of a check after every step.  _psi_point is the same recurrence
-    for one point in Python floats: the same IEEE operations in the same
-    order, x * u * pc - d * pm, the same checks and the same exact scalings,
-    so its values are bit-identical to these."""
+    _exponent_shift, far from overflow and from the subnormal range.  There
+    every power-of-two scaling is exact, so the descaled values are
+    bit-identical to those of a check after every step.  _psi_point is the
+    same recurrence for one point in Python floats: the same IEEE operations
+    in the same order, x * u * pc - d * pm, the same checks and the same
+    exact scalings by _exponent_shift, so its values are bit-identical to these."""
     pm, pc, expo = _psi_seed(x)
     yield pm, expo
     for i, (u, d) in enumerate(zip(*_recurrence_weights(n)), start=1):
@@ -170,10 +165,8 @@ def _psi_point(x, pm, pc, expo, up, down):
     for i, (u, d) in enumerate(zip(up, down), start=1):
         pm, pc = pc, x * u * pc - d * pm
         if i % _RESCALE_EVERY == 0:
-            a = abs(pc) + abs(pm)
-            shift = -_SCALE_SHIFT if a > _SCALE_HI else _SCALE_SHIFT if 0.0 < a < _SCALE_LO else 0
-            if shift:
-                pm, pc, expo = ldexp(pm, shift), ldexp(pc, shift), expo - shift
+            shift = _exponent_shift(abs(pc) + abs(pm))
+            pm, pc, expo = ldexp(pm, shift), ldexp(pc, shift), expo - shift
         mant.append(pm)
         expos.append(expo)
     mant.append(pc)
@@ -183,14 +176,16 @@ def _psi_point(x, pm, pc, expo, up, down):
 
 def _psi_table(n, x, rows=None):
     """The last rows of psi_0 .. psi_n (all n + 1 by default) at the points x
-    (n >= 1), one row per index, descaled to plain floats.  Every psi
-    evaluation passes through here.  At most _FEW_POINTS points run the
-    scalar layout, one _psi_point loop per point; more run the vector layout
-    of _psi_scaled.  Both write each descaled row or column into the table
-    in place."""
+    (n >= 0), one row per index, descaled to plain floats (values below the
+    double-precision floor flush to zero, exact to working precision).
+    Every psi evaluation passes through here.  At most _FEW_POINTS points
+    run the scalar layout, one _psi_point loop per point; more run the
+    vector layout of _psi_scaled.  Both skip the first n + 1 - rows indices
+    and write each descaled row or column into the table in place."""
     _hermite_guard(n)
     x = np.asarray(x, dtype=float)
     rows = n + 1 if rows is None else rows
+    skip = n + 1 - rows
     table = np.empty((rows,) + x.shape)
     if x.size <= _FEW_POINTS:
         flat = x.ravel()
@@ -199,48 +194,30 @@ def _psi_table(n, x, rows=None):
         seeds = zip(flat.tolist(), *(part.tolist() for part in _psi_seed(flat)))
         for column, seed in zip(columns.T, seeds):
             mant, expos = _psi_point(*seed, up, down)
-            np.ldexp(mant[-rows:], expos[-rows:], out=column)
+            np.ldexp(mant[skip : n + 1], expos[skip : n + 1], out=column)
     else:
-        for row, (m, e) in zip(table, islice(_psi_scaled(n, x), n + 1 - rows, None)):
+        for row, (m, e) in zip(table, islice(_psi_scaled(n, x), skip, None)):
             np.ldexp(m, e, out=row)
     return table
 
 
-def _psi_top_three(n, x):
-    """psi_{n-2}, psi_{n-1}, psi_n at the points x (n >= 1), descaled to
-    plain floats (values below the double-precision floor flush to zero,
-    which is exact to working precision)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    top = _psi_table(n, x, rows=min(n + 1, 3))
-    if n == 1:
-        top = np.concatenate([np.zeros((1,) + x.shape), top])
-    return tuple(top)
-
-
 def hermite_psi(i, x):
-    """Weighted orthonormal Hermite function psi_i(x) = phi_i(x) e^{-x^2/2}."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _hermite_guard(i)
-    if i == 0:
-        out = np.pi**-0.25 * np.exp(-0.5 * x_arr * x_arr)
-    else:
-        _, _, top = _psi_top_three(i, x_arr)
-        out = top
-    return out if np.ndim(x) else float(out[0])
-
-
-def _confluent_diag(n, p2, p1, p0):
-    """K_n(x, x) from psi_{n-2}, psi_{n-1}, psi_n at x: the confluent
-    Christoffel-Darboux form (at n = 1 the second term is 0 * 0)."""
-    return n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
+    """Weighted orthonormal Hermite function psi_i(x) = phi_i(x) e^{-x^2/2},
+    the last row of _psi_table."""
+    psi = _psi_table(i, x, rows=1)[0]
+    return psi if np.ndim(x) else float(psi)
 
 
 def kernel_diag(n, x):
-    """K_n(x, x) via the confluent Christoffel-Darboux form."""
+    """K_n(x, x) = n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n (confluent
+    Christoffel-Darboux) from the last three rows of _psi_table; at n = 1 the
+    two rows psi_0, psi_1 serve, and the second term is 0 psi_0 psi_1 = 0."""
     if n < 1:
         raise ShapeError(f"kernel order must be >= 1, got {n}")
-    out = _confluent_diag(n, *_psi_top_three(n, x))
-    return out if np.ndim(x) else float(out[0])
+    top = _psi_table(n, x, rows=min(n + 1, 3))
+    p2, p1, p0 = top[0], top[-2], top[-1]
+    out = n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
+    return out if np.ndim(x) else float(out)
 
 
 def truncation_halfwidth(n):
@@ -249,6 +226,9 @@ def truncation_halfwidth(n):
 
 
 def _clip_interval(n, interval):
+    """The one order and interval check of the Gram and Nystrom paths."""
+    if n < 1:
+        raise ShapeError(f"kernel order must be >= 1, got {n}")
     a, b = interval
     if not a < b:
         raise ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
@@ -289,8 +269,6 @@ def _half_line_gram(n, x):
 def _interval_gram(n, interval):
     """(u, v, diag) of G = G(a) - G(b) on the clipped interval (a, b):
     G_ij = u_i . v_j / (2(j - i)) for i != j.  None when the interval is empty."""
-    if n < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
     a, b = _clip_interval(n, interval)
     if a >= b:
         return None

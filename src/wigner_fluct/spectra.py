@@ -261,8 +261,8 @@ def _collapse_multiplicity(values, mult):
     if values.size % mult:
         raise ShapeError(f"spectrum length {values.size} not divisible by {mult}")
     groups = values.reshape(-1, mult)
-    radius = max(float(np.max(np.abs(values))), 1.0)
-    spread = np.max(groups[:, -1] - groups[:, 0]) if groups.size else 0.0
+    radius = max(float(np.max(np.abs(values), initial=0.0)), 1.0)
+    spread = np.max(groups[:, -1] - groups[:, 0], initial=0.0)
     if spread > _DEDUP_RTOL * radius:
         raise NumericalFailureError(
             "doubled-eigenvalue pairing violated", spread=float(spread), radius=radius
@@ -280,9 +280,10 @@ def _solve(sample, positions):
         if positions is None:
             values = tridiag_eigenvalues(t)
         else:
-            values = np.concatenate(
-                [tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1) for p in positions]
-            )
+            selected = [
+                tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1) for p in positions
+            ]
+            values = np.concatenate(selected) if selected else np.empty(0)
         if mult > 1:
             values = _collapse_multiplicity(values, mult)
     except NumericalFailureError as exc:
@@ -323,7 +324,7 @@ def eigenvalues_at(sample, positions):
 
     Only the requested eigenvalues are solved (LAPACK stebz bisection on the
     reduced tridiagonal, one call per position), so a trial that reads a few
-    of n eigenvalues pays for those alone.  A position outside [0, n) raises
-    ShapeError.
+    of n eigenvalues pays for those alone.  No positions give an empty
+    array; a position outside [0, n) raises ShapeError.
     """
     return _solve(sample, positions)

@@ -143,6 +143,44 @@ class TestSchema:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"wigner-fluct {command}: error: {message}"
 
+    THRESHOLD_FLAGS = [
+        ("bulk-fluct", "--ks-max"),
+        ("bulk-fluct", "--var-lo"),
+        ("bulk-fluct", "--var-hi"),
+        ("joint-fluct", "--corr-tol"),
+        ("fr-check", "--p-min"),
+        ("semicircle-check", "--threshold"),
+    ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", THRESHOLD_FLAGS)
+    def test_non_finite_threshold_exits_2(self, command, flag, value, capsys):
+        # a nan bound never passes and inf is not JSON
+        argv = [command, *SCHEMA_CASES[command][0], flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: wigner-fluct {command}")
+        assert err[-1] == (
+            f"wigner-fluct {command}: error: argument {flag}: {flag} expects a finite number, "
+            f"got '{value}'"
+        )
+
+    def test_every_payload_is_strict_json(self, tmp_path):
+        # RFC 8259 has no NaN or Infinity token: an infinite --interval
+        # endpoint is echoed as a string
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        out = tmp_path / "strict.json"
+        for command, (argv, *_) in sorted(SCHEMA_CASES.items()):
+            assert run([command, *argv, "--out", str(out)]) in (0, 1)
+            payload = json.loads(out.read_text(), parse_constant=reject)
+            if command == "kernel":
+                assert payload["meta"]["config"]["interval"] == [0.0, "inf"]
+                assert payload["plan"]["interval"] == [0.0, "inf"]
+
     @pytest.mark.parametrize("flag", ["--csv", "--svg", "--per-trial"])
     @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
     def test_output_flag_writes_or_is_refused(self, command, flag, tmp_path, capsys):

@@ -10,13 +10,11 @@ from wigner_fluct.kernel import (
     _check_band,
     _clip_interval,
     _composite_gl,
-    _confluent_diag,
     _FEW_POINTS,
     _hermite_guard,
     _psi_scaled,
     _psi_seed,
     _psi_table,
-    _psi_top_three,
     _rescale,
     truncation_halfwidth,
 )
@@ -48,8 +46,7 @@ def kernel_point(n, x, y):
         raise wf.ShapeError(f"kernel order must be >= 1, got {n}")
     if x == y:
         return wf.kernel_diag(n, x)
-    pts = np.array([x, y], dtype=float)
-    _, p1, p0 = _psi_top_three(n, pts)
+    p1, p0 = _psi_table(n, [x, y], rows=2)
     return float(sqrt(n / 2.0) * (p0[0] * p1[1] - p1[0] * p0[1]) / (x - y))
 
 
@@ -105,7 +102,7 @@ def _trace_pair(n, nodes, weights):
     """(Tr A, Tr A^2) for the Nystrom operator on the given quadrature rule,
     computed in row chunks without materializing the full matrix."""
     m = nodes.size
-    _, p1, p0 = _psi_top_three(n, nodes)
+    p1, p0 = _psi_table(n, nodes, rows=2)
     kd = wf.kernel_diag(n, nodes)
     tr_a = float(np.sum(weights * kd))
     tr_a2 = 0.0
@@ -240,16 +237,17 @@ class TestHermiteFunctions:
         assert got.shape == (n + 1, pts.size)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 17, 1000, 10**4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 17, 1000, 10**4])
     def test_point_and_vector_layouts_are_bit_identical(self, n):
         # the set above plus -0.0; each point alone and the whole set run the
-        # scalar layout, the set twice over runs the vector layout
+        # scalar layout, the set twice over runs the vector layout; at n = 0
+        # both give the one row psi_0
         edge = sqrt(2.0 * n)
         pts = np.array(
             [0.0, -0.0, 1e-3, -1e-3, 1.0, -1.0, edge, -edge, edge + 10, -edge - 10, 40.0]
         )
         assert pts.size <= _FEW_POINTS < 2 * pts.size
-        want = descaled(psi_scaled_per_step(n, pts))
+        want = descaled(psi_scaled_per_step(n, pts))[: n + 1]
         alone = np.hstack([_psi_table(n, pts[k : k + 1]) for k in range(pts.size)])
         together = _psi_table(n, pts)
         vector = _psi_table(n, np.tile(pts, 2))
@@ -261,6 +259,16 @@ class TestHermiteFunctions:
         top = min(n + 1, 3)
         for x in (pts, np.tile(pts, 2)):
             assert np.array_equal(_psi_table(n, x, rows=top)[:, : pts.size], want[-top:])
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_hermite_psi_is_the_last_table_row(self, i):
+        # psi_0 included: there is no second closed form for it
+        pts = np.array([0.0, -0.0, 1e-300, 0.7, -5.0, 37.6, 38.5, -40.0])
+        for x in (pts, np.linspace(-45.0, 45.0, 2 * _FEW_POINTS + 1)):
+            assert np.array_equal(wf.hermite_psi(i, x), _psi_table(i, x)[i])
+            for point in x.tolist():
+                one, want = wf.hermite_psi(i, point), _psi_table(i, point)[i]
+                assert one == want and np.signbit(one) == np.signbit(want)
 
     def test_table_peak_is_the_table(self):
         # rows are descaled into the preallocated table, not stacked from a list
@@ -283,8 +291,10 @@ class TestKernelEvaluation:
     def test_order_one_confluent_form_is_psi0_squared(self):
         # at n = 1 the term sqrt(n(n-1)) psi_{n-2} psi_n is 0 * 0
         x = np.array([0.0, -0.0, 1e-300, 0.7, -5.0, 38.5, -40.0])
-        p2, p1, p0 = _psi_top_three(1, x)
-        assert np.array_equal(_confluent_diag(1, p2, p1, p0), p1 * p1)
+        psi0 = _psi_table(1, x, rows=2)[0]
+        assert np.array_equal(wf.kernel_diag(1, x), psi0 * psi0)
+        for k in range(x.size):
+            assert wf.kernel_diag(1, float(x[k])) == psi0[k] * psi0[k]
 
     def test_symmetry_exact(self):
         for x, y in ((0.3, -1.2), (2.0, 1.9), (-4.0, 4.0)):
@@ -434,6 +444,13 @@ class TestDiscretizeOperator:
         args = (200, (2.0, np.inf), 20)
         table_bytes = (args[0] + 1) * wf.discretize_operator(*args).size * 8
         assert traced_peak(wf.discretize_operator, *args) <= 2 * table_bytes
+
+    def test_kernel_order_zero_rejected_like_the_gram_path(self):
+        with pytest.raises(wf.ShapeError) as gram:
+            wf.expected_count(0, (0.0, 1.0))
+        with pytest.raises(wf.ShapeError) as nystrom:
+            wf.discretize_operator(0, (0.0, 1.0))
+        assert str(nystrom.value) == str(gram.value) == "kernel order must be >= 1, got 0"
 
     def test_low_order_rejected(self):
         with pytest.raises(wf.UnsupportedError):

@@ -258,6 +258,12 @@ class TestEigenvalues:
         with pytest.raises(wf.ShapeError):
             wf.eigenvalues_at(sample, [25])
 
+    @pytest.mark.parametrize("case", ["goe", "gue"])
+    def test_no_positions_give_an_empty_array(self, case):
+        # the GUE storage is solved through its doubled real embedding
+        got = wf.eigenvalues_at(self.SELECTED_CASES[case](), [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
 
 def random_tridiagonal(n, seed):
     rng = np.random.default_rng(seed)
