@@ -9,6 +9,8 @@ One of each path:
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
+- one parser per process: ``main`` parses with the parser that
+  ``build_parser`` made on its first call;
 - one payload builder: ``_write_payload`` assembles and writes every
   command's JSON, ``meta`` (config echo, the thresholds that are set, env),
   ``plan`` and ``summary``;
@@ -541,8 +543,14 @@ def execute(args):
         return 2
 
 
+# The parser does not depend on the call (its defaults are immutable and its
+# handlers fixed), so main builds it once per process; build_parser still
+# returns a fresh one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+    args = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     code = execute(args)
     if argv is None:
         sys.exit(code)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +443,43 @@ class TestCumulantsCommand:
         for field in ("c2", "c3", "c4", "c3_normalized", "c4_normalized"):
             assert field in payload["summary"]
         assert payload["summary"]["c2"] >= 0.0
+
+
+def fresh_process_run(argv):
+    """(exit code, stdout, stderr) of argv in a new interpreter, through the
+    console-script entry cli.main()."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from wigner_fluct import cli; cli.main()", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    # one process runs these in turn on its one parser: payloads, the usage
+    # error and the help texts must be those of a fresh process per argv
+    ARGVS = (
+        ["kernel", "--n", "50", "--interval=-1,2", "--variance", "--no-timestamp"],
+        ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "5", "--no-timestamp"],
+        ["kernel", "--n", "50", "--interval=2,1", "--no-timestamp"],
+        ["kernel", "--n", "50", "--interval=-1,2", "--variance", "--no-timestamp"],
+        ["--help"],
+        ["kernel", "--help"],
+    )
+
+    def test_one_process_matches_fresh_processes(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+        codes = []
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # usage errors and --help
+                code = exc.code
+            codes.append(code)
+            assert (code, *capsys.readouterr()) == fresh_process_run(argv)
+        assert codes == [0, 0, 2, 0, 0, 0]
 
 
 class TestExitCodes:

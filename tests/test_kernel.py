@@ -11,7 +11,9 @@ from wigner_fluct.kernel import (
     _clip_interval,
     _composite_gl,
     _FEW_POINTS,
+    _gauss_legendre,
     _hermite_guard,
+    _interval_gram,
     _psi_scaled,
     _psi_seed,
     _psi_table,
@@ -137,6 +139,23 @@ def quadrature_variance_count(n, interval):
             return val
         prev = val
     raise wf.NumericalFailureError("variance quadrature did not converge", n=n)
+
+
+def streamed_variance_count(n, interval, block_rows=64):
+    """tr G - ||G||_F^2 with the strict upper triangle of the closed-form Gram
+    matrix, G_ij = u_i . v_j / (2(j - i)), formed in blocks of rows: O(n^2)
+    time, the oracle for the FFT correlation of variance_count."""
+    gram = _interval_gram(n, interval)
+    if gram is None:
+        return 0.0
+    u, v, diag = gram
+    offset = np.arange(n)[None, :] - np.arange(block_rows)[:, None]
+    inv = np.divide(0.5, offset, out=np.zeros(offset.shape), where=offset > 0)
+    upper = 0.0
+    for r in range(0, n, block_rows):
+        block = (u[r : r + block_rows] @ v[r:].T) * inv[: n - r, : n - r]
+        upper += float(np.vdot(block, block))
+    return float(np.dot(diag, 1.0 - diag)) - 2.0 * upper
 
 
 def psi_scaled_per_step(n, x):
@@ -391,6 +410,39 @@ class TestGramAgainstQuadrature:
         assert c[10_000] == pytest.approx(1.0 + np.euler_gamma + 3.0 * log(2.0), abs=2e-3)
 
 
+class TestVarianceAgainstBlockStream:
+    # half-lines, both with a clipped endpoint; a window; a window clipped on
+    # the right; the spectral edge; an interval beyond the truncation (empty)
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 1000, 2000])
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            lambda n: (0.0, np.inf),
+            lambda n: (-np.inf, 0.3),
+            lambda n: (-1.0, 1.0),
+            lambda n: (-1.5, 100.0),
+            lambda n: (sqrt(2.0 * n) - 1.0, np.inf),
+            lambda n: (truncation_halfwidth(n) + 1.0, np.inf),
+        ],
+        ids=["half-line", "left-half-line", "window", "clipped-window", "edge", "beyond"],
+    )
+    def test_fft_correlation_matches_block_stream(self, n, interval):
+        interval = interval(n)
+        assert wf.variance_count(n, interval) == pytest.approx(
+            streamed_variance_count(n, interval), rel=1e-11
+        )
+
+    def test_matches_block_stream_with_subnormal_endpoint(self):
+        # at n = 10^4 the clipped endpoint's psi values are subnormal; the FFT
+        # zeroes its subnormal inputs, each below 2.3e-308
+        n, interval = 10**4, (0.0, np.inf)
+        u = _interval_gram(n, interval)[0]
+        assert np.any((u != 0.0) & (np.abs(u) < np.finfo(float).tiny))
+        assert wf.variance_count(n, interval) == pytest.approx(
+            streamed_variance_count(n, interval), rel=1e-11
+        )
+
+
 class TestExpectationLink:
     @pytest.mark.parametrize("n", [100, 400])
     def test_beta1_count_mean_tracks_kernel_expectation(self, n):
@@ -451,6 +503,15 @@ class TestDiscretizeOperator:
         with pytest.raises(wf.ShapeError) as nystrom:
             wf.discretize_operator(0, (0.0, 1.0))
         assert str(nystrom.value) == str(gram.value) == "kernel order must be >= 1, got 0"
+
+    @pytest.mark.parametrize("order", [16, 20, 32])
+    def test_gauss_legendre_rule_is_cached_read_only(self, order):
+        rule = _gauss_legendre(order)
+        assert _gauss_legendre(order) is rule
+        for part, want in zip(rule, np.polynomial.legendre.leggauss(order)):
+            assert np.array_equal(part, want)
+            with pytest.raises(ValueError):
+                part[0] = 0.0
 
     def test_low_order_rejected(self):
         with pytest.raises(wf.UnsupportedError):
