@@ -15,13 +15,15 @@ documented order (row-major over the upper triangle, diagonal included,
 with each entry taking its draws consecutively), so a (spec, seed) pair
 yields a bit-identical matrix regardless of scheduling.  That order is
 coded once, in _upper_triangle_draws and its index arrays (_stream_layout,
-kept read-only for small orders, as are sample_gse's block positions); the
+kept read-only for small orders; the only arrays the module keeps); the
 dense samplers only map its draws to entries and write both triangles
-through _hermitian.  The tridiagonal model's stream (diagonal normals, then
-gammas) is coded once, in sample_tridiag_beta.  Every sampler builds its
-EnsembleSpec before it draws, and the spec is the one check of n and beta.
-Per-trial seeds are derived from a master seed with the SplitMix64 mixing
-function; stats drives every trial loop from them.
+through _hermitian, which sample_gse uses for the block A of its
+[[A, B], [B^H, A^T]] form.  The tridiagonal model's stream (diagonal
+normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
+_ENSEMBLES, gives each kind its implied beta and its sampler.  Every
+sampler builds its EnsembleSpec before it draws, and the spec is the one
+check of n and beta.  Per-trial seeds are derived from a master seed with
+the SplitMix64 mixing function; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -63,12 +65,20 @@ class EnsembleKind(str, Enum):
     TRIDIAG_BETA = "tridiag-beta"
 
 
-_IMPLIED_BETA = {
-    EnsembleKind.GOE: 1,
-    EnsembleKind.GUE: 2,
-    EnsembleKind.GSE: 4,
-    EnsembleKind.WIGNER_REAL_MATCHED: 1,
-    EnsembleKind.WIGNER_HERMITIAN_MATCHED: 2,
+# kind -> (implied beta, None for the tridiagonal model whose beta is a
+# parameter; the sampler of a spec).  Each sampler is looked up by its module
+# name when called, not held, so rebinding that name also reaches sample().
+_ENSEMBLES = {
+    EnsembleKind.GOE: (1, lambda s: sample_goe(s.n, s.seed)),
+    EnsembleKind.GUE: (2, lambda s: sample_gue(s.n, s.seed)),
+    EnsembleKind.GSE: (4, lambda s: sample_gse(s.n, s.seed)),
+    EnsembleKind.WIGNER_REAL_MATCHED: (
+        1, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="real")
+    ),
+    EnsembleKind.WIGNER_HERMITIAN_MATCHED: (
+        2, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="hermitian")
+    ),
+    EnsembleKind.TRIDIAG_BETA: (None, lambda s: sample_tridiag_beta(s.n, s.beta, s.seed)),
 }
 
 
@@ -86,19 +96,16 @@ class EnsembleSpec:
             raise InvalidSizeError(f"matrix size must be >= 1, got {self.n}")
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind is EnsembleKind.TRIDIAG_BETA:
+        implied = _ENSEMBLES[kind][0]
+        if implied is None:
             if self.beta not in (1, 2, 4):
                 raise UnsupportedError(
                     f"tridiagonal model requires beta in {{1,2,4}}, got {self.beta}"
                 )
-        else:
-            implied = _IMPLIED_BETA[kind]
-            if self.beta == 0:
-                object.__setattr__(self, "beta", implied)
-            elif self.beta != implied:
-                raise UnsupportedError(
-                    f"{kind.value} implies beta={implied}, got {self.beta}"
-                )
+        elif self.beta == 0:
+            object.__setattr__(self, "beta", implied)
+        elif self.beta != implied:
+            raise UnsupportedError(f"{kind.value} implies beta={implied}, got {self.beta}")
 
 
 @dataclass
@@ -153,22 +160,9 @@ def _rng(seed):
 # (n <= 64, c in 1, 2, 4) hold about 0.7 MB.  Larger layouts cost little next
 # to their draws and are rebuilt on each call; keeping n = 2000's would hold
 # 6 MB.  Threads that miss on the same key at once build equal layouts and
-# either one is kept.  sample_gse's block positions are kept beside them
-# under the same bound (about 11 of sample_gse(4)'s 54 us; at most 2.8 MB
-# for every order up to 64).
+# either one is kept.
 _LAYOUT_MEMO_MAX_N = 64
 _layout_memo = {}
-_gse_block_memo = {}
-
-
-def _keep(memo, key, n, arrays):
-    """arrays, made read-only and kept in memo under key if n is within
-    _LAYOUT_MEMO_MAX_N."""
-    if n <= _LAYOUT_MEMO_MAX_N:
-        for a in arrays:
-            a.setflags(write=False)
-        memo[key] = arrays
-    return arrays
 
 
 def _stream_layout(n, c):
@@ -183,20 +177,12 @@ def _stream_layout(n, c):
     at_diag = r + c * (r * n - r * (r + 1) // 2)
     is_off = np.ones(n + c * (n * (n - 1) // 2), dtype=bool)
     is_off[at_diag] = False
-    return _keep(_layout_memo, (n, c), n, (r[:, None] < r, at_diag, is_off))
-
-
-def _gse_blocks(n, upper):
-    """(rows, cols) of the 2n x 2n GSE embedding: row i holds the four
-    positions of the 2x2 block of the i-th True entry of upper (row-major),
-    in the order (0,0), (0,1), (1,0), (1,1)."""
-    blocks = _gse_block_memo.get(n)
-    if blocks is not None:
-        return blocks
-    iu = np.nonzero(upper)
-    rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
-    cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
-    return _keep(_gse_block_memo, n, n, (rows, cols))
+    layout = (r[:, None] < r, at_diag, is_off)
+    if n <= _LAYOUT_MEMO_MAX_N:
+        for a in layout:
+            a.setflags(write=False)
+        _layout_memo[(n, c)] = layout
+    return layout
 
 
 def _upper_triangle_draws(n, draw, c):
@@ -216,9 +202,9 @@ def _upper_triangle_draws(n, draw, c):
 
 
 def _hermitian(diag, upper, vals):
-    """Square matrix with the given diagonal, vals at the positions upper
-    selects above it (a boolean mask or a (rows, cols) pair) and their
-    complex conjugates at the mirrored positions below it."""
+    """Square matrix with the given diagonal, vals at the True entries of the
+    strict upper triangle mask upper (row-major) and their complex conjugates
+    at the mirrored entries below the diagonal."""
     size = diag.size
     h = np.zeros((size, size), dtype=vals.dtype)
     h.reshape(-1)[:: size + 1] = diag
@@ -266,21 +252,29 @@ def sample_gse(n, seed):
     the 1, e1, e2, e3 parts), diagonal entries are real N(0, 1/4) (one draw).
     The quaternion a + b e1 + c e2 + d e3 at (j, k) becomes the 2x2 block
     [[a + ib, c + id], [-c + id, a - ib]] at rows 2j, 2j+1 and columns 2k,
-    2k+1.  Every eigenvalue of the embedding appears with multiplicity
-    exactly 2.
+    2k+1.  So the embedding is [[A, B], [B^H, A^T]] block by block: A the
+    Hermitian matrix of the a + ib parts over the real diagonal, B the
+    antisymmetric matrix of the c + id parts.  Every eigenvalue of the
+    embedding appears with multiplicity exactly 2.
     """
     spec = EnsembleSpec(EnsembleKind.GSE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
-    q = off * sqrt(1.0 / 8.0)
-    # block entries (0,0), (0,1), (1,0), (1,1) from the parts (a, b, c, d)
-    blocks = np.empty(q.shape, dtype=complex)
-    blocks.real = q[:, [0, 2, 2, 0]] * [1.0, 1.0, -1.0, 1.0]
-    blocks.imag = q[:, [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]
-    return MatrixSample(
-        storage="quaternion-embedded",
-        spec=spec,
-        array=_hermitian(np.repeat(diag * sqrt(1.0 / 4.0), 2), _gse_blocks(n, upper), blocks),
-    )
+    # each row (a, b, c, d) read as the two complex numbers a + ib, c + id
+    ab, cd = (off * sqrt(1.0 / 8.0)).view(complex).T
+    a = _hermitian(diag * sqrt(1.0 / 4.0), upper, ab)
+    b = np.zeros((n, n), dtype=complex)
+    b[upper] = cd
+    b -= b.T
+    h = np.empty((2 * n, 2 * n), dtype=complex)
+    # blocks[:, s, :, t] is entry (s, t) of every 2x2 block
+    blocks = h.reshape(n, 2, n, 2)
+    blocks[:, 0, :, 0] = a
+    blocks[:, 0, :, 1] = b
+    blocks[:, 1, :, 0] = b.conj().T
+    blocks[:, 1, :, 1] = a.T
+    # conjugating B's zero diagonal gave -0 imaginary parts
+    np.fill_diagonal(blocks[:, 1, :, 0], 0.0)
+    return MatrixSample(storage="quaternion-embedded", spec=spec, array=h)
 
 
 def sample_matched_wigner(n, seed, symmetry="real"):
@@ -382,17 +376,4 @@ def gse_from_goe(spectrum):
 
 def sample(spec: EnsembleSpec):
     """Dispatch to the sampler for ``spec.kind``."""
-    kind = EnsembleKind(spec.kind)
-    if kind is EnsembleKind.GOE:
-        return sample_goe(spec.n, spec.seed)
-    if kind is EnsembleKind.GUE:
-        return sample_gue(spec.n, spec.seed)
-    if kind is EnsembleKind.GSE:
-        return sample_gse(spec.n, spec.seed)
-    if kind is EnsembleKind.WIGNER_REAL_MATCHED:
-        return sample_matched_wigner(spec.n, spec.seed, symmetry="real")
-    if kind is EnsembleKind.WIGNER_HERMITIAN_MATCHED:
-        return sample_matched_wigner(spec.n, spec.seed, symmetry="hermitian")
-    if kind is EnsembleKind.TRIDIAG_BETA:
-        return sample_tridiag_beta(spec.n, spec.beta, spec.seed)
-    raise UnsupportedError(f"unknown ensemble kind {spec.kind!r}")
+    return _ENSEMBLES[spec.kind][1](spec)

@@ -97,6 +97,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidSizeError(f"trials must be >= 1, got {self.trials}")
+        # the summary needs the predicted covariance (gap exponents when
+        # m > 1): reject a plan without it before any trial is drawn
+        fluctuations.predicted_cov(self.index_spec)
 
 
 @dataclass

@@ -75,6 +75,28 @@ def gse_stream_reference(n, seed):
     return h
 
 
+def gse_block_index_reference(n, seed):
+    """The GSE embedding scattered through explicit block positions: row i of
+    (rows, cols) holds the four positions of the 2x2 block of the i-th
+    upper-triangle entry, in the order (0,0), (0,1), (1,0), (1,1); the blocks
+    go in at (rows, cols) and their conjugates at (cols, rows), over a
+    doubled real diagonal."""
+    upper, diag, off = ensembles._upper_triangle_draws(n, _generator(seed).standard_normal, 4)
+    q = off * sqrt(1.0 / 8.0)
+    # block entries (0,0), (0,1), (1,0), (1,1) from the parts (a, b, c, d)
+    blocks = np.empty(q.shape, dtype=complex)
+    blocks.real = q[:, [0, 2, 2, 0]] * [1.0, 1.0, -1.0, 1.0]
+    blocks.imag = q[:, [1, 3, 3, 1]] * [1.0, 1.0, 1.0, -1.0]
+    iu = np.nonzero(upper)
+    rows = 2 * iu[0][:, None] + [0, 0, 1, 1]
+    cols = 2 * iu[1][:, None] + [0, 1, 0, 1]
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h.reshape(-1)[:: 2 * n + 1] = np.repeat(diag * sqrt(1.0 / 4.0), 2)
+    h[rows, cols] = blocks
+    h[cols, rows] = blocks.conj()
+    return h
+
+
 def tridiag_stream_reference(n, beta, seed):
     """Scalar oracle for the tridiagonal stream: n diagonal normals, then
     one gamma draw per off-diagonal entry in k order."""
@@ -134,6 +156,16 @@ DENSE_STREAM_CASES = {
 }
 
 
+DIRECT_SAMPLERS = {
+    wf.EnsembleKind.GOE: wf.sample_goe,
+    wf.EnsembleKind.GUE: wf.sample_gue,
+    wf.EnsembleKind.GSE: wf.sample_gse,
+    wf.EnsembleKind.WIGNER_REAL_MATCHED: DENSE_STREAM_CASES["wigner-real"][0],
+    wf.EnsembleKind.WIGNER_HERMITIAN_MATCHED: DENSE_STREAM_CASES["wigner-hermitian"][0],
+    wf.EnsembleKind.TRIDIAG_BETA: lambda n, seed: wf.sample_tridiag_beta(n, 2, seed),
+}
+
+
 class TestStreamLayout:
     """Every sampler reproduces the scalar stream oracle exactly."""
 
@@ -183,24 +215,6 @@ class TestLayoutMemo:
         for (n, c), layout in ensembles._layout_memo.items():
             assert n <= bound
             assert all(a.nbytes <= longest for a in layout), (n, c)
-
-    @pytest.mark.parametrize("n", [1, 3, 64, 65])
-    def test_gse_blocks_match_a_fresh_build(self, n):
-        # orders at and below the bound are kept read-only, larger ones rebuilt
-        upper = np.arange(n)[:, None] < np.arange(n)
-        iu = np.nonzero(upper)
-        fresh = (2 * iu[0][:, None] + [0, 0, 1, 1], 2 * iu[1][:, None] + [0, 1, 0, 1])
-        for seed in (0, 1):
-            assert np.array_equal(wf.sample_gse(n, seed).array, gse_stream_reference(n, seed))
-            blocks = ensembles._gse_blocks(n, upper)
-            assert all(np.array_equal(a, b) for a, b in zip(blocks, fresh))
-        kept = ensembles._gse_block_memo.get(n)
-        if n <= ensembles._LAYOUT_MEMO_MAX_N:
-            assert kept is blocks
-            with pytest.raises(ValueError):
-                kept[0][0, 0] = 1
-        else:
-            assert kept is None
 
 
 class TestSeedMixing:
@@ -289,6 +303,14 @@ class TestGSE:
     def test_embedding_hermitian_exact(self):
         h = wf.sample_gse(2, 12).array
         assert np.array_equal(h, h.conj().T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 100])
+    def test_matches_block_index_oracle_byte_for_byte(self, n):
+        # tobytes also tells +0 from -0, which array_equal does not
+        for seed in (0, 1):
+            got = wf.sample_gse(n, seed).array
+            assert got.tobytes() == gse_block_index_reference(n, seed).tobytes(), seed
+            assert np.array_equal(got, gse_stream_reference(n, seed)), seed
 
     def test_kramers_doubling_fixed_seed(self):
         # oracle: independent dense Hermitian solver on the embedding
@@ -456,9 +478,13 @@ class TestEnsembleSpec:
         with pytest.raises(wf.UnsupportedError):
             wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3)
 
-    def test_dispatch_matches_direct_samplers(self):
-        spec = wf.EnsembleSpec(wf.EnsembleKind.GUE, 4, seed=99)
-        a = wf.sample(spec).array
-        b = wf.sample_gue(4, 99).array
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("kind", list(wf.EnsembleKind), ids=lambda k: k.value)
+    def test_dispatch_matches_direct_samplers(self, kind):
+        beta = 2 if kind is wf.EnsembleKind.TRIDIAG_BETA else 0
+        got = wf.sample(wf.EnsembleSpec(kind, 4, seed=99, beta=beta))
+        want = DIRECT_SAMPLERS[kind](4, 99)
+        assert (got.storage, got.spec) == (want.storage, want.spec)
+        for name in ("array", "diag", "offdiag"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
 

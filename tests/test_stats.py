@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
-from wigner_fluct import cli, spectra, stats
+from wigner_fluct import cli, ensembles, spectra, stats
 from wigner_fluct.stats import ExperimentPlan, Thresholds
 
 
@@ -206,6 +206,25 @@ class TestRunMC:
     def test_trial_count_validated(self):
         with pytest.raises(wf.InvalidSizeError):
             bulk_plan(trials=0)
+
+    def test_plan_without_gap_exponents_rejected_before_sampling(self, monkeypatch):
+        # two indices and no gap exponents: the summary's predicted covariance
+        # cannot be formed, so no trial may be drawn
+        calls = []
+        sampler = ensembles.sample_tridiag_beta
+        monkeypatch.setattr(
+            ensembles, "sample_tridiag_beta", lambda *a: calls.append(a) or sampler(*a)
+        )
+        with pytest.raises(wf.ShapeError, match="gap exponents"):
+            wf.run_mc(
+                ExperimentPlan(
+                    ensemble=wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 30, beta=1),
+                    index_spec=wf.IndexSpec(regime="bulk", indices=(10, 20)),
+                    trials=50,
+                    seed=5,
+                )
+            )
+        assert calls == []
 
 
 class TestVerdictCalibration:
