@@ -4,7 +4,8 @@ One of each path:
 
 - a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
   ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
-  runs all three; every integer flag is parsed by ``_int_arg`` and every
+  runs all three; every integer flag is parsed by ``_int_arg`` (``--seed``
+  through ``_seed_arg``, which also caps it below 2**64) and every
   threshold flag by ``_finite_arg``;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
@@ -84,6 +85,15 @@ def _int_arg(flag, least=1, choices=None):
     return parse
 
 
+def _seed_arg(text):
+    """argparse type of --seed: an integer in [0, 2**64), the seeds that
+    EnsembleSpec and mix_trial_seed take."""
+    seed = _int_arg("--seed", least=0)(text)
+    if seed >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"--seed must be < 2**64, got {seed}")
+    return seed
+
+
 def _finite_arg(flag):
     """argparse type of flag: a finite float (a nan or inf bound never passes)."""
 
@@ -109,6 +119,8 @@ def _index_list(flag):
             )
         if not values or any(v < 1 for v in values):
             raise argparse.ArgumentTypeError(f"{flag} indices must be >= 1")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"{flag} indices must be distinct, got {text!r}")
         return values
 
     return parse
@@ -173,11 +185,11 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    n_arg, seed_arg = _int_arg("--n"), _int_arg("--seed", least=0)
+    n_arg = _int_arg("--n")
     beta_arg = _int_arg("--beta", choices=(1, 2, 4))
 
     def add_common(p, trials_default, run, *files):
-        p.add_argument("--seed", type=seed_arg, default=0)
+        p.add_argument("--seed", type=_seed_arg, default=0)
         p.add_argument("--trials", type=_int_arg("--trials"), default=trials_default)
         p.add_argument("--threads", type=_int_arg("--threads"), default=None)
         add_output(p, run, *files)
@@ -194,7 +206,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw one matrix and report its spectrum")
     p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), required=True)
     p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--beta", type=beta_arg, default=None)
     add_output(p, _cmd_sample)
 
@@ -226,21 +238,21 @@ def build_parser():
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--variance", action="store_true", help="also compute the count variance")
-    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     add_output(p, _cmd_kernel)
 
     p = sub.add_parser("cumulants", help="counting-statistic cumulants of the kernel operator")
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--order", type=_int_arg("--order", least=16), default=32)
-    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     add_output(p, _cmd_cumulants)
 
     p = sub.add_parser("semicircle-check", help="empirical spectral CDF vs the semicircle law")
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--threshold", type=_finite_arg("--threshold"), default=0.05)
     p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
-    p.add_argument("--seed", type=seed_arg, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     add_output(p, _cmd_semicircle_check, "--svg")
 
     return parser

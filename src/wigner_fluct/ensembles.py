@@ -22,8 +22,10 @@ through _hermitian, which sample_gse uses for the block A of its
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler.  Every
 sampler builds its EnsembleSpec before it draws, and the spec is the one
-check of n and beta.  Per-trial seeds are derived from a master seed with
-the SplitMix64 mixing function; stats drives every trial loop from them.
+check of n, beta and the seed, which must lie in [0, 2**64) (PCG64 seeds
+are 64-bit; a wider seed would alias a narrower one).  Per-trial seeds are
+derived from a master seed in the same range with the SplitMix64 mixing
+function; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -47,13 +49,15 @@ def mix_trial_seed(master_seed, trial):
     distinct trials get decorrelated streams and results are independent of
     the order in which trials are executed.
     """
+    if not 0 <= int(master_seed) <= _MASK64:
+        raise InvalidSizeError(f"master seed must lie in [0, 2**64), got {master_seed}")
     if trial < 0:
         raise InvalidSizeError(f"trial index must be >= 0, got {trial}")
-    z = (int(master_seed) ^ (((trial + 1) * _GOLDEN) & _MASK64)) & _MASK64
+    z = int(master_seed) ^ (((trial + 1) * _GOLDEN) & _MASK64)
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return z ^ (z >> 31)
 
 
 class EnsembleKind(str, Enum):
@@ -94,6 +98,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSizeError(f"matrix size must be >= 1, got {self.n}")
+        if not 0 <= int(self.seed) <= _MASK64:
+            raise InvalidSizeError(f"seed must lie in [0, 2**64), got {self.seed}")
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
         implied = _ENSEMBLES[kind][0]
@@ -152,7 +158,7 @@ def _three_point(u, c):
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 # Layouts of orders up to this bound are kept, read-only, after their first

@@ -5,18 +5,25 @@ Everything here is a deterministic pure function.  The unit-scale semicircle
 CDF and its inverse operate on [-1, 1]; matrices sampled at size n have
 spectra living on roughly [-sqrt(2n), sqrt(2n)], so centers are reported in
 those units.
+
+The quantile is Kepler's equation: with t = sin(phi/2) the CDF is
+(phi + sin phi)/(2 pi) + 1/2, so t is read off the root of
+phi + sin phi = pi |2q - 1| on [0, pi].  The left side is increasing and
+concave there, so Newton's method from phi = 0 rises monotonically to the
+root and never passes it; no bracket or bisection fallback is needed, and
+a loop that still fails to converge raises NumericalFailureError.
 """
 
 from dataclasses import dataclass
-from math import asin, log, pi, sqrt
+from math import asin, copysign, cos, log, pi, sin, sqrt
 import os
 import sys
 import warnings
 
-from .errors import DomainError, InvalidSizeError
+from .errors import DomainError, InvalidSizeError, NumericalFailureError
 
 # Quantile ratios closer than this to 0 or 1 put the center in the singular
-# scaling region t -> +-1 and are rejected.
+# scaling region t -> +-1 and are rejected; inside it 1 - t^2 >= 2.8e-4.
 _BULK_GUARD = 1e-6
 
 _EDGE_SMALL_K = 10
@@ -47,48 +54,34 @@ def semicircle_cdf(t):
 
     Evaluated in closed form as (t sqrt(1-t^2) + arcsin t)/pi + 1/2.
     """
-    if t < -1.0 or t > 1.0:
+    if not -1.0 <= t <= 1.0:
         raise DomainError(f"semicircle_cdf defined on [-1, 1], got {t}")
-    if t <= -1.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
     return (t * sqrt(1.0 - t * t) + asin(t)) / pi + 0.5
 
 
 def semicircle_quantile(q):
     """Inverse of semicircle_cdf, solved to |cdf(t) - q| <= 1e-13.
 
-    Bracketed Newton iteration with bisection fallback; the bracket can never
-    escape [-1, 1] and the derivative (the density) is positive inside it.
+    Newton's method on Kepler's equation phi + sin phi = pi |2q - 1| (see
+    the module docstring), then t = sin(phi/2) with the sign of 2q - 1; a
+    concave increasing function puts every Newton step between the iterate
+    and the root.
     """
-    if q < 0.0 or q > 1.0:
+    if not 0.0 <= q <= 1.0:
         raise DomainError(f"quantile argument must lie in [0, 1], got {q}")
     if q == 0.0:
         return -1.0
     if q == 1.0:
         return 1.0
 
-    lo, hi = -1.0, 1.0
-    t = 2.0 * q - 1.0  # crude but correctly ordered starting point
-    for _ in range(200):
-        f = semicircle_cdf(t) - q
+    target = pi * abs(2.0 * q - 1.0)
+    phi = 0.0
+    for _ in range(100):
+        f = phi + sin(phi) - target  # +-2 pi (cdf(t) - q)
         if abs(f) <= 1e-13:
-            return t
-        if f > 0.0:
-            hi = t
-        else:
-            lo = t
-        dens = (2.0 / pi) * sqrt(max(1.0 - t * t, 0.0))
-        if dens > 0.0:
-            step = t - f / dens
-        else:
-            step = t
-        if lo < step < hi:
-            t = step
-        else:
-            t = 0.5 * (lo + hi)
-    return t
+            return copysign(sin(0.5 * phi), q - 0.5)
+        phi -= f / (1.0 + cos(phi))
+    raise NumericalFailureError("semicircle quantile did not converge", q=q, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,6 @@ def bulk_center_scale(k, n, beta):
             f"k/n = {ratio} too close to the spectral edge for the bulk scaling"
         )
     t = semicircle_quantile(ratio)
-    if 1.0 - t * t <= 1e-12:
-        raise DomainError(f"bulk quantile t = {t} is singular")
     center = t * sqrt(2.0 * n)
     scale = sqrt(log(n) / (2.0 * beta * (1.0 - t * t) * n))
     return CenterScale(center=center, scale=scale)

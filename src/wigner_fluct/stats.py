@@ -16,6 +16,7 @@ scale); every emitted verdict carries the threshold it was judged against.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import sqrt
 
 import numpy as np
@@ -153,43 +154,25 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
     lam = fluctuations.predicted_cov(index_spec)
     ks = np.array([ks_one_sample(x[:, i]) for i in range(m)])
 
-    records = []
     th = thresholds
+    lo = -np.inf if th.var_lo is None else th.var_lo
+    hi = np.inf if th.var_hi is None else th.var_hi
+    checks = []  # (criterion, coordinate, value, bound, passed)
     for i in range(m):
         if th.ks_max is not None:
-            records.append(
-                {
-                    "criterion": "ks_vs_normal",
-                    "coordinate": i,
-                    "value": float(ks[i]),
-                    "bound": {"max": th.ks_max},
-                    "passed": bool(ks[i] <= th.ks_max),
-                }
-            )
+            checks.append(("ks_vs_normal", i, ks[i], {"max": th.ks_max}, ks[i] <= th.ks_max))
         if th.var_lo is not None or th.var_hi is not None:
-            lo = -np.inf if th.var_lo is None else th.var_lo
-            hi = np.inf if th.var_hi is None else th.var_hi
-            records.append(
-                {
-                    "criterion": "sample_variance",
-                    "coordinate": i,
-                    "value": float(var[i]),
-                    "bound": {"min": lo, "max": hi},
-                    "passed": bool(lo <= var[i] <= hi),
-                }
-            )
+            bound = {"min": lo, "max": hi}
+            checks.append(("sample_variance", i, var[i], bound, lo <= var[i] <= hi))
     if th.corr_tol is not None:
-        for i in range(m):
-            for j in range(i + 1, m):
-                records.append(
-                    {
-                        "criterion": "pairwise_correlation",
-                        "coordinate": [i, j],
-                        "value": float(corr[i, j]),
-                        "bound": {"target": float(lam[i, j]), "tol": th.corr_tol},
-                        "passed": bool(abs(corr[i, j] - lam[i, j]) <= th.corr_tol),
-                    }
-                )
+        for i, j in combinations(range(m), 2):
+            bound = {"target": float(lam[i, j]), "tol": th.corr_tol}
+            passed = abs(corr[i, j] - lam[i, j]) <= th.corr_tol
+            checks.append(("pairwise_correlation", [i, j], corr[i, j], bound, passed))
+    records = [
+        {"criterion": c, "coordinate": i, "value": float(v), "bound": b, "passed": bool(p)}
+        for c, i, v, b, p in checks
+    ]
 
     return {
         "mean": mean.tolist(),

@@ -128,10 +128,27 @@ class TestSchema:
         assert set(payload["plan"]) == plan_keys
         assert meta["thresholds"] == thresholds
 
+    @pytest.mark.parametrize("command", ["sample", "bulk-fluct"])
+    def test_seed_range(self, command, tmp_path):
+        # 2**64 would alias seed 0 if it were masked to 64 bits
+        argv = [command, *SCHEMA_CASES[command][0], "--no-timestamp"]
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--seed", str(seed)])
+            assert exc.value.code == 2
+        out = tmp_path / "top.json"
+        assert run([*argv, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["seed"] == 2**64 - 1
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--seed", "-1", "argument --seed: --seed must be >= 0, got -1"),
+            (
+                "--seed",
+                str(2**64),
+                f"argument --seed: --seed must be < 2**64, got {2**64}",
+            ),
             ("--beta", "3", "argument --beta: --beta must be one of {1,2,4}, got 3"),
             ("--n", "x", "argument --n: --n expects an integer, got 'x'"),
             # the quadrature order discretize_operator accepts
@@ -381,6 +398,12 @@ class TestFrCheckCommand:
 
     def test_k_above_n_rejected(self):
         assert run(["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "9"]) == 2
+
+    def test_repeated_k_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "3,3"])
+        assert exc.value.code == 2
+        assert "--k indices must be distinct, got '3,3'" in capsys.readouterr().err
 
     def test_threads_start_a_pool_and_keep_bytes(self, tmp_path, monkeypatch):
         pools = []

@@ -234,6 +234,22 @@ class TestSeedMixing:
         with pytest.raises(wf.InvalidSizeError):
             wf.mix_trial_seed(1, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a wider seed would alias the 64-bit seed it agrees with mod 2**64
+        with pytest.raises(wf.InvalidSizeError):
+            wf.mix_trial_seed(seed, 0)
+        with pytest.raises(wf.InvalidSizeError):
+            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
+        with pytest.raises(wf.InvalidSizeError):
+            wf.sample_tridiag_beta(3, 1, seed)
+
+    def test_largest_seed_accepted(self):
+        seed = 2**64 - 1
+        assert 0 <= wf.mix_trial_seed(seed, 0) < 2**64
+        a, b = wf.sample_goe(3, seed).array, wf.sample_goe(3, seed).array
+        assert np.array_equal(a, b)
+
 
 class TestGOE:
     def test_symmetry_exact(self):

@@ -1,9 +1,10 @@
-from math import log, pi, sqrt
+from math import copysign, log, nan, pi, sqrt
 
 import numpy as np
 import pytest
 
 import wigner_fluct as wf
+from wigner_fluct import semicircle
 
 
 def cdf_quadrature_oracle(t):
@@ -54,13 +55,15 @@ class TestCDF:
         assert np.all(np.diff(vals) > 0)
 
     def test_domain_error(self):
-        with pytest.raises(wf.DomainError):
-            wf.semicircle_cdf(1.5)
+        for t in (1.5, np.nextafter(-1.0, -2.0), nan):
+            with pytest.raises(wf.DomainError):
+                wf.semicircle_cdf(t)
 
 
 class TestQuantile:
     def test_median(self):
-        assert wf.semicircle_quantile(0.5) == 0.0
+        t = wf.semicircle_quantile(0.5)
+        assert t == 0.0 and copysign(1.0, t) == 1.0  # +0.0
 
     def test_endpoints(self):
         assert wf.semicircle_quantile(0.0) == -1.0
@@ -70,14 +73,29 @@ class TestQuantile:
         assert wf.semicircle_quantile(wf.semicircle_cdf(0.3)) == pytest.approx(0.3, abs=1e-12)
 
     def test_roundtrip_grid(self):
-        grid = np.linspace(1e-4, 1 - 1e-4, 10_000)
+        edges = [1e-12, 1e-9, 1e-6]
+        grid = np.concatenate([edges, np.linspace(1e-4, 1 - 1e-4, 10_000), [1 - e for e in edges]])
         for q in grid:
             t = wf.semicircle_quantile(q)
-            assert abs(wf.semicircle_cdf(t) - q) <= 1e-12
+            assert abs(wf.semicircle_cdf(t) - q) <= 1e-13, q
+
+    def test_nondecreasing_near_edges(self):
+        # geometric grids resolve every scale from 1e-12 to 1e-3 off each edge
+        near = np.geomspace(1e-12, 1e-3, 20_001)
+        for grid in (near, 1.0 - near[::-1]):
+            ts = [wf.semicircle_quantile(q) for q in grid]
+            assert np.all(np.diff(ts) >= 0.0), grid[0]
 
     def test_domain_error(self):
-        with pytest.raises(wf.DomainError):
-            wf.semicircle_quantile(1.5)
+        for q in (1.5, -0.1, nan):
+            with pytest.raises(wf.DomainError):
+                wf.semicircle_quantile(q)
+
+    def test_nonconvergence_raises(self, monkeypatch):
+        # a derivative 10^6 times too large makes every Newton step tiny
+        monkeypatch.setattr(semicircle, "cos", lambda phi: 1e6)
+        with pytest.raises(wf.NumericalFailureError):
+            semicircle.semicircle_quantile(0.9)
 
 
 class TestBulkCenterScale:
