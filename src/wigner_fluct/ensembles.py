@@ -9,6 +9,9 @@ Entry conventions (weight exp(-(beta/2) Tr H^2)):
   GSE  quaternion self-dual, off-diagonal components variance 1/8,
        diagonal 1/4; realized as the 2x2 complex-block embedding, so every
        eigenvalue of the stored 2n x 2n matrix appears twice.
+  tridiagonal beta model  H_beta / sqrt(beta), eigenvalues on the same
+       weight: diagonal variance 1/beta, k-th off-diagonal entry
+       chi_(beta (n-k)) / sqrt(2 beta).
 
 Reproducibility contract: each sampler consumes its PCG64 stream in a fixed
 documented order (row-major over the upper triangle, diagonal included,
@@ -22,12 +25,14 @@ through _hermitian, which sample_gse uses for the block A of its
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler.  Every
 sampler builds its EnsembleSpec before it draws, and the spec is the one
-check of n, beta and the seed, which must lie in [0, 2**64) (PCG64 seeds
-are 64-bit; a wider seed would alias a narrower one).  Per-trial seeds are
+check of n, beta and the seed, which must be an integer in [0, 2**64)
+(PCG64 seeds are 64-bit; a wider seed would alias a narrower one, and a
+fractional one the integer it truncates to).  Per-trial seeds are
 derived from a master seed in the same range with the SplitMix64 mixing
 function; stats drives every trial loop from them.
 """
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -41,6 +46,17 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _checked_seed(seed, name):
+    """seed as a Python int, if it is an integer in [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidSizeError(f"{name} must be an integer, got {seed!r}") from None
+    if not 0 <= seed <= _MASK64:
+        raise InvalidSizeError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def mix_trial_seed(master_seed, trial):
     """Derive the RNG seed for one trial: SplitMix64 finalizer applied to
     master_seed XOR (trial+1) * golden-ratio constant.
@@ -49,11 +65,10 @@ def mix_trial_seed(master_seed, trial):
     distinct trials get decorrelated streams and results are independent of
     the order in which trials are executed.
     """
-    if not 0 <= int(master_seed) <= _MASK64:
-        raise InvalidSizeError(f"master seed must lie in [0, 2**64), got {master_seed}")
+    master_seed = _checked_seed(master_seed, "master seed")
     if trial < 0:
         raise InvalidSizeError(f"trial index must be >= 0, got {trial}")
-    z = int(master_seed) ^ (((trial + 1) * _GOLDEN) & _MASK64)
+    z = master_seed ^ (((trial + 1) * _GOLDEN) & _MASK64)
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -98,8 +113,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSizeError(f"matrix size must be >= 1, got {self.n}")
-        if not 0 <= int(self.seed) <= _MASK64:
-            raise InvalidSizeError(f"seed must lie in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed, "seed"))
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
         implied = _ENSEMBLES[kind][0]
@@ -126,8 +140,8 @@ class MatrixSample:
                              every eigenvalue doubled
       "tridiagonal"          diag (n,) and offdiag (n-1,) float arrays
 
-    The storage alone fixes how the stored spectrum relates to the
-    ensemble's (repeated copies, rescale); spectra reads it from there.
+    The storage alone fixes how often the stored spectrum repeats each of
+    the ensemble's eigenvalues; spectra reads it from there.
     """
 
     storage: str
@@ -158,7 +172,7 @@ def _three_point(u, c):
 
 
 def _rng(seed):
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 # Layouts of orders up to this bound are kept, read-only, after their first
@@ -227,7 +241,7 @@ def sample_goe(n, seed):
     keeps unit variance, off-diagonal draws are scaled by 1/sqrt(2).
     """
     spec = EnsembleSpec(EnsembleKind.GOE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
+    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 1)
     return MatrixSample(
         storage="real-symmetric",
         spec=spec,
@@ -243,7 +257,7 @@ def sample_gue(n, seed):
     (Re then Im).
     """
     spec = EnsembleSpec(EnsembleKind.GUE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
+    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 2)
     return MatrixSample(
         storage="complex-hermitian",
         spec=spec,
@@ -264,7 +278,7 @@ def sample_gse(n, seed):
     embedding appears with multiplicity exactly 2.
     """
     spec = EnsembleSpec(EnsembleKind.GSE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
+    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 4)
     # each row (a, b, c, d) read as the two complex numbers a + ib, c + id
     ab, cd = (off * sqrt(1.0 / 8.0)).view(complex).T
     a = _hermitian(diag * sqrt(1.0 / 4.0), upper, ab)
@@ -301,7 +315,7 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     hermitian = symmetry == "hermitian"
     kind = EnsembleKind.WIGNER_HERMITIAN_MATCHED if hermitian else EnsembleKind.WIGNER_REAL_MATCHED
     spec = EnsembleSpec(kind, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
+    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).random, 2 if hermitian else 1)
     if hermitian:
         parts = _three_point(off, _HERMITIAN_MATCHED_C)
         vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
@@ -315,29 +329,26 @@ def sample_matched_wigner(n, seed, symmetry="real"):
 
 
 def sample_tridiag_beta(n, beta, seed):
-    """Symmetric tridiagonal model whose spectrum, divided by sqrt(beta),
-    follows the beta-ensemble eigenvalue density with weight
-    exp(-(beta/2) sum x_i^2).
+    """Symmetric tridiagonal model H_beta / sqrt(beta) (Dumitriu-Edelman),
+    whose spectrum follows the beta-ensemble eigenvalue density with weight
+    exp(-(beta/2) sum x_i^2), the convention of every other sampler.
 
-    Diagonal entries are N(0, 1); the k-th off-diagonal entry (k = 1..n-1) is
-    (1/sqrt(2)) chi with beta*(n-k) degrees of freedom.  Chi draws are
-    sqrt(2 * Gamma(dof/2, 1)) using the generator's standard gamma sampler.
-    Stream layout: the n diagonal normals first, then the n-1 gamma draws in
-    k order.
-
-    The 1/sqrt(beta) eigenvalue rescale is the caller's responsibility
-    (spectra applies it to every spectrum and count it computes).
+    H_beta has N(0, 1) diagonal entries and, as its k-th off-diagonal entry
+    (k = 1..n-1), (1/sqrt(2)) chi with beta*(n-k) degrees of freedom.  Chi
+    draws are sqrt(2 * Gamma(dof/2, 1)) using the generator's standard gamma
+    sampler.  Stream layout: the n diagonal normals first, then the n-1
+    gamma draws in k order.
     """
     spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta)
-    rng = _rng(seed)
-    diag = rng.standard_normal(n)
+    rng = _rng(spec.seed)
+    diag = rng.standard_normal(n) / sqrt(beta)
     if n == 1:
         # no off-diagonal: skip standard_gamma, whose empty call draws
         # nothing but has a fixed cost
         offdiag = np.zeros(0)
     else:
         dof = beta * np.arange(n - 1, 0, -1, dtype=float)
-        offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0)
+        offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0 * beta)
     return MatrixSample(storage="tridiagonal", spec=spec, diag=diag, offdiag=offdiag)
 
 

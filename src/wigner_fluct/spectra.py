@@ -10,12 +10,11 @@ blocked path (level-3 BLAS updates); small matrices stay on the unblocked
 one.  eigenvalues() solves the whole tridiagonal spectrum (LAPACK sterf);
 eigenvalues_at() solves only the group of repeated copies behind each
 requested position (LAPACK stebz).  Both collapse the repeated copies with
-the same spread check.  The tridiagonal beta model's sqrt(beta) scale is
-known to one helper (_model_scale): the solvers divide spectra by it and
-count_above multiplies cuts by it.  The Sturm-bisection reference path that
-cross-checks LAPACK, its scalar Sturm count and interval counting live in
-tests/test_spectra.py as oracles; the batched Sturm count used by counting
-experiments stays here.
+the same spread check.  Every sampler draws on the common eigenvalue
+convention, so a spectrum is solved as it is given, never rescaled.  The
+Sturm-bisection reference path that cross-checks LAPACK, its scalar Sturm
+count and interval counting live in tests/test_spectra.py as oracles; the
+batched Sturm count used by counting experiments stays here.
 
 The float64 LAPACK handles (dsterf, dstebz, dsytrd and its workspace query)
 are looked up once, at import, and called directly with the arguments
@@ -29,12 +28,11 @@ Tridiagonal, and sytrd's workspace query runs once per order.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .ensembles import EnsembleKind, EnsembleSpec, MatrixSample
+from .ensembles import MatrixSample
 from .errors import (
     InvalidDataError,
     NumericalFailureError,
@@ -89,14 +87,6 @@ class SpectrumSample:
             raise ShapeError("spectrum must be one-dimensional")
         if not (v[1:] > v[:-1]).all():
             raise ShapeError("spectrum must be strictly increasing")
-
-    @classmethod
-    def _checked(cls, values):
-        """A spectrum from a 1-d float array the caller has already found
-        strictly increasing, without checking it again."""
-        spectrum = cls.__new__(cls)
-        spectrum.values = values
-        return spectrum
 
     @property
     def n(self):
@@ -182,16 +172,6 @@ def sturm_count_below_batch(diag, offdiag, x):
     return count
 
 
-def count_above(diag, offdiag, cut, spec: EnsembleSpec):
-    """Eigenvalues above cut, on the common convention, of each row of a
-    batch of tridiagonals drawn from spec's ensemble: a batched Sturm count
-    of the stored matrices below the cut in their own units.
-
-    diag (B, n), offdiag (B, n-1).  Returns (B,) counts.
-    """
-    return diag.shape[1] - sturm_count_below_batch(diag, offdiag, cut * _model_scale(spec))
-
-
 def check_interlacing(parent, child):
     """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
     parent eigenvalues and s the (one fewer) child eigenvalues."""
@@ -221,37 +201,27 @@ def _real_embedding(h):
 _EMBEDDED_MULT = {"real-symmetric": 1, "complex-hermitian": 2, "quaternion-embedded": 4}
 
 
-def _model_scale(spec):
-    """How many times larger a stored spectrum is than the common convention
-    (weight exp(-(beta/2) sum x^2)): sqrt(beta) for the tridiagonal beta
-    model, 1 for every other ensemble."""
-    return sqrt(spec.beta) if spec.kind is EnsembleKind.TRIDIAG_BETA else 1.0
-
-
 def _reduce(sample):
-    """(t, mult, divisor): a real symmetric tridiagonal t whose spectrum is
-    the sample's, each eigenvalue repeated mult times in consecutive
-    positions and multiplied by divisor.
+    """(t, mult): a real symmetric tridiagonal t whose spectrum is the
+    sample's, each eigenvalue repeated mult times in consecutive positions.
 
     This is the one place that knows how a sample becomes a tridiagonal:
-    complex input is reduced through its real embedding, and a tridiagonal
-    sample is scaled by _model_scale.  Plain arrays and Tridiagonal
-    instances are taken as they are.
+    complex input is reduced through its real embedding.  Plain arrays and
+    Tridiagonal instances are taken as they are.
     """
     if isinstance(sample, Tridiagonal):
-        return sample, 1, 1.0
+        return sample, 1
     if isinstance(sample, np.ndarray):
         a, mult = sample, 2 if np.iscomplexobj(sample) else 1
     elif sample.storage == "tridiagonal":
-        t = Tridiagonal(diag=sample.diag, offdiag=sample.offdiag)
-        return t, 1, _model_scale(sample.spec)
+        return Tridiagonal(diag=sample.diag, offdiag=sample.offdiag), 1
     elif sample.storage in _EMBEDDED_MULT:
         a, mult = sample.array, _EMBEDDED_MULT[sample.storage]
     else:
         raise ShapeError(f"unknown storage {sample.storage!r}")
     if mult > 1:
         a = _real_embedding(a)
-    return tridiagonalize(a), mult, 1.0
+    return tridiagonalize(a), mult
 
 
 def _collapse_multiplicity(values, mult):
@@ -271,12 +241,12 @@ def _collapse_multiplicity(values, mult):
 
 
 def _solve(sample, positions):
-    """Eigenvalues of the sample in the common convention: the whole
-    ascending spectrum when positions is None, else the value at each
-    0-based ascending position, in the order given.  A numerical failure
-    carries the sample's seed and size."""
+    """Eigenvalues of the sample: the whole ascending spectrum when
+    positions is None, else the value at each 0-based ascending position,
+    in the order given.  A numerical failure carries the sample's seed and
+    size."""
     try:
-        t, mult, divisor = _reduce(sample)
+        t, mult = _reduce(sample)
         if positions is None:
             values = tridiag_eigenvalues(t)
         else:
@@ -287,34 +257,32 @@ def _solve(sample, positions):
         if mult > 1:
             values = _collapse_multiplicity(values, mult)
     except NumericalFailureError as exc:
-        for key, value in _context(sample).items():
-            exc.context.setdefault(key, value)
+        if isinstance(sample, MatrixSample):
+            exc.context.setdefault("seed", sample.spec.seed)
+            exc.context.setdefault("n", sample.n)
         raise
-    return values / divisor if divisor != 1.0 else values
-
-
-def _context(sample):
-    if isinstance(sample, MatrixSample):
-        return {"seed": sample.spec.seed, "n": sample.spec.n}
-    return {}
+    return values
 
 
 def eigenvalues(sample):
-    """Full ordered spectrum of a MatrixSample, in the ensemble's natural
-    eigenvalue units.
+    """Full ordered spectrum of a MatrixSample, on the convention every
+    sampler draws on (weight exp(-(beta/2) sum x^2)).
 
-    Embedded storages are deduplicated back to n values; tridiagonal
-    beta-ensemble samples are rescaled by 1/sqrt(beta) so all ensembles
-    produce spectra on the same convention (weight exp(-(beta/2) sum x^2)).
-    Plain arrays (complex ones through their real embedding) and Tridiagonal
-    instances are accepted and solved as-is.
+    Embedded storages are deduplicated back to n values.  Plain arrays
+    (complex ones through their real embedding) and Tridiagonal instances
+    are accepted and solved as-is.  A spectrum that is not strictly
+    increasing raises NumericalFailureError, carrying the seed and size,
+    for a sample, and ShapeError for any other input.
     """
     values = _solve(sample, None)
-    if not (values[1:] > values[:-1]).all():
-        if isinstance(sample, MatrixSample):
-            raise NumericalFailureError("computed spectrum is not simple", **_context(sample))
-        raise ShapeError("spectrum must be strictly increasing")
-    return SpectrumSample._checked(values)
+    try:
+        return SpectrumSample(values)
+    except ShapeError as exc:
+        if not isinstance(sample, MatrixSample):
+            raise
+        raise NumericalFailureError(
+            "computed spectrum is not simple", seed=sample.spec.seed, n=sample.n
+        ) from exc
 
 
 def eigenvalues_at(sample, positions):

@@ -210,11 +210,12 @@ def counting_experiment(n, beta, cut, trials, seed):
 
     Each trial draws sample_tridiag_beta (identical spectrum law) from its
     mixed seed, and counting goes through batched Sturm inertia
-    (spectra.count_above), so one trial costs O(n).
+    (spectra.sturm_count_below_batch), so one trial costs O(n).
     """
     if trials < 1:
         raise InvalidSizeError(f"trials must be >= 1, got {trials}")
-    spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)
+    # checks n and beta before the batch arrays are sized from n
+    EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)
     batch = min(_COUNTING_BATCH, trials)
     # each draw goes straight into its row; holding the samples would raise
     # the peak memory of a batch
@@ -229,5 +230,5 @@ def counting_experiment(n, beta, cut, trials, seed):
         stop = min(start + batch, trials)
         _map_trials(seed, range(start, stop), draw)
         rows = stop - start
-        counts[start:stop] = spectra.count_above(diag[:rows], off[:rows], cut, spec)
+        counts[start:stop] = n - spectra.sturm_count_below_batch(diag[:rows], off[:rows], cut)
     return counts

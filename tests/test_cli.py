@@ -381,6 +381,31 @@ class TestFluctCommands:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+    # per command: the --k flag, bounds that fail for any data (a KS distance
+    # or correlation error of 0) and bounds that hold for any data
+    LOOSE = ["--ks-max", "1", "--var-lo", "0", "--var-hi", "1e9"]
+    CHECK_CASES = {
+        "bulk-fluct": ("40", ["--ks-max", "0"], LOOSE),
+        "edge-fluct": ("10", ["--ks-max", "0"], LOOSE),
+        "joint-fluct": ("40,60", ["--corr-tol", "0"], ["--corr-tol", "2"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CHECK_CASES))
+    def test_check_exit_code_follows_the_verdict(self, tmp_path, command):
+        k, failing, holding = self.CHECK_CASES[command]
+        out = tmp_path / "c.json"
+        base = [
+            command, "--n", "100", "--k", k, "--beta", "1", "--trials", "20",
+            "--seed", "3", "--out", str(out), "--no-timestamp",
+        ]
+        assert run(base + failing + ["--check"]) == 1
+        assert not all(rec["passed"] for rec in json.loads(out.read_text())["summary"]["pass"])
+        # without --check a failed bound is only recorded
+        assert run(base + failing) == 0
+        assert run(base + holding + ["--check"]) == 0
+        assert all(rec["passed"] for rec in json.loads(out.read_text())["summary"]["pass"])
+
+
 class TestFrCheckCommand:
     def test_gue_identity_smoke(self, tmp_path):
         out = tmp_path / "fr.json"
@@ -446,10 +471,12 @@ class TestFrCheckCommand:
 
 
 class TestSemicircleCommand:
-    def test_passes_at_moderate_n(self, tmp_path):
+    @pytest.mark.parametrize("path", ["tridiag", "dense"])
+    def test_passes_at_moderate_n(self, tmp_path, path):
         out = tmp_path / "sc.json"
         code = run(
-            ["semicircle-check", "--n", "500", "--seed", "3", "--out", str(out), "--no-timestamp"]
+            ["semicircle-check", "--n", "500", "--seed", "3", "--path", path,
+             "--out", str(out), "--no-timestamp"]
         )
         assert code == 0
         payload = json.loads(out.read_text())

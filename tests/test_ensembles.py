@@ -99,11 +99,12 @@ def gse_block_index_reference(n, seed):
 
 def tridiag_stream_reference(n, beta, seed):
     """Scalar oracle for the tridiagonal stream: n diagonal normals, then
-    one gamma draw per off-diagonal entry in k order."""
+    one gamma draw per off-diagonal entry in k order, each entry divided by
+    sqrt(beta)."""
     rng = _generator(seed)
-    diag = np.array([rng.standard_normal() for _ in range(n)])
+    diag = np.array([rng.standard_normal() / sqrt(beta) for _ in range(n)])
     gammas = [rng.standard_gamma(beta * (n - k) / 2.0) for k in range(1, n)]
-    return diag, np.array([sqrt(2.0 * g) / sqrt(2.0) for g in gammas])
+    return diag, np.array([sqrt(2.0 * g) / sqrt(2.0 * beta) for g in gammas])
 
 
 DENSE_STREAM_CASES = {
@@ -250,6 +251,27 @@ class TestSeedMixing:
         a, b = wf.sample_goe(3, seed).array, wf.sample_goe(3, seed).array
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 2.7, np.float64(2.0), "3", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        # truncating it would draw the stream of another seed
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            wf.mix_trial_seed(seed, 0)
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            wf.sample_goe(3, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_seeds_accepted(self, seed):
+        assert wf.mix_trial_seed(seed, 3) == wf.mix_trial_seed(int(seed), 3)
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
+        assert type(spec.seed) is int and spec.seed == int(seed)
+        for draw in (
+            lambda s: wf.sample_goe(3, s).array,
+            lambda s: wf.sample_tridiag_beta(3, 2, s).offdiag,
+        ):
+            assert draw(seed).tobytes() == draw(int(seed)).tobytes()
+
 
 class TestGOE:
     def test_symmetry_exact(self):
@@ -390,10 +412,10 @@ class TestTridiagBeta:
             wf.sample_tridiag_beta(5, 3, 1)
 
     def test_n1_beta2_matches_gue_scalar(self):
-        # eigenvalue / sqrt(2) should be N(0, 1/2), same as the 1x1 GUE entry
+        # the eigenvalue should be N(0, 1/2), same as the 1x1 GUE entry
         tri = np.array(
             [
-                wf.sample_tridiag_beta(1, 2, wf.mix_trial_seed(5, t)).diag[0] / np.sqrt(2)
+                wf.sample_tridiag_beta(1, 2, wf.mix_trial_seed(5, t)).diag[0]
                 for t in range(100_000)
             ]
         )
@@ -417,7 +439,7 @@ class TestTridiagBeta:
     def test_n1_beta4_variance(self):
         draws = np.array(
             [
-                wf.sample_tridiag_beta(1, 4, wf.mix_trial_seed(52, t)).diag[0] / 2.0
+                wf.sample_tridiag_beta(1, 4, wf.mix_trial_seed(52, t)).diag[0]
                 for t in range(100_000)
             ]
         )

@@ -223,6 +223,17 @@ class TestEigenvalues:
         oracle = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(got, oracle, atol=1e-10)
 
+    def test_repeated_eigenvalue_of_a_sample_names_the_sample(self):
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2, seed=7)
+        sample = wf.MatrixSample(storage="real-symmetric", spec=spec, array=np.eye(2))
+        with pytest.raises(wf.NumericalFailureError) as exc:
+            wf.eigenvalues(sample)
+        assert exc.value.context == {"seed": 7, "n": 2}
+
+    def test_repeated_eigenvalue_of_an_array_is_a_shape_error(self):
+        with pytest.raises(wf.ShapeError, match="strictly increasing"):
+            wf.eigenvalues(np.eye(2))
+
     def test_gse_dedup_matches_embedding_pairs(self):
         s = wf.sample_gse(6, 13)
         got = wf.eigenvalues(s).values
@@ -230,11 +241,12 @@ class TestEigenvalues:
         assert np.allclose(got, oracle, atol=1e-8)
         assert got.size == 6
 
-    def test_tridiag_beta_rescale(self):
+    def test_tridiag_beta_spectrum_is_not_rescaled(self):
+        # the sampler draws on the common convention; spectra solves it as given
         s = wf.sample_tridiag_beta(5, 4, 21)
         t = wf.Tridiagonal(diag=s.diag, offdiag=s.offdiag)
         raw = wf.tridiag_eigenvalues(t)
-        assert np.allclose(wf.eigenvalues(s).values, np.sort(raw) / 2.0)
+        assert np.array_equal(wf.eigenvalues(s).values, raw)
 
     SELECTED_CASES = {
         "goe": lambda: wf.sample_goe(25, 41),
@@ -274,7 +286,7 @@ def grouped_tridiagonal(n, mult, seed):
     """Reduced tridiagonal of order about n whose eigenvalues come in groups of
     mult consecutive copies: a GUE (mult 2) or GSE (mult 4) real embedding."""
     sampler = wf.sample_gue if mult == 2 else wf.sample_gse
-    t, got_mult, _ = spectra._reduce(sampler(n // mult, seed))
+    t, got_mult = spectra._reduce(sampler(n // mult, seed))
     assert got_mult == mult and t.n == mult * (n // mult)
     return t
 

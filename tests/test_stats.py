@@ -271,9 +271,16 @@ class TestCountingExperiment:
         below = wf.sturm_count_below_batch(
             np.array([s.diag for s in samples]),
             np.array([s.offdiag for s in samples]).reshape(trials, n - 1),
-            cut * sqrt(beta),
+            cut,
         )
         assert np.array_equal(counts, n - below)
+
+    def test_size_and_beta_checked_before_the_batch_is_sized(self):
+        # n = 0 would otherwise size an off-diagonal batch of width -1
+        with pytest.raises(wf.InvalidSizeError):
+            wf.counting_experiment(0, 1, 0.0, 10, 0)
+        with pytest.raises(wf.UnsupportedError):
+            wf.counting_experiment(5, 3, 0.0, 10, 0)
 
     def test_matches_direct_spectrum_counting(self):
         n, trials = 15, 50
