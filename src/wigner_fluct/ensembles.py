@@ -8,7 +8,8 @@ Entry conventions (weight exp(-(beta/2) Tr H^2)):
   GUE  complex Hermitian, Re/Im off-diagonal variance 1/4, diagonal 1/2
   GSE  quaternion self-dual, off-diagonal components variance 1/8,
        diagonal 1/4; realized as the 2x2 complex-block embedding, so every
-       eigenvalue of the stored 2n x 2n matrix appears twice.
+       eigenvalue of the stored 2n x 2n matrix appears twice (spectra
+       reads the repeat from the order 2n; a sample carries no label).
   tridiagonal beta model  H_beta / sqrt(beta), eigenvalues on the same
        weight: diagonal variance 1/beta, k-th off-diagonal entry
        chi_(beta (n-k)) / sqrt(2 beta).
@@ -25,9 +26,9 @@ through _hermitian, which sample_gse uses for the block A of its
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler.  Every
 sampler builds its EnsembleSpec before it draws, and the spec is the one
-check of n, beta and the seed, which must be an integer in [0, 2**64)
-(PCG64 seeds are 64-bit; a wider seed would alias a narrower one, and a
-fractional one the integer it truncates to).  Per-trial seeds are
+check of n (an integer >= 1), beta and the seed, which must be an integer
+in [0, 2**64) (PCG64 seeds are 64-bit; a wider seed would alias a narrower
+one, and a fractional one the integer it truncates to).  Per-trial seeds are
 derived from a master seed in the same range with the SplitMix64 mixing
 function; stats drives every trial loop from them.
 """
@@ -46,12 +47,17 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _index(value, name):
+    """value as a Python int, if it is an integer (numpy integers included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSizeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_seed(seed, name):
     """seed as a Python int, if it is an integer in [0, 2**64)."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InvalidSizeError(f"{name} must be an integer, got {seed!r}") from None
+    seed = _index(seed, name)
     if not 0 <= seed <= _MASK64:
         raise InvalidSizeError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
@@ -66,6 +72,7 @@ def mix_trial_seed(master_seed, trial):
     the order in which trials are executed.
     """
     master_seed = _checked_seed(master_seed, "master seed")
+    trial = _index(trial, "trial index")
     if trial < 0:
         raise InvalidSizeError(f"trial index must be >= 0, got {trial}")
     z = master_seed ^ (((trial + 1) * _GOLDEN) & _MASK64)
@@ -111,8 +118,10 @@ class EnsembleSpec:
     beta: int = 0  # required for TRIDIAG_BETA, implied otherwise
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidSizeError(f"matrix size must be >= 1, got {self.n}")
+        n = _index(self.n, "matrix size")
+        if n < 1:
+            raise InvalidSizeError(f"matrix size must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", _checked_seed(self.seed, "seed"))
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
@@ -130,21 +139,16 @@ class EnsembleSpec:
 
 @dataclass
 class MatrixSample:
-    """One sampled matrix together with its provenance.
+    """One sampled matrix together with its provenance: a dense array, or
+    the diagonal (n,) and off-diagonal (n-1,) of a tridiagonal model.
 
-    storage values:
-      "real-symmetric"       dense (n, n) float array
-      "complex-hermitian"    dense (n, n) complex array
-      "quaternion-embedded"  dense (2n, 2n) complex Hermitian array whose
-                             spectrum is the quaternion matrix's spectrum with
-                             every eigenvalue doubled
-      "tridiagonal"          diag (n,) and offdiag (n-1,) float arrays
-
-    The storage alone fixes how often the stored spectrum repeats each of
-    the ensemble's eigenvalues; spectra reads it from there.
+    The arrays alone fix how often the stored spectrum repeats each of the
+    ensemble's n eigenvalues: a dense array of order c n repeats each c
+    times (c = 2 for the GSE's quaternion embedding, 1 otherwise); spectra
+    reads c from the order and, for complex arrays, doubles it through the
+    real embedding it solves.
     """
 
-    storage: str
     spec: EnsembleSpec
     array: np.ndarray | None = None
     diag: np.ndarray | None = None
@@ -242,11 +246,7 @@ def sample_goe(n, seed):
     """
     spec = EnsembleSpec(EnsembleKind.GOE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 1)
-    return MatrixSample(
-        storage="real-symmetric",
-        spec=spec,
-        array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)),
-    )
+    return MatrixSample(spec=spec, array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)))
 
 
 def sample_gue(n, seed):
@@ -259,7 +259,6 @@ def sample_gue(n, seed):
     spec = EnsembleSpec(EnsembleKind.GUE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 2)
     return MatrixSample(
-        storage="complex-hermitian",
         spec=spec,
         array=_hermitian(diag * sqrt(0.5), upper, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
     )
@@ -294,7 +293,7 @@ def sample_gse(n, seed):
     blocks[:, 1, :, 1] = a.T
     # conjugating B's zero diagonal gave -0 imaginary parts
     np.fill_diagonal(blocks[:, 1, :, 0], 0.0)
-    return MatrixSample(storage="quaternion-embedded", spec=spec, array=h)
+    return MatrixSample(spec=spec, array=h)
 
 
 def sample_matched_wigner(n, seed, symmetry="real"):
@@ -321,11 +320,7 @@ def sample_matched_wigner(n, seed, symmetry="real"):
         vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
     else:
         vals, diag_variance = _three_point(off[:, 0], _REAL_MATCHED_C), 1.0
-    return MatrixSample(
-        storage="complex-hermitian" if hermitian else "real-symmetric",
-        spec=spec,
-        array=_hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals),
-    )
+    return MatrixSample(spec=spec, array=_hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals))
 
 
 def sample_tridiag_beta(n, beta, seed):
@@ -349,7 +344,7 @@ def sample_tridiag_beta(n, beta, seed):
     else:
         dof = beta * np.arange(n - 1, 0, -1, dtype=float)
         offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0 * beta)
-    return MatrixSample(storage="tridiagonal", spec=spec, diag=diag, offdiag=offdiag)
+    return MatrixSample(spec=spec, diag=diag, offdiag=offdiag)
 
 
 def _check_strictly_increasing(values, name):

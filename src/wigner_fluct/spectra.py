@@ -3,8 +3,8 @@
 Solver policy: every sample is reduced to one real symmetric tridiagonal
 problem, in one place (_reduce).  Dense real matrices go through LAPACK
 sytrd; complex Hermitian matrices through their real 2n x 2n embedding,
-which repeats each eigenvalue twice (four times for the symplectic
-ensemble's quaternion storage, already doubled).  sytrd gets the workspace
+which repeats each eigenvalue twice (a sample's order and dtype tell how
+often its solved spectrum repeats each one).  sytrd gets the workspace
 its own query asks for, so above LAPACK's crossover order it takes the
 blocked path (level-3 BLAS updates); small matrices stay on the unblocked
 one.  eigenvalues() solves the whole tridiagonal spectrum (LAPACK sterf);
@@ -48,6 +48,15 @@ _STERF, _STEBZ, _SYTRD, _SYTRD_LWORK = get_lapack_funcs(
 )
 
 
+def _real(values, what):
+    """values as a float array.  Complex entries raise ShapeError: the cast
+    would drop their imaginary parts and give another matrix's spectrum."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise ShapeError(f"{what} must be real, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Tridiagonal:
     """Symmetric tridiagonal matrix: diagonal (n,) and off-diagonal (n-1,)."""
@@ -56,8 +65,8 @@ class Tridiagonal:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
+        d = _real(self.diag, "tridiagonal entries")
+        e = _real(self.offdiag, "tridiagonal entries")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
         if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
@@ -97,7 +106,7 @@ def tridiagonalize(matrix):
     """Householder reduction of an exactly symmetric real matrix to
     tridiagonal form (orthogonally similar, spectrum preserved).
     """
-    a = np.asarray(matrix, dtype=float)
+    a = _real(matrix, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -159,6 +168,8 @@ def sturm_count_below_batch(diag, offdiag, x):
     offdiag = np.asarray(offdiag, dtype=float)
     if diag.ndim != 2 or offdiag.shape != (diag.shape[0], diag.shape[1] - 1):
         raise ShapeError("batch shapes must be (B, n) and (B, n-1)")
+    if np.isnan(x).any():
+        raise InvalidDataError("shift must not be NaN")
     n = diag.shape[1]
     emax = np.max(np.abs(offdiag)) if n > 1 else 0.0
     pivmin = 1e-300 * max(1.0, float(emax) * float(emax))
@@ -195,33 +206,31 @@ def _real_embedding(h):
     return out
 
 
-# How often the real embedding of each dense storage repeats an eigenvalue:
-# twice for complex Hermitian, and the quaternion storage is a complex
-# Hermitian matrix whose spectrum is already doubled.
-_EMBEDDED_MULT = {"real-symmetric": 1, "complex-hermitian": 2, "quaternion-embedded": 4}
-
-
 def _reduce(sample):
     """(t, mult): a real symmetric tridiagonal t whose spectrum is the
     sample's, each eigenvalue repeated mult times in consecutive positions.
 
-    This is the one place that knows how a sample becomes a tridiagonal:
-    complex input is reduced through its real embedding.  Plain arrays and
+    This is the one place that knows how a sample becomes a tridiagonal.  A
+    MatrixSample without a dense array is a tridiagonal model; a dense one
+    of order c n repeats each of its n eigenvalues c times, and the order
+    must be a positive multiple of n.  Complex input is reduced through its
+    real embedding, which doubles every multiplicity.  Plain arrays and
     Tridiagonal instances are taken as they are.
     """
     if isinstance(sample, Tridiagonal):
         return sample, 1
     if isinstance(sample, np.ndarray):
-        a, mult = sample, 2 if np.iscomplexobj(sample) else 1
-    elif sample.storage == "tridiagonal":
+        a, copies = sample, 1
+    elif sample.array is None:
         return Tridiagonal(diag=sample.diag, offdiag=sample.offdiag), 1
-    elif sample.storage in _EMBEDDED_MULT:
-        a, mult = sample.array, _EMBEDDED_MULT[sample.storage]
     else:
-        raise ShapeError(f"unknown storage {sample.storage!r}")
-    if mult > 1:
-        a = _real_embedding(a)
-    return tridiagonalize(a), mult
+        a = sample.array
+        copies, rest = divmod(a.shape[0] if a.ndim == 2 else 0, sample.n)
+        if rest or not copies:
+            raise ShapeError(f"array of shape {a.shape} for a sample of size n={sample.n}")
+    if a.dtype.kind == "c":
+        return tridiagonalize(_real_embedding(a)), 2 * copies
+    return tridiagonalize(a), copies
 
 
 def _collapse_multiplicity(values, mult):
@@ -268,9 +277,9 @@ def eigenvalues(sample):
     """Full ordered spectrum of a MatrixSample, on the convention every
     sampler draws on (weight exp(-(beta/2) sum x^2)).
 
-    Embedded storages are deduplicated back to n values.  Plain arrays
-    (complex ones through their real embedding) and Tridiagonal instances
-    are accepted and solved as-is.  A spectrum that is not strictly
+    Repeated copies (see _reduce) are collapsed back to n values.  Plain
+    arrays (complex ones through their real embedding) and Tridiagonal
+    instances are accepted and solved as-is.  A spectrum that is not strictly
     increasing raises NumericalFailureError, carrying the seed and size,
     for a sample, and ShapeError for any other input.
     """

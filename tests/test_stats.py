@@ -282,6 +282,16 @@ class TestCountingExperiment:
         with pytest.raises(wf.UnsupportedError):
             wf.counting_experiment(5, 3, 0.0, 10, 0)
 
+    def test_size_that_is_not_an_integer_rejected(self):
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            wf.counting_experiment(3.5, 1, 0.0, 5, 0)
+
+    def test_nan_cut_rejected_and_infinite_cuts_count_none_or_all(self):
+        with pytest.raises(wf.InvalidDataError, match="NaN"):
+            wf.counting_experiment(10, 1, float("nan"), 5, 0)
+        assert wf.counting_experiment(10, 1, np.inf, 5, 0).tolist() == [0] * 5
+        assert wf.counting_experiment(10, 1, -np.inf, 5, 0).tolist() == [10] * 5
+
     def test_matches_direct_spectrum_counting(self):
         n, trials = 15, 50
         counts = wf.counting_experiment(n, 4, 0.4, trials, seed=29)
