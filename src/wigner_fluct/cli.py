@@ -4,9 +4,10 @@ One of each path:
 
 - a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
   ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
-  runs all three; every integer flag is parsed by ``_int_arg`` (``--seed``
-  through ``_seed_arg``, which also caps it below 2**64) and every
-  threshold flag by ``_finite_arg``;
+  runs all three; only they take ``--threads``, which ``stats.run_mc``
+  passes to its trial pool; every integer flag is parsed by ``_int_arg``
+  (``--seed`` through ``_seed_arg``, which also caps it below 2**64) and
+  every threshold flag by ``_finite_arg``;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
@@ -41,7 +42,6 @@ import datetime as _dt
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -49,12 +49,7 @@ import scipy
 
 from . import __version__, ensembles, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import (
-    InvalidSizeError,
-    NumericalFailureError,
-    NumericalRangeError,
-    UnsupportedError,
-)
+from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
 from .stats import ExperimentPlan, Thresholds
 
 SCHEMA_VERSION = 1
@@ -191,7 +186,6 @@ def build_parser():
     def add_common(p, trials_default, run, *files):
         p.add_argument("--seed", type=_seed_arg, default=0)
         p.add_argument("--trials", type=_int_arg("--trials"), default=trials_default)
-        p.add_argument("--threads", type=_int_arg("--threads"), default=None)
         add_output(p, run, *files)
 
     def add_output(p, run, *files):
@@ -224,6 +218,7 @@ def build_parser():
         p.add_argument("--check", action="store_true", help=check_help)
         for flag, default in thresholds.items():
             p.add_argument(flag, type=_finite_arg(flag), default=default)
+        p.add_argument("--threads", type=_int_arg("--threads"), default=1)
         add_common(p, trials, functools.partial(_cmd_fluct, title=title), *_FILE_FLAGS)
 
     p = sub.add_parser("fr-check", help="superposition/decimation identity check")
@@ -276,19 +271,6 @@ def _env():
         "scipy": scipy.__version__,
         "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
     }
-
-
-def _threads(args):
-    """--threads, else WIGNER_FLUCT_THREADS under the same rule, else 1."""
-    if args.threads:
-        return args.threads
-    env = os.environ.get("WIGNER_FLUCT_THREADS")
-    if not env:
-        return 1
-    try:
-        return _int_arg("WIGNER_FLUCT_THREADS")(env)
-    except argparse.ArgumentTypeError as exc:
-        raise InvalidSizeError(str(exc)) from None
 
 
 def _ensemble_spec(name, n, beta, seed=0):
@@ -413,7 +395,7 @@ def _cmd_fluct(args, title):
         seed=args.seed,
         thresholds=th,
     )
-    result = stats.run_mc(plan, threads=_threads(args))
+    result = stats.run_mc(plan, threads=args.threads)
     spec = plan.ensemble
     config = {
         "ensemble": spec.kind.value,
@@ -436,19 +418,19 @@ def _cmd_fluct(args, title):
     return 1 if args.check and not result.passed else 0
 
 
-def fr_check_samples(which, n, trials, seed, threads=1):
+def fr_check_samples(which, n, trials, seed):
     """Per-index samples for the two sides of the superposition/decimation
     identity: returns (decimated, direct) arrays of shape (trials, n).
 
-    Three trial streams, stream s with master seed mix_trial_seed(seed, s):
-    1 and 2 the GOE spectra the map merges (2 only for gue), 3 the direct
-    GUE or GSE spectra."""
+    Three trial streams, each run serially, stream s with master seed
+    mix_trial_seed(seed, s): 1 and 2 the GOE spectra the map merges (2 only
+    for gue), 3 the direct GUE or GSE spectra."""
 
     def spectra_of(stream, sampler, size):
         def solve(t, trial_seed):
             return spectra.eigenvalues(sampler(size, trial_seed)).values
 
-        return stats._map_trials(mix_trial_seed(seed, stream), range(trials), solve, threads)
+        return stats._map_trials(mix_trial_seed(seed, stream), range(trials), solve)
 
     if which == "gue":
         goe_a = spectra_of(1, ensembles.sample_goe, n)
@@ -466,7 +448,7 @@ def _cmd_fr_check(args):
     indices = args.k or tuple(range(1, n + 1))
     if any(k > n for k in indices):
         raise UnsupportedError(f"--k indices must be <= n={n}")
-    left, right = fr_check_samples(args.which, n, args.trials, args.seed, _threads(args))
+    left, right = fr_check_samples(args.which, n, args.trials, args.seed)
     ks = {}
     all_pass = True
     for k in indices:

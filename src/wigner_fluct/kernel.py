@@ -81,6 +81,7 @@ from math import erfc, ldexp, pi, sqrt
 import numpy as np
 from scipy.linalg import blas, lapack
 
+from .ensembles import _index
 from .errors import (
     DiscretizationFailureError,
     NumericalFailureError,
@@ -102,7 +103,7 @@ def _hermite_guard(i):
     """Index guard; the evaluation is validated for |x| <= sqrt(2i) + 10,
     and beyond that psi underflows to an exact 0 (correct to double
     precision), so only the index range is a hard limit."""
-    if i < 0:
+    if _index(i, "Hermite index") < 0:
         raise ShapeError(f"Hermite index must be >= 0, got {i}")
     if i > _MAX_HERMITE_INDEX:
         raise NumericalRangeError(
@@ -237,7 +238,7 @@ def truncation_halfwidth(n):
 
 def _clip_interval(n, interval):
     """The one order and interval check of the Gram and Nystrom paths."""
-    if n < 1:
+    if _index(n, "kernel order") < 1:
         raise ShapeError(f"kernel order must be >= 1, got {n}")
     a, b = interval
     if not a < b:

@@ -6,7 +6,8 @@ aggregation is an ordered fold over the trial index, so results are
 bit-identical for any thread count or scheduling order.  One private trial
 loop, _map_trials, holds the contract: every Monte-Carlo experiment of the
 package (run_mc, counting_experiment and the CLI's fr-check samples) seeds,
-orders, threads and labels its trials through it.
+orders and labels its trials through it.  Only run_mc threads its trials,
+for the CLI's --threads.
 
 Thresholds attached to theorem checks are fixed engineering constants chosen
 for n in the few-hundreds-to-thousands range (the limit theorems converge at
@@ -14,6 +15,7 @@ logarithmic speed, so asymptotic critical values would be dishonest at desk
 scale); every emitted verdict carries the threshold it was judged against.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -23,8 +25,8 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from . import ensembles, fluctuations, spectra
-from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError
+from .ensembles import EnsembleKind, EnsembleSpec, _index, mix_trial_seed
+from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError, ShapeError
 from .fluctuations import IndexSpec
 # unused here; bench/tests/test_spans.py traces the name stats.bulk_center_scale
 from .semicircle import bulk_center_scale  # noqa: F401
@@ -96,7 +98,7 @@ class ExperimentPlan:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        if self.trials < 1:
+        if _index(self.trials, "trials") < 1:
             raise InvalidSizeError(f"trials must be >= 1, got {self.trials}")
         # the summary needs the predicted covariance (gap exponents when
         # m > 1): reject a plan without it before any trial is drawn
@@ -118,9 +120,10 @@ def _map_trials(seed, trials, fn, threads=1):
     """[fn(t, mix_trial_seed(seed, t)) for t in trials], in the order of
     trials: the one trial loop of the package.
 
-    With threads > 1 the calls run on a pool of that many threads; results
-    are still returned in trial order, so they do not depend on the thread
-    count.  A NumericalFailureError leaving fn is labelled with its trial
+    With threads > 1 (only run_mc passes it) the calls run on a pool of
+    min(threads, len(trials), os.cpu_count()) threads, or serially when
+    that is 1; results are still returned in trial order, so they do not
+    depend on the thread count.  A NumericalFailureError leaving fn is labelled with its trial
     and trial seed, replacing any label set further down.
     """
 
@@ -132,8 +135,9 @@ def _map_trials(seed, trials, fn, threads=1):
             exc.context.update(trial=t, trial_seed=trial_seed)
             raise
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(trials), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(call, trials))
     return [call(t) for t in trials]
 
@@ -148,6 +152,8 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
     if x.ndim == 1:
         x = x[:, None]
     m = x.shape[1]
+    if m != index_spec.m:
+        raise ShapeError(f"vectors have {m} columns, the index spec {index_spec.m}")
     mean = x.mean(axis=0)
     var = x.var(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(m)
     corr = empirical_corr(x) if x.shape[0] > 1 else np.eye(m)
@@ -212,7 +218,7 @@ def counting_experiment(n, beta, cut, trials, seed):
     mixed seed, and counting goes through batched Sturm inertia
     (spectra.sturm_count_below_batch), so one trial costs O(n).
     """
-    if trials < 1:
+    if _index(trials, "trials") < 1:
         raise InvalidSizeError(f"trials must be >= 1, got {trials}")
     # checks n and beta before the batch arrays are sized from n
     EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)

@@ -18,6 +18,20 @@ def run(argv):
     return cli.main(list(argv))
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each thread pool stats starts, in order."""
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
 class TestParsing:
     def test_sample_config_valid(self):
         args = cli.build_parser().parse_args(
@@ -369,16 +383,27 @@ class TestFluctCommands:
         assert run(argv + ["--out", str(tmp_path / "gue.json"), "--svg", str(svg)]) == 0
         assert "bulk fluctuation, n=40, k=20, beta=2</text>" in svg.read_text()
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "e1.json", tmp_path / "e2.json"
+    def test_threads_start_a_pool_and_keep_bytes(self, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         base = [
             "bulk-fluct", "--n", "50", "--k", "25", "--beta", "1",
-            "--trials", "12", "--seed", "4", "--no-timestamp",
+            "--trials", "60", "--seed", "4", "--no-timestamp",
         ]
-        assert run(base + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("WIGNER_FLUCT_THREADS", "3")
-        assert run(base + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
+        assert run(base + ["--threads", "1", "--out", str(out1)]) == 0
+        assert pools == []
+        assert run(base + ["--threads", "4", "--out", str(out4)]) == 0
+        assert pools == [4]
+        assert out1.read_bytes() == out4.read_bytes()
+
+    @pytest.mark.parametrize("cpus, started", [(3, [3]), (64, [5]), (None, [])])
+    def test_pool_never_exceeds_trials_or_cpus(self, cpus, started, monkeypatch, pools):
+        # os.cpu_count() may be None; a pool of one runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "5",
+                "--threads", "100000", "--no-timestamp"]
+        assert run(argv) == 0
+        assert pools == started
 
 
     # per command: the --k flag, bounds that fail for any data (a KS distance
@@ -430,24 +455,12 @@ class TestFrCheckCommand:
         assert exc.value.code == 2
         assert "--k indices must be distinct, got '3,3'" in capsys.readouterr().err
 
-    def test_threads_start_a_pool_and_keep_bytes(self, tmp_path, monkeypatch):
-        pools = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(stats, "ThreadPoolExecutor", RecordingPool)
-        base = ["fr-check", "--which", "gue", "--n", "5", "--trials", "60", "--seed", "4",
-                "--no-timestamp"]
-        out1, out4 = tmp_path / "t1.json", tmp_path / "t4.json"
-        assert run(base + ["--threads", "1", "--out", str(out1)]) in (0, 1)
-        assert pools == []
-        assert run(base + ["--threads", "4", "--out", str(out4)]) in (0, 1)
-        # one pool per trial stream: two GOE sides and the direct GUE side
-        assert pools == [4, 4, 4]
-        assert out1.read_bytes() == out4.read_bytes()
+    def test_threads_flag_refused(self, capsys):
+        # only the fluctuation commands run their trials on a pool
+        with pytest.raises(SystemExit) as exc:
+            run(["fr-check", "--which", "gse", "--n", "2", "--trials", "3", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_failure_names_the_trial(self, monkeypatch, capsys):
         seed = 12
@@ -548,25 +561,6 @@ class TestExitCodes:
             ]
         )
         assert code == 4
-
-    THREAD_ENV_CASES = [(c, v) for c in ("bulk-fluct", "fr-check") for v in ("abc", "0", "-2")]
-    THREAD_ENV_ARGV = {
-        "bulk-fluct": ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "3"],
-        "fr-check": ["fr-check", "--which", "gse", "--n", "2", "--trials", "3"],
-    }
-
-    # bulk-fluct cases keep their ids of the form [abc]
-    @pytest.mark.parametrize(
-        "command, value",
-        THREAD_ENV_CASES,
-        ids=[v if c == "bulk-fluct" else f"{c}-{v}" for c, v in THREAD_ENV_CASES],
-    )
-    def test_bad_thread_env_is_2(self, command, value, monkeypatch, capsys):
-        # the environment value follows the --threads rule: an integer >= 1
-        monkeypatch.setenv("WIGNER_FLUCT_THREADS", value)
-        assert run(self.THREAD_ENV_ARGV[command]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "WIGNER_FLUCT_THREADS" in err[0]
 
     @pytest.mark.parametrize("command", [["edge-fluct"], ["joint-fluct", "--regime", "edge"]])
     def test_edge_at_one_level_is_2(self, command, capsys):

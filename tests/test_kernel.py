@@ -504,6 +504,26 @@ class TestDiscretizeOperator:
             wf.discretize_operator(0, (0.0, 1.0))
         assert str(nystrom.value) == str(gram.value) == "kernel order must be >= 1, got 0"
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: wf.expected_count(5.0, (0.0, 1.0)),
+            lambda: wf.variance_count(5.0, (0.0, 1.0)),
+            lambda: wf.discretize_operator(5.0, (0.0, 1.0)),
+            lambda: wf.kernel_diag(5.0, 0.3),
+            lambda: wf.hermite_psi(3.0, 0.2),
+        ],
+        ids=["expected_count", "variance_count", "discretize_operator", "kernel_diag", "hermite_psi"],
+    )
+    def test_order_that_is_not_an_integer_rejected(self, call):
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            call()
+
+    def test_numpy_integer_order_accepted(self):
+        assert wf.expected_count(np.int64(5), (0.0, 1.0)) == wf.expected_count(5, (0.0, 1.0))
+        assert wf.kernel_diag(np.int32(5), 0.3) == wf.kernel_diag(5, 0.3)
+        assert wf.hermite_psi(np.int64(3), 0.2) == wf.hermite_psi(3, 0.2)
+
     @pytest.mark.parametrize("order", [16, 20, 32])
     def test_gauss_legendre_rule_is_cached_read_only(self, order):
         rule = _gauss_legendre(order)

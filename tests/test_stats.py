@@ -206,6 +206,9 @@ class TestRunMC:
     def test_trial_count_validated(self):
         with pytest.raises(wf.InvalidSizeError):
             bulk_plan(trials=0)
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            bulk_plan(trials=3.5)
+        assert wf.run_mc(bulk_plan(trials=np.int64(2))).vectors.shape == (2, 1)
 
     def test_plan_without_gap_exponents_rejected_before_sampling(self, monkeypatch):
         # two indices and no gap exponents: the summary's predicted covariance
@@ -249,6 +252,17 @@ class TestVerdictCalibration:
         )
         assert all(rec["passed"] for rec in summary["pass"])
 
+    @pytest.mark.parametrize(
+        "columns, indices, thetas", [(2, (1,), ()), (1, (1, 2), (0.5,))], ids=["wide", "narrow"]
+    )
+    def test_vectors_that_do_not_fit_the_index_spec_rejected(self, columns, indices, thetas):
+        # stored vectors are outside input: a column count other than the
+        # spec's would index past the spec or leave no pair to check
+        x = synthetic_normal_vectors(np.eye(columns), 10, seed=1)
+        spec = wf.IndexSpec(regime="bulk", indices=indices, thetas=thetas)
+        with pytest.raises(wf.ShapeError, match="columns"):
+            wf.summarize_vectors(x, spec, Thresholds(corr_tol=0.12))
+
 
 class TestCountingExperiment:
     def test_symmetric_cut_mean(self):
@@ -285,6 +299,11 @@ class TestCountingExperiment:
     def test_size_that_is_not_an_integer_rejected(self):
         with pytest.raises(wf.InvalidSizeError, match="integer"):
             wf.counting_experiment(3.5, 1, 0.0, 5, 0)
+
+    def test_trial_count_that_is_not_an_integer_rejected(self):
+        with pytest.raises(wf.InvalidSizeError, match="integer"):
+            wf.counting_experiment(10, 1, 0.0, 2.5, 0)
+        assert wf.counting_experiment(10, 1, 0.0, np.int64(3), 0).shape == (3,)
 
     def test_nan_cut_rejected_and_infinite_cuts_count_none_or_all(self):
         with pytest.raises(wf.InvalidDataError, match="NaN"):
