@@ -25,15 +25,13 @@ through _hermitian, which sample_gse uses for the block A of its
 [[A, B], [B^H, A^T]] form.  The tridiagonal model's stream (diagonal
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler.  Every
-sampler builds its EnsembleSpec before it draws, and the spec is the one
-check of n (an integer >= 1), beta and the seed, which must be an integer
-in [0, 2**64) (PCG64 seeds are 64-bit; a wider seed would alias a narrower
-one, and a fractional one the integer it truncates to).  Per-trial seeds are
-derived from a master seed in the same range with the SplitMix64 mixing
-function; stats drives every trial loop from them.
+sampler builds its EnsembleSpec before it draws, and the spec checks n (an
+integer >= 1), beta and the seed, an integer in [0, 2**64) (PCG64 seeds are
+64-bit; a wider seed would alias a narrower one), by the integer rule of
+errors.  Per-trial seeds are derived from a master seed in the same range
+with the SplitMix64 mixing function; stats drives every trial loop from them.
 """
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -42,22 +40,15 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DegenerateInputError, InvalidSizeError, ShapeError, UnsupportedError
+from .errors import integer, strictly_increasing
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _index(value, name):
-    """value as a Python int, if it is an integer (numpy integers included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSizeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _checked_seed(seed, name):
     """seed as a Python int, if it is an integer in [0, 2**64)."""
-    seed = _index(seed, name)
+    seed = integer(seed, name)
     if not 0 <= seed <= _MASK64:
         raise InvalidSizeError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
@@ -72,9 +63,7 @@ def mix_trial_seed(master_seed, trial):
     the order in which trials are executed.
     """
     master_seed = _checked_seed(master_seed, "master seed")
-    trial = _index(trial, "trial index")
-    if trial < 0:
-        raise InvalidSizeError(f"trial index must be >= 0, got {trial}")
+    trial = integer(trial, "trial index", least=0)
     z = master_seed ^ (((trial + 1) * _GOLDEN) & _MASK64)
     z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -118,10 +107,7 @@ class EnsembleSpec:
     beta: int = 0  # required for TRIDIAG_BETA, implied otherwise
 
     def __post_init__(self):
-        n = _index(self.n, "matrix size")
-        if n < 1:
-            raise InvalidSizeError(f"matrix size must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", integer(self.n, "matrix size", least=1))
         object.__setattr__(self, "seed", _checked_seed(self.seed, "seed"))
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
@@ -347,15 +333,6 @@ def sample_tridiag_beta(n, beta, seed):
     return MatrixSample(spec=spec, diag=diag, offdiag=offdiag)
 
 
-def _check_strictly_increasing(values, name):
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ShapeError(f"{name} must be a 1-d array of eigenvalues")
-    if not (values[1:] > values[:-1]).all():
-        raise ShapeError(f"{name} must be strictly increasing")
-    return values
-
-
 def superpose_decimate_even(spectrum_a, spectrum_b):
     """Merge two spectra and keep the particles at even positions (2, 4, ...,
     counting from 1).
@@ -365,8 +342,8 @@ def superpose_decimate_even(spectrum_a, spectrum_b):
     ties in the merged list occur with probability zero and are rejected so
     the caller can resample.
     """
-    a = _check_strictly_increasing(spectrum_a, "spectrum_a")
-    b = _check_strictly_increasing(spectrum_b, "spectrum_b")
+    a = strictly_increasing(spectrum_a, "spectrum_a")
+    b = strictly_increasing(spectrum_b, "spectrum_b")
     merged = np.sort(np.concatenate([a, b]))
     if merged.size > 1 and np.any(np.diff(merged) == 0.0):
         raise DegenerateInputError("exact tie in superposed spectra; resample")
@@ -380,7 +357,7 @@ def gse_from_goe(spectrum):
     law.  (Scaling the decimated eigenvalues is equivalent to scaling the
     matrix itself.)
     """
-    y = _check_strictly_increasing(spectrum, "spectrum")
+    y = strictly_increasing(spectrum, "spectrum")
     if y.size % 2 == 0:
         raise ShapeError(f"expected odd-length spectrum, got length {y.size}")
     return y[1::2] / sqrt(2.0)

@@ -1,14 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its two argument rules.
 
 Argument validation failures (bad sizes, inverted intervals, out-of-domain
 points) raise ValueError subclasses so callers can catch them uniformly;
 runtime numerical breakdowns raise RuntimeError subclasses and carry enough
-context to reproduce the failing case.
+context to reproduce the failing case.  The integer rule, ``integer``: every
+size, order, trial count, seed and eigenvalue index is an integer (numpy
+integers included), and a fractional one raises InvalidSizeError instead of
+being truncated.  The ascending rule, ``strictly_increasing``: a spectrum or
+an index list is one-dimensional and strictly increasing, else ShapeError.
 """
+
+import operator
+
+import numpy as np
 
 
 class InvalidSizeError(ValueError):
-    """Matrix size or trial count outside the allowed range."""
+    """A size, order, trial count, seed or index that is not an integer or is out of range."""
 
 
 class ShapeError(ValueError):
@@ -49,3 +57,24 @@ class NumericalFailureError(RuntimeError):
 
 class DiscretizationFailureError(NumericalFailureError):
     """A discretized operator violated a structural bound (raise the order)."""
+
+
+def integer(value, name, least=None):
+    """value as an int (numpy integers included), >= least if given."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidSizeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidSizeError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def strictly_increasing(values, name):
+    """values as a float array, if one-dimensional and strictly increasing."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ShapeError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if not (values[1:] > values[:-1]).all():
+        raise ShapeError(f"{name} must be strictly increasing")
+    return values

@@ -11,7 +11,7 @@ Index conventions (all 1-based, matching x_1 < x_2 < ... < x_n):
 
 For finite n the exponents are defined as theta_i = log(k_{i+1} - k_i) / log n
 (the asymptotic ~ relation has no finite-n content); they may also be
-declared explicitly.
+declared explicitly.  Indices pass the integer and ascending rules of errors.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from math import log
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, integer, strictly_increasing
 from .semicircle import bulk_center_scale, edge_center_scale
 from .spectra import SpectrumSample
 
@@ -37,12 +37,10 @@ class IndexSpec:
     def __post_init__(self):
         if self.regime not in ("bulk", "edge"):
             raise DomainError(f"regime must be 'bulk' or 'edge', got {self.regime!r}")
-        idx = tuple(int(k) for k in self.indices)
+        idx = _checked_indices(self.indices)
         object.__setattr__(self, "indices", idx)
         if len(idx) < 1:
             raise ShapeError("at least one eigenvalue index required")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ShapeError(f"indices must be strictly increasing, got {idx}")
         th = tuple(float(t) for t in self.thetas)
         object.__setattr__(self, "thetas", th)
         if th and len(th) != len(idx) - 1:
@@ -65,13 +63,18 @@ class IndexSpec:
         return len(self.indices)
 
 
+def _checked_indices(indices):
+    """indices as a tuple of ints: the one index check of IndexSpec and thetas_from_indices."""
+    idx = tuple(integer(k, "eigenvalue index") for k in indices)
+    strictly_increasing(idx, "indices")
+    return idx
+
+
 def thetas_from_indices(indices, n):
     """Finite-n gap exponents theta_i = log(k_{i+1} - k_i) / log n."""
-    idx = tuple(indices)
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ShapeError(f"indices must be strictly increasing, got {idx}")
+    idx = _checked_indices(indices)
     if n < 2:
-        raise DomainError("need n >= 2 to define gap exponents")
+        raise DomainError("need n >= 2 to define exponents relative to log n")
     return tuple(log(b - a) / log(n) for a, b in zip(idx, idx[1:]))
 
 
@@ -86,11 +89,8 @@ def bulk_index_spec(indices, n):
 def edge_index_spec(indices, n):
     """IndexSpec for edge offsets with gamma and exponents inferred."""
     idx = tuple(indices)
-    if n < 2:
-        raise DomainError("need n >= 2 to define the edge exponent gamma")
-    gamma = log(idx[0]) / log(n)
-    thetas = thetas_from_indices(idx, n) if len(idx) > 1 else ()
-    return IndexSpec(regime="edge", indices=idx, thetas=thetas, gamma=gamma)
+    thetas = thetas_from_indices(idx, n)  # checks the indices, and n >= 2 for gamma too
+    return IndexSpec(regime="edge", indices=idx, thetas=thetas, gamma=log(idx[0]) / log(n))
 
 
 def coordinates(spec: IndexSpec, n, beta):

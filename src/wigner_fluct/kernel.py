@@ -81,13 +81,13 @@ from math import erfc, ldexp, pi, sqrt
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .ensembles import _index
 from .errors import (
     DiscretizationFailureError,
     NumericalFailureError,
     NumericalRangeError,
     ShapeError,
     UnsupportedError,
+    integer,
 )
 
 _LOG2E = 1.4426950408889634  # 1 / ln 2
@@ -103,12 +103,18 @@ def _hermite_guard(i):
     """Index guard; the evaluation is validated for |x| <= sqrt(2i) + 10,
     and beyond that psi underflows to an exact 0 (correct to double
     precision), so only the index range is a hard limit."""
-    if _index(i, "Hermite index") < 0:
+    if integer(i, "Hermite index") < 0:
         raise ShapeError(f"Hermite index must be >= 0, got {i}")
     if i > _MAX_HERMITE_INDEX:
         raise NumericalRangeError(
             f"Hermite index {i} above supported maximum {_MAX_HERMITE_INDEX}"
         )
+
+
+def _check_order(n):
+    """The one kernel order check: an integer (errors.integer) >= 1."""
+    if integer(n, "kernel order") < 1:
+        raise ShapeError(f"kernel order must be >= 1, got {n}")
 
 
 def _psi_seed(x):
@@ -223,8 +229,7 @@ def kernel_diag(n, x):
     """K_n(x, x) = n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n (confluent
     Christoffel-Darboux) from the last three rows of _psi_table; at n = 1 the
     two rows psi_0, psi_1 serve, and the second term is 0 psi_0 psi_1 = 0."""
-    if n < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
+    _check_order(n)
     top = _psi_table(n, x, rows=min(n + 1, 3))
     p2, p1, p0 = top[0], top[-2], top[-1]
     out = n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
@@ -237,9 +242,8 @@ def truncation_halfwidth(n):
 
 
 def _clip_interval(n, interval):
-    """The one order and interval check of the Gram and Nystrom paths."""
-    if _index(n, "kernel order") < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
+    """The one interval check of the Gram and Nystrom paths, after the order's."""
+    _check_order(n)
     a, b = interval
     if not a < b:
         raise ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")

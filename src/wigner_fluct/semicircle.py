@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 
-from .errors import DomainError, InvalidSizeError, NumericalFailureError
+from .errors import DomainError, NumericalFailureError, integer
 
 # Quantile ratios closer than this to 0 or 1 put the center in the singular
 # scaling region t -> +-1 and are rejected; inside it 1 - t^2 >= 2.8e-4.
@@ -100,9 +100,7 @@ def bulk_center_scale(k, n, beta):
     """Center t*sqrt(2n) with t the k/n semicircle quantile, and scale
     sqrt(log n / (2 beta (1-t^2) n)), for eigenvalue number k (1-based).
     """
-    _check_beta(beta)
-    if n < 1:
-        raise InvalidSizeError(f"n must be >= 1, got {n}")
+    k, n = _check_arguments(k, n, beta)
     ratio = k / n
     if not (_BULK_GUARD <= ratio <= 1.0 - _BULK_GUARD):
         raise DomainError(
@@ -124,9 +122,7 @@ def edge_center_scale(k, n, beta):
     the scale collapse to zero).  k < 10 is far outside the intended
     k -> infinity regime, so it issues a UserWarning.
     """
-    _check_beta(beta)
-    if n < 1:
-        raise InvalidSizeError(f"n must be >= 1, got {n}")
+    k, n = _check_arguments(k, n, beta)
     if not 1 <= k < n:
         raise DomainError(f"edge index k must satisfy 1 <= k < n, got k={k}, n={n}")
     if k == 1:
@@ -146,6 +142,9 @@ def edge_center_scale(k, n, beta):
     return CenterScale(center=center, scale=scale)
 
 
-def _check_beta(beta):
+def _check_arguments(k, n, beta):
+    """(k, n) as ints after the one argument check of both centre functions."""
     if beta not in (1, 2, 4):
         raise DomainError(f"beta must be 1, 2 or 4, got {beta}")
+    n = integer(n, "n", least=1)
+    return integer(k, "k"), n

@@ -33,11 +33,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .ensembles import MatrixSample
-from .errors import (
-    InvalidDataError,
-    NumericalFailureError,
-    ShapeError,
-)
+from .errors import InvalidDataError, NumericalFailureError, ShapeError, strictly_increasing
 
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
@@ -90,12 +86,7 @@ class SpectrumSample:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        self.values = v
-        if v.ndim != 1:
-            raise ShapeError("spectrum must be one-dimensional")
-        if not (v[1:] > v[:-1]).all():
-            raise ShapeError("spectrum must be strictly increasing")
+        self.values = strictly_increasing(self.values, "spectrum")
 
     @property
     def n(self):

@@ -24,8 +24,8 @@ from math import sqrt
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
-from . import ensembles, fluctuations, spectra
-from .ensembles import EnsembleKind, EnsembleSpec, _index, mix_trial_seed
+from . import ensembles, errors, fluctuations, spectra
+from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
 from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError, ShapeError
 from .fluctuations import IndexSpec
 # unused here; bench/tests/test_spans.py traces the name stats.bulk_center_scale
@@ -98,8 +98,7 @@ class ExperimentPlan:
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     def __post_init__(self):
-        if _index(self.trials, "trials") < 1:
-            raise InvalidSizeError(f"trials must be >= 1, got {self.trials}")
+        errors.integer(self.trials, "trials", least=1)
         # the summary needs the predicted covariance (gap exponents when
         # m > 1): reject a plan without it before any trial is drawn
         fluctuations.predicted_cov(self.index_spec)
@@ -218,8 +217,7 @@ def counting_experiment(n, beta, cut, trials, seed):
     mixed seed, and counting goes through batched Sturm inertia
     (spectra.sturm_count_below_batch), so one trial costs O(n).
     """
-    if _index(trials, "trials") < 1:
-        raise InvalidSizeError(f"trials must be >= 1, got {trials}")
+    errors.integer(trials, "trials", least=1)
     # checks n and beta before the batch arrays are sized from n
     EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)
     batch = min(_COUNTING_BATCH, trials)

@@ -1,6 +1,7 @@
 """The package's public surface: exactly the names below, and every name the
 acceptance suite calls among them."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -48,6 +49,24 @@ def exported():
 def test_exports_exactly_the_public_names():
     assert len(PUBLIC) == 60
     assert exported() == PUBLIC
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A helper two modules share is public in the module both import (the
+    argument rules live in errors); attribute uses such as stats._map_trials
+    are not imports and are not checked."""
+    offenders = []
+    for path in sorted(Path(wf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "wigner_fluct":
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert offenders == []
 
 
 def test_acceptance_suite_calls_only_public_names():

@@ -504,6 +504,25 @@ class TestGSEFromGOE:
             assert np.all(np.diff(wf.gse_from_goe(y)) > 0)
 
 
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (wf.SpectrumSample, "spectrum"),
+        (lambda values: wf.superpose_decimate_even(values, [0.5]), "spectrum_a"),
+        (wf.gse_from_goe, "spectrum"),
+    ],
+    ids=["SpectrumSample", "superpose_decimate_even", "gse_from_goe"],
+)
+def test_every_spectrum_check_has_the_same_wording(check, name):
+    for values, wording in (
+        (np.zeros((2, 3)), "must be one-dimensional, got shape (2, 3)"),
+        ([3.0, 2.0, 1.0], "must be strictly increasing"),
+    ):
+        with pytest.raises(wf.ShapeError) as exc:
+            check(values)
+        assert str(exc.value) == f"{name} {wording}"
+
+
 class TestEnsembleSpec:
     def test_beta_implied(self):
         assert wf.EnsembleSpec(wf.EnsembleKind.GSE, 3).beta == 4

@@ -43,6 +43,36 @@ class TestIndexSpec:
         spec = wf.bulk_index_spec((10, 910), 900)  # gap exceeds n
         assert spec.thetas[0] == 1.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: wf.IndexSpec(regime="bulk", indices=(2.7, 5.2), thetas=(0.3,)),
+            # would read eigenvalue 4 if 4.9 were truncated
+            lambda: wf.normalize(np.arange(1.0, 11.0), wf.IndexSpec("bulk", (4.9,)), 1),
+            lambda: wf.IndexSpec(regime="edge", indices=(10.5,), gamma=0.5),
+            lambda: wf.bulk_index_spec((2.5, 7.5), 10),
+            lambda: wf.bulk_index_spec((4.5,), 10),
+            lambda: wf.edge_index_spec((3.5, 6), 100),
+            lambda: wf.edge_index_spec((3.5,), 100),
+            lambda: wf.thetas_from_indices((2, 7.5), 10),
+        ],
+        ids=[
+            "IndexSpec-bulk", "normalize", "IndexSpec-edge", "bulk_index_spec-pair",
+            "bulk_index_spec-one", "edge_index_spec-pair", "edge_index_spec-one",
+            "thetas_from_indices",
+        ],
+    )
+    def test_fractional_index_rejected(self, make):
+        with pytest.raises(wf.InvalidSizeError, match="eigenvalue index must be an integer"):
+            make()
+
+    def test_numpy_integer_indices_accepted_where_fractions_are_not(self):
+        spec = wf.bulk_index_spec((np.int64(2), np.int32(7)), 10)
+        assert spec == wf.bulk_index_spec((2, 7), 10)
+        assert all(type(k) is int for k in spec.indices)
+        with pytest.raises(wf.InvalidSizeError):
+            wf.bulk_index_spec((np.float64(2.0), 7), 10)
+
 
 class TestCoordinates:
     def test_positions_read_by_each_regime(self):

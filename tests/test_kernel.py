@@ -519,6 +519,15 @@ class TestDiscretizeOperator:
         with pytest.raises(wf.InvalidSizeError, match="integer"):
             call()
 
+    @pytest.mark.parametrize("order", [2.5, 0.5])
+    def test_kernel_diag_order_rejected_like_the_gram_path(self, order):
+        with pytest.raises(wf.InvalidSizeError) as gram:
+            wf.expected_count(order, (0.0, 1.0))
+        with pytest.raises(wf.InvalidSizeError) as diag:
+            wf.kernel_diag(order, 0.0)
+        assert type(diag.value) is type(gram.value)
+        assert str(diag.value) == str(gram.value) == f"kernel order must be an integer, got {order}"
+
     def test_numpy_integer_order_accepted(self):
         assert wf.expected_count(np.int64(5), (0.0, 1.0)) == wf.expected_count(5, (0.0, 1.0))
         assert wf.kernel_diag(np.int32(5), 0.3) == wf.kernel_diag(5, 0.3)

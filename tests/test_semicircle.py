@@ -165,6 +165,30 @@ class TestEdgeCenterScale:
             wf.edge_center_scale(100, 100, 1)
 
 
+class TestCenterScaleArguments:
+    @pytest.mark.parametrize(
+        "center_scale, k, n",
+        [
+            (wf.bulk_center_scale, 10, 20.5),
+            (wf.bulk_center_scale, 10.5, 20),
+            (wf.edge_center_scale, 2.5, 100),
+            (wf.edge_center_scale, 12, 100.5),
+        ],
+    )
+    def test_fractional_k_or_n_rejected(self, center_scale, k, n):
+        with pytest.raises(wf.InvalidSizeError, match="must be an integer"):
+            center_scale(k, n, 1)
+
+    def test_numpy_integers_accepted_where_fractions_are_not(self):
+        for center_scale, k, n in ((wf.bulk_center_scale, 10, 20), (wf.edge_center_scale, 12, 100)):
+            assert center_scale(np.int64(k), np.int32(n), 1) == center_scale(k, n, 1)
+            with pytest.raises(wf.InvalidSizeError):
+                center_scale(np.float64(k), n, 1)
+            # beta is checked first and keeps its DomainError
+            with pytest.raises(wf.DomainError):
+                center_scale(k + 0.5, n, 3)
+
+
 class TestEdgeExpectationConsistency:
     def test_tail_mass_matches_leading_term(self):
         # n(1 - cdf(t)) vs (4 sqrt 2 / 3 pi) n (1-t)^{3/2} within 2% near t = 1
