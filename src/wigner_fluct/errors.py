@@ -6,8 +6,9 @@ runtime numerical breakdowns raise RuntimeError subclasses and carry enough
 context to reproduce the failing case.  The integer rule, ``integer``: every
 size, order, trial count, seed and eigenvalue index is an integer (numpy
 integers included), and a fractional one raises InvalidSizeError instead of
-being truncated.  The ascending rule, ``strictly_increasing``: a spectrum or
-an index list is one-dimensional and strictly increasing, else ShapeError.
+being truncated; ``least`` is the package's one integer lower-bound check (also
+InvalidSizeError).  The ascending rule, ``strictly_increasing``: a spectrum
+or an index list is one-dimensional and strictly increasing, else ShapeError.
 """
 
 import operator

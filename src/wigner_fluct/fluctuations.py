@@ -11,7 +11,7 @@ Index conventions (all 1-based, matching x_1 < x_2 < ... < x_n):
 
 For finite n the exponents are defined as theta_i = log(k_{i+1} - k_i) / log n
 (the asymptotic ~ relation has no finite-n content); they may also be
-declared explicitly.  Indices pass the integer and ascending rules of errors.
+declared explicitly.  Indices pass errors' integer (>= 1) and ascending rules.
 """
 
 from dataclasses import dataclass
@@ -39,8 +39,6 @@ class IndexSpec:
             raise DomainError(f"regime must be 'bulk' or 'edge', got {self.regime!r}")
         idx = _checked_indices(self.indices)
         object.__setattr__(self, "indices", idx)
-        if len(idx) < 1:
-            raise ShapeError("at least one eigenvalue index required")
         th = tuple(float(t) for t in self.thetas)
         object.__setattr__(self, "thetas", th)
         if th and len(th) != len(idx) - 1:
@@ -64,8 +62,11 @@ class IndexSpec:
 
 
 def _checked_indices(indices):
-    """indices as a tuple of ints: the one index check of IndexSpec and thetas_from_indices."""
-    idx = tuple(integer(k, "eigenvalue index") for k in indices)
+    """indices as a tuple of at least one int >= 1: the one index check of
+    IndexSpec and thetas_from_indices."""
+    idx = tuple(integer(k, "eigenvalue index", least=1) for k in indices)
+    if not idx:
+        raise ShapeError("at least one eigenvalue index required")
     strictly_increasing(idx, "indices")
     return idx
 
@@ -104,7 +105,7 @@ def coordinates(spec: IndexSpec, n, beta):
     top = n if bulk else n - 1
     positions, centers, scales = [], [], []
     for k in spec.indices:
-        if not 1 <= k <= top:
+        if k > top:
             what = "eigenvalue index" if bulk else "edge offset"
             raise ShapeError(f"{what} {k} out of range 1..{top}")
         cs = center_scale(k, n, beta)

@@ -83,10 +83,10 @@ from scipy.linalg import blas, lapack
 
 from .errors import (
     DiscretizationFailureError,
+    DomainError,
     NumericalFailureError,
     NumericalRangeError,
     ShapeError,
-    UnsupportedError,
     integer,
 )
 
@@ -103,18 +103,10 @@ def _hermite_guard(i):
     """Index guard; the evaluation is validated for |x| <= sqrt(2i) + 10,
     and beyond that psi underflows to an exact 0 (correct to double
     precision), so only the index range is a hard limit."""
-    if integer(i, "Hermite index") < 0:
-        raise ShapeError(f"Hermite index must be >= 0, got {i}")
-    if i > _MAX_HERMITE_INDEX:
+    if integer(i, "Hermite index", least=0) > _MAX_HERMITE_INDEX:
         raise NumericalRangeError(
             f"Hermite index {i} above supported maximum {_MAX_HERMITE_INDEX}"
         )
-
-
-def _check_order(n):
-    """The one kernel order check: an integer (errors.integer) >= 1."""
-    if integer(n, "kernel order") < 1:
-        raise ShapeError(f"kernel order must be >= 1, got {n}")
 
 
 def _psi_seed(x):
@@ -229,7 +221,7 @@ def kernel_diag(n, x):
     """K_n(x, x) = n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n (confluent
     Christoffel-Darboux) from the last three rows of _psi_table; at n = 1 the
     two rows psi_0, psi_1 serve, and the second term is 0 psi_0 psi_1 = 0."""
-    _check_order(n)
+    integer(n, "kernel order", least=1)
     top = _psi_table(n, x, rows=min(n + 1, 3))
     p2, p1, p0 = top[0], top[-2], top[-1]
     out = n * p1 * p1 - sqrt(n * (n - 1.0)) * p2 * p0
@@ -243,7 +235,7 @@ def truncation_halfwidth(n):
 
 def _clip_interval(n, interval):
     """The one interval check of the Gram and Nystrom paths, after the order's."""
-    _check_order(n)
+    integer(n, "kernel order", least=1)
     a, b = interval
     if not a < b:
         raise ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
@@ -403,8 +395,11 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     pass validate_band=False after having established the band on a coarser
     version of the same interval.
     """
-    if order < 16:
-        raise UnsupportedError(f"quadrature order must be >= 16, got {order}")
+    integer(order, "quadrature order", least=16)
+    if not 0.0 < wavelengths_per_panel < np.inf:
+        raise DomainError(
+            f"wavelengths per panel must be finite and > 0, got {wavelengths_per_panel}"
+        )
     a, b = _clip_interval(n, interval)
     if a >= b:
         raise ShapeError(f"interval {interval} is empty after truncation")

@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .ensembles import MatrixSample
-from .errors import InvalidDataError, NumericalFailureError, ShapeError, strictly_increasing
+from .errors import InvalidDataError, NumericalFailureError, ShapeError
+from .errors import integer, strictly_increasing
 
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
@@ -137,6 +138,7 @@ def tridiag_eigenvalues(t: Tridiagonal):
 
 def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
     """Eigenvalues with 0-based ascending indices lo..hi inclusive."""
+    lo, hi = integer(lo, "position lo"), integer(hi, "position hi")
     if not 0 <= lo <= hi < t.n:
         raise ShapeError(f"index range [{lo}, {hi}] invalid for n={t.n}")
     if t.n == 1:
@@ -205,13 +207,13 @@ def _reduce(sample):
     MatrixSample without a dense array is a tridiagonal model; a dense one
     of order c n repeats each of its n eigenvalues c times, and the order
     must be a positive multiple of n.  Complex input is reduced through its
-    real embedding, which doubles every multiplicity.  Plain arrays and
-    Tridiagonal instances are taken as they are.
+    real embedding, which doubles every multiplicity.  Tridiagonal
+    instances are taken as they are, and any other input as an array.
     """
     if isinstance(sample, Tridiagonal):
         return sample, 1
-    if isinstance(sample, np.ndarray):
-        a, copies = sample, 1
+    if not isinstance(sample, MatrixSample):
+        a, copies = np.asarray(sample), 1
     elif sample.array is None:
         return Tridiagonal(diag=sample.diag, offdiag=sample.offdiag), 1
     else:
@@ -269,10 +271,10 @@ def eigenvalues(sample):
     sampler draws on (weight exp(-(beta/2) sum x^2)).
 
     Repeated copies (see _reduce) are collapsed back to n values.  Plain
-    arrays (complex ones through their real embedding) and Tridiagonal
-    instances are accepted and solved as-is.  A spectrum that is not strictly
-    increasing raises NumericalFailureError, carrying the seed and size,
-    for a sample, and ShapeError for any other input.
+    arrays and nested lists (complex ones through their real embedding) and
+    Tridiagonal instances are accepted and solved as-is.  A spectrum that is
+    not strictly increasing raises NumericalFailureError, carrying the seed
+    and size, for a sample, and ShapeError for any other input.
     """
     values = _solve(sample, None)
     try:
@@ -293,6 +295,7 @@ def eigenvalues_at(sample, positions):
     Only the requested eigenvalues are solved (LAPACK stebz bisection on the
     reduced tridiagonal, one call per position), so a trial that reads a few
     of n eigenvalues pays for those alone.  No positions give an empty
-    array; a position outside [0, n) raises ShapeError.
+    array; a position that is not an integer raises InvalidSizeError, and
+    one outside [0, n) ShapeError.
     """
     return _solve(sample, positions)

@@ -51,13 +51,19 @@ def test_exports_exactly_the_public_names():
     assert exported() == PUBLIC
 
 
+def parsed_modules():
+    """(file name, syntax tree) of each module of the package."""
+    for path in sorted(Path(wf.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_module_imports_a_private_name_of_another():
     """A helper two modules share is public in the module both import (the
     argument rules live in errors); attribute uses such as stats._map_trials
     are not imports and are not checked."""
     offenders = []
-    for path in sorted(Path(wf.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for module, tree in parsed_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             if node.level == 0 and (node.module or "").split(".")[0] != "wigner_fluct":
@@ -65,7 +71,7 @@ def test_no_module_imports_a_private_name_of_another():
             for alias in node.names:
                 name = alias.name
                 if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                    offenders.append(f"{path.name}:{node.lineno} imports {name}")
+                    offenders.append(f"{module}:{node.lineno} imports {name}")
     assert offenders == []
 
 
@@ -74,3 +80,17 @@ def test_acceptance_suite_calls_only_public_names():
     called = set(re.findall(r"\bwf\.([A-Za-z_]\w*)", text))
     assert called
     assert called <= PUBLIC
+
+
+def test_bound_messages_are_written_only_by_the_integer_rule():
+    """Every integer and lower-bound message comes from errors.integer; cli's
+    argparse messages are excluded, since its parsers run at parse time."""
+    offenders = []
+    for module, tree in parsed_modules():
+        if module in ("errors.py", "cli.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "must be >=" in node.value or "must be an integer" in node.value:
+                    offenders.append(f"{module}:{node.lineno}")
+    assert offenders == []

@@ -73,6 +73,33 @@ class TestIndexSpec:
         with pytest.raises(wf.InvalidSizeError):
             wf.bulk_index_spec((np.float64(2.0), 7), 10)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: wf.edge_index_spec((0,), 100), "eigenvalue index must be >= 1, got 0"),
+            (lambda: wf.IndexSpec("bulk", (-3,)), "eigenvalue index must be >= 1, got -3"),
+            (lambda: wf.bulk_index_spec((0, 5), 10), "eigenvalue index must be >= 1, got 0"),
+            (lambda: wf.IndexSpec("bulk", (np.int64(0),)), "eigenvalue index must be >= 1, got 0"),
+        ],
+        ids=["edge_index_spec", "IndexSpec", "bulk_index_spec", "numpy-zero"],
+    )
+    def test_index_below_one_rejected_at_construction(self, make, message):
+        with pytest.raises(wf.InvalidSizeError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_no_index_rejected_by_every_constructor(self):
+        # edge_index_spec reads idx[0] for gamma, so the check must come first
+        for make in (
+            lambda: wf.edge_index_spec((), 100),
+            lambda: wf.bulk_index_spec((), 100),
+            lambda: wf.IndexSpec("bulk", ()),
+            lambda: wf.thetas_from_indices((), 100),
+        ):
+            with pytest.raises(wf.ShapeError) as err:
+                make()
+            assert str(err.value) == "at least one eigenvalue index required"
+
 
 class TestCoordinates:
     def test_positions_read_by_each_regime(self):

@@ -498,9 +498,9 @@ class TestDiscretizeOperator:
         assert traced_peak(wf.discretize_operator, *args) <= 2 * table_bytes
 
     def test_kernel_order_zero_rejected_like_the_gram_path(self):
-        with pytest.raises(wf.ShapeError) as gram:
+        with pytest.raises(wf.InvalidSizeError) as gram:
             wf.expected_count(0, (0.0, 1.0))
-        with pytest.raises(wf.ShapeError) as nystrom:
+        with pytest.raises(wf.InvalidSizeError) as nystrom:
             wf.discretize_operator(0, (0.0, 1.0))
         assert str(nystrom.value) == str(gram.value) == "kernel order must be >= 1, got 0"
 
@@ -512,8 +512,12 @@ class TestDiscretizeOperator:
             lambda: wf.discretize_operator(5.0, (0.0, 1.0)),
             lambda: wf.kernel_diag(5.0, 0.3),
             lambda: wf.hermite_psi(3.0, 0.2),
+            lambda: wf.discretize_operator(20, (0.0, 2.5), order=20.5),
         ],
-        ids=["expected_count", "variance_count", "discretize_operator", "kernel_diag", "hermite_psi"],
+        ids=[
+            "expected_count", "variance_count", "discretize_operator", "kernel_diag", "hermite_psi",
+            "quadrature-order",
+        ],
     )
     def test_order_that_is_not_an_integer_rejected(self, call):
         with pytest.raises(wf.InvalidSizeError, match="integer"):
@@ -532,6 +536,8 @@ class TestDiscretizeOperator:
         assert wf.expected_count(np.int64(5), (0.0, 1.0)) == wf.expected_count(5, (0.0, 1.0))
         assert wf.kernel_diag(np.int32(5), 0.3) == wf.kernel_diag(5, 0.3)
         assert wf.hermite_psi(np.int64(3), 0.2) == wf.hermite_psi(3, 0.2)
+        got = wf.discretize_operator(20, (0.0, 2.5), order=np.int64(20))
+        assert np.array_equal(got.matrix, wf.discretize_operator(20, (0.0, 2.5), order=20).matrix)
 
     @pytest.mark.parametrize("order", [16, 20, 32])
     def test_gauss_legendre_rule_is_cached_read_only(self, order):
@@ -543,8 +549,31 @@ class TestDiscretizeOperator:
                 part[0] = 0.0
 
     def test_low_order_rejected(self):
-        with pytest.raises(wf.UnsupportedError):
+        with pytest.raises(wf.InvalidSizeError):
             wf.discretize_operator(5, (-1.0, 1.0), order=8)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: wf.kernel_diag(0, 0.3), "kernel order must be >= 1, got 0"),
+            (lambda: wf.hermite_psi(-1, 0.2), "Hermite index must be >= 0, got -1"),
+            (
+                lambda: wf.discretize_operator(5, (-1.0, 1.0), order=np.int64(8)),
+                "quadrature order must be >= 16, got 8",
+            ),
+        ],
+        ids=["kernel_diag", "hermite_psi", "discretize_operator"],
+    )
+    def test_bound_rejected_as_a_size(self, call, message):
+        with pytest.raises(wf.InvalidSizeError) as err:
+            call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("width", [0.0, 0, -1.0, np.nan, np.inf])
+    def test_panel_width_must_be_finite_and_positive(self, width):
+        # the panel count is ceil(length / width), so only a finite positive width sizes it
+        with pytest.raises(wf.DomainError, match="wavelengths per panel"):
+            wf.discretize_operator(20, (0.0, 2.5), wavelengths_per_panel=width)
 
     def test_band_failure_reports_the_spectrum(self):
         # 6 wavelengths per 16-node panel: the trace still matches, but the

@@ -306,6 +306,37 @@ class TestEigenvalues:
         got = wf.eigenvalues_at(self.SELECTED_CASES[case](), [])
         assert got.shape == (0,) and got.dtype == np.float64
 
+    @pytest.mark.parametrize("case", ["goe", "gue", "tridiagonal"])
+    @pytest.mark.parametrize("position", [2.5, 0.5, np.float64(2.0)])
+    def test_position_that_is_not_an_integer_rejected(self, case, position):
+        # a GUE position p selects 2p..2p+1 of its embedding: 2 * 2.5 is 5.0, still no integer
+        sample = self.SELECTED_CASES[case]()
+        with pytest.raises(wf.InvalidSizeError, match="must be an integer"):
+            wf.eigenvalues_at(sample, [position])
+        got = wf.eigenvalues_at(sample, [np.int64(2), np.int32(7)])
+        assert np.array_equal(got, wf.eigenvalues_at(sample, [2, 7]))
+
+    def test_selected_range_that_is_not_an_integer_rejected(self):
+        t = random_tridiagonal(8, 0)
+        with pytest.raises(wf.InvalidSizeError, match="must be an integer"):
+            wf.tridiag_eigenvalues_selected(t, 0.5, 1.7)
+        with pytest.raises(wf.InvalidSizeError, match="must be an integer"):
+            wf.tridiag_eigenvalues_selected(t, 0, 1.0)
+        got = wf.tridiag_eigenvalues_selected(t, np.int64(0), np.int32(1))
+        assert np.array_equal(got, wf.tridiag_eigenvalues_selected(t, 0, 1))
+        with pytest.raises(wf.ShapeError, match="invalid for n=8"):
+            wf.tridiag_eigenvalues_selected(t, -1, 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0], [0.0, 2.0]], [[2.0, 1.0], [1.0, 2.0]], [[1.0, 1j], [-1j, 1.0]]],
+        ids=["diagonal", "symmetric", "hermitian"],
+    )
+    def test_nested_lists_are_solved_as_arrays(self, rows):
+        array = np.array(rows)
+        assert np.array_equal(wf.eigenvalues(rows).values, wf.eigenvalues(array).values)
+        assert np.array_equal(wf.eigenvalues_at(rows, [1, 0]), wf.eigenvalues_at(array, [1, 0]))
+
 
 def random_tridiagonal(n, seed):
     rng = np.random.default_rng(seed)
