@@ -5,9 +5,9 @@ One of each path:
 - a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
   ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
   runs all three; only they take ``--threads``, which ``stats.run_mc``
-  passes to its trial pool; every integer flag is parsed by ``_int_arg``
-  (``--seed`` through ``_seed_arg``, which also caps it below 2**64) and
-  every threshold flag by ``_finite_arg``;
+  passes to its trial pool; every integer flag is parsed by ``_int_arg``,
+  which leaves its range to a rule of ``errors`` (``integer``, ``uint64``
+  or ``one_of``), and every threshold flag by ``_finite_arg``;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
@@ -47,9 +47,9 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, ensembles, fluctuations, kernel, semicircle, spectra, stats
+from . import __version__, ensembles, errors, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
+from .errors import NumericalFailureError, NumericalRangeError, ShapeError, UnsupportedError
 from .stats import ExperimentPlan, Thresholds
 
 SCHEMA_VERSION = 1
@@ -63,30 +63,23 @@ _ENSEMBLE_FLAGS = {
     "tridiag": EnsembleKind.TRIDIAG_BETA,
 }
 
+_positive = functools.partial(errors.integer, least=1)  # the rule of most integer flags
 
-def _int_arg(flag, least=1, choices=None):
-    """argparse type of flag: an integer >= least, or one of choices if given."""
-    rule = f"one of {{{','.join(map(str, choices))}}}" if choices else f">= {least}"
+
+def _int_arg(flag, rule):
+    """argparse type of flag: the text as an int, checked by rule(value, flag)."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{flag} expects an integer, got {text!r}")
-        if (value not in choices) if choices else value < least:
-            raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value}")
-        return value
+        try:
+            return rule(value, flag)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
     return parse
-
-
-def _seed_arg(text):
-    """argparse type of --seed: an integer in [0, 2**64), the seeds that
-    EnsembleSpec and mix_trial_seed take."""
-    seed = _int_arg("--seed", least=0)(text)
-    if seed >= 1 << 64:
-        raise argparse.ArgumentTypeError(f"--seed must be < 2**64, got {seed}")
-    return seed
 
 
 def _finite_arg(flag):
@@ -105,15 +98,10 @@ def _finite_arg(flag):
 
 
 def _index_list(flag):
+    index = _int_arg(flag, _positive)
+
     def parse(text):
-        try:
-            values = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{flag} expects comma-separated integers, got {text!r}"
-            )
-        if not values or any(v < 1 for v in values):
-            raise argparse.ArgumentTypeError(f"{flag} indices must be >= 1")
+        values = tuple(map(index, text.split(",")))
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(f"{flag} indices must be distinct, got {text!r}")
         return values
@@ -144,12 +132,12 @@ def _interval_arg(text):
 # the parsed flags.
 _FLUCT_COMMANDS = {
     "bulk-fluct": (
-        "bulk eigenvalue fluctuation experiment", "bulk", _int_arg("--k"), None, 2000,
+        "bulk eigenvalue fluctuation experiment", "bulk", _int_arg("--k", _positive), None, 2000,
         "exit 1 unless thresholds hold", {"--ks-max": 0.08, "--var-lo": 0.8, "--var-hi": 1.25},
         "{regime} fluctuation, n={n}, k={k}",
     ),
     "edge-fluct": (
-        "edge eigenvalue fluctuation experiment", "edge", _int_arg("--k"),
+        "edge eigenvalue fluctuation experiment", "edge", _int_arg("--k", _positive),
         "offset from the top edge; normalizes eigenvalue n-k", 2000,
         None, {"--ks-max": 0.1, "--var-lo": 0.75, "--var-hi": 1.3},
         "{regime} fluctuation, n={n}, k={k}",
@@ -180,12 +168,13 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    n_arg = _int_arg("--n")
-    beta_arg = _int_arg("--beta", choices=(1, 2, 4))
+    n_arg = _int_arg("--n", _positive)
+    beta_arg = _int_arg("--beta", functools.partial(errors.one_of, choices=ensembles.BETAS))
+    seed_arg = _int_arg("--seed", errors.uint64)
 
     def add_common(p, trials_default, run, *files):
-        p.add_argument("--seed", type=_seed_arg, default=0)
-        p.add_argument("--trials", type=_int_arg("--trials"), default=trials_default)
+        p.add_argument("--seed", type=seed_arg, default=0)
+        p.add_argument("--trials", type=_int_arg("--trials", _positive), default=trials_default)
         add_output(p, run, *files)
 
     def add_output(p, run, *files):
@@ -200,7 +189,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw one matrix and report its spectrum")
     p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), required=True)
     p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=seed_arg, default=0)
     p.add_argument("--beta", type=beta_arg, default=None)
     add_output(p, _cmd_sample)
 
@@ -218,7 +207,7 @@ def build_parser():
         p.add_argument("--check", action="store_true", help=check_help)
         for flag, default in thresholds.items():
             p.add_argument(flag, type=_finite_arg(flag), default=default)
-        p.add_argument("--threads", type=_int_arg("--threads"), default=1)
+        p.add_argument("--threads", type=_int_arg("--threads", _positive), default=1)
         add_common(p, trials, functools.partial(_cmd_fluct, title=title), *_FILE_FLAGS)
 
     p = sub.add_parser("fr-check", help="superposition/decimation identity check")
@@ -233,21 +222,22 @@ def build_parser():
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
     p.add_argument("--variance", action="store_true", help="also compute the count variance")
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=seed_arg, default=0)
     add_output(p, _cmd_kernel)
 
     p = sub.add_parser("cumulants", help="counting-statistic cumulants of the kernel operator")
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--order", type=_int_arg("--order", least=16), default=32)
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    order = functools.partial(errors.integer, least=kernel.MIN_QUADRATURE_ORDER)
+    p.add_argument("--order", type=_int_arg("--order", order), default=32)
+    p.add_argument("--seed", type=seed_arg, default=0)
     add_output(p, _cmd_cumulants)
 
     p = sub.add_parser("semicircle-check", help="empirical spectral CDF vs the semicircle law")
     p.add_argument("--n", type=n_arg, required=True)
     p.add_argument("--threshold", type=_finite_arg("--threshold"), default=0.05)
     p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
-    p.add_argument("--seed", type=_seed_arg, default=0)
+    p.add_argument("--seed", type=seed_arg, default=0)
     add_output(p, _cmd_semicircle_check, "--svg")
 
     return parser
@@ -447,7 +437,7 @@ def _cmd_fr_check(args):
     n = args.n
     indices = args.k or tuple(range(1, n + 1))
     if any(k > n for k in indices):
-        raise UnsupportedError(f"--k indices must be <= n={n}")
+        raise ShapeError(f"--k indices must be <= n={n}")
     left, right = fr_check_samples(args.which, n, args.trials, args.seed)
     ks = {}
     all_pass = True

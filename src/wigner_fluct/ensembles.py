@@ -26,10 +26,10 @@ through _hermitian, which sample_gse uses for the block A of its
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler.  Every
 sampler builds its EnsembleSpec before it draws, and the spec checks n (an
-integer >= 1), beta and the seed, an integer in [0, 2**64) (PCG64 seeds are
-64-bit; a wider seed would alias a narrower one), by the integer rule of
-errors.  Per-trial seeds are derived from a master seed in the same range
-with the SplitMix64 mixing function; stats drives every trial loop from them.
+integer >= 1), beta (in BETAS) and the seed, an integer in [0, 2**64)
+(PCG64 seeds are 64-bit; a wider seed would alias a narrower one), by the
+rules of errors.  Per-trial seeds are derived from a master seed in the
+same range by SplitMix64 mixing; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -39,19 +39,13 @@ from math import sqrt
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DegenerateInputError, InvalidSizeError, ShapeError, UnsupportedError
-from .errors import integer, strictly_increasing
+from .errors import DegenerateInputError, ShapeError, UnsupportedError
+from .errors import integer, one_of, strictly_increasing, uint64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-
-def _checked_seed(seed, name):
-    """seed as a Python int, if it is an integer in [0, 2**64)."""
-    seed = integer(seed, name)
-    if not 0 <= seed <= _MASK64:
-        raise InvalidSizeError(f"{name} must lie in [0, 2**64), got {seed}")
-    return seed
+BETAS = (1, 2, 4)  # the Dyson indices the package samples and normalizes
 
 
 def mix_trial_seed(master_seed, trial):
@@ -62,7 +56,7 @@ def mix_trial_seed(master_seed, trial):
     distinct trials get decorrelated streams and results are independent of
     the order in which trials are executed.
     """
-    master_seed = _checked_seed(master_seed, "master seed")
+    master_seed = uint64(master_seed, "master seed")
     trial = integer(trial, "trial index", least=0)
     z = master_seed ^ (((trial + 1) * _GOLDEN) & _MASK64)
     z = (z + _GOLDEN) & _MASK64
@@ -108,15 +102,13 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", integer(self.n, "matrix size", least=1))
-        object.__setattr__(self, "seed", _checked_seed(self.seed, "seed"))
+        object.__setattr__(self, "seed", uint64(self.seed, "seed"))
+        object.__setattr__(self, "beta", integer(self.beta, "beta"))
         kind = EnsembleKind(self.kind)
         object.__setattr__(self, "kind", kind)
         implied = _ENSEMBLES[kind][0]
         if implied is None:
-            if self.beta not in (1, 2, 4):
-                raise UnsupportedError(
-                    f"tridiagonal model requires beta in {{1,2,4}}, got {self.beta}"
-                )
+            one_of(self.beta, "beta", BETAS)
         elif self.beta == 0:
             object.__setattr__(self, "beta", implied)
         elif self.beta != implied:
@@ -295,8 +287,7 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     Stream layout: one uniform draw per entry component (the diagonal
     Gaussian is produced from its uniform through the inverse normal CDF).
     """
-    if symmetry not in ("real", "hermitian"):
-        raise UnsupportedError(f"symmetry must be 'real' or 'hermitian', got {symmetry!r}")
+    one_of(symmetry, "symmetry", ("real", "hermitian"))
     hermitian = symmetry == "hermitian"
     kind = EnsembleKind.WIGNER_HERMITIAN_MATCHED if hermitian else EnsembleKind.WIGNER_REAL_MATCHED
     spec = EnsembleSpec(kind, n, seed=seed)

@@ -1,14 +1,14 @@
-"""Exception types shared across the package, and its two argument rules.
+"""Exception types shared across the package, and its five argument rules.
 
-Argument validation failures (bad sizes, inverted intervals, out-of-domain
-points) raise ValueError subclasses so callers can catch them uniformly;
-runtime numerical breakdowns raise RuntimeError subclasses and carry enough
-context to reproduce the failing case.  The integer rule, ``integer``: every
-size, order, trial count, seed and eigenvalue index is an integer (numpy
-integers included), and a fractional one raises InvalidSizeError instead of
-being truncated; ``least`` is the package's one integer lower-bound check (also
-InvalidSizeError).  The ascending rule, ``strictly_increasing``: a spectrum
-or an index list is one-dimensional and strictly increasing, else ShapeError.
+Argument validation failures raise ValueError subclasses so callers can
+catch them uniformly; runtime numerical breakdowns raise RuntimeError
+subclasses and carry enough context to reproduce the failing case.  Each
+argument domain has one rule, which raises one class: ``integer`` (sizes,
+orders, trial counts, indices; numpy integers accepted, fractions refused,
+not truncated; ``least`` is the one integer lower bound) and ``uint64``
+(seeds, in [0, 2**64)) InvalidSizeError, ``one_of`` (an option such as
+beta in {1,2,4}) UnsupportedError, ``finite`` (no NaN or inf entry)
+InvalidDataError, and ``strictly_increasing`` (spectra, index lists) ShapeError.
 """
 
 import operator
@@ -69,6 +69,31 @@ def integer(value, name, least=None):
     if least is not None and value < least:
         raise InvalidSizeError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def uint64(value, name):
+    """value as an int, if it is an integer in [0, 2**64) (a seed)."""
+    value = integer(value, name, least=0)
+    if value >> 64:
+        raise InvalidSizeError(f"{name} must be < 2**64, got {value}")
+    return value
+
+
+def one_of(value, name, choices):
+    """value, if it is one of choices."""
+    if value not in choices:
+        raise UnsupportedError(
+            f"{name} must be one of {{{','.join(map(str, choices))}}}, got {value}"
+        )
+    return value
+
+
+def finite(values, name):
+    """values as a float array, if every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidDataError(f"{name} must be finite")
+    return values
 
 
 def strictly_increasing(values, name):

@@ -19,7 +19,7 @@ from math import log
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, integer, strictly_increasing
+from .errors import DomainError, ShapeError, finite, integer, strictly_increasing
 from .semicircle import bulk_center_scale, edge_center_scale
 from .spectra import SpectrumSample
 
@@ -74,8 +74,8 @@ def _checked_indices(indices):
 def thetas_from_indices(indices, n):
     """Finite-n gap exponents theta_i = log(k_{i+1} - k_i) / log n."""
     idx = _checked_indices(indices)
-    if n < 2:
-        raise DomainError("need n >= 2 to define exponents relative to log n")
+    # exponents are relative to log n, which needs n >= 2
+    n = integer(n, "n", least=2)
     return tuple(log(b - a) / log(n) for a, b in zip(idx, idx[1:]))
 
 
@@ -120,13 +120,10 @@ def normalize(spectrum, spec: IndexSpec, beta):
     eigenvalue x that coordinate i reads (x_{k_i} in the bulk, x_{n-k_i} at
     the edge), with the positions, centers and scales of coordinates().
     The spectrum (a SpectrumSample or an ascending array) may come from
-    outside the package, so a non-finite coordinate raises DomainError."""
+    outside the package, so a non-finite coordinate raises InvalidDataError."""
     values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
     positions, centers, scales = coordinates(spec, values.size, beta)
-    x = (values[positions] - centers) / scales
-    if not np.all(np.isfinite(x)):
-        raise DomainError("fluctuation coordinates must be finite")
-    return x
+    return finite((values[positions] - centers) / scales, "fluctuation coordinates")
 
 
 def predicted_cov(spec: IndexSpec):

@@ -95,6 +95,7 @@ _MAX_HERMITE_INDEX = 10**4
 _RESCALE_EVERY = 16  # psi recurrence steps between scale checks; see _psi_scaled
 _SCALE_HI, _SCALE_LO, _SCALE_SHIFT = 2.0**300, 2.0**-300, 600  # thresholds, power-of-two shift
 _FEW_POINTS = 16  # psi tables of at most this many points run the scalar layout
+MIN_QUADRATURE_ORDER = 16  # Gauss-Legendre nodes per panel, the least discretize_operator takes
 _BAND = (-1e-8, 1.0 + 1e-8)  # admitted spectrum of a Nystrom operator
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -395,7 +396,7 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     pass validate_band=False after having established the band on a coarser
     version of the same interval.
     """
-    integer(order, "quadrature order", least=16)
+    integer(order, "quadrature order", least=MIN_QUADRATURE_ORDER)
     if not 0.0 < wavelengths_per_panel < np.inf:
         raise DomainError(
             f"wavelengths per panel must be finite and > 0, got {wavelengths_per_panel}"

@@ -15,12 +15,13 @@ a loop that still fails to converge raises NumericalFailureError.
 """
 
 from dataclasses import dataclass
-from math import asin, copysign, cos, log, pi, sin, sqrt
+from math import asin, copysign, cos, inf, log, pi, sin, sqrt
 import os
 import sys
 import warnings
 
-from .errors import DomainError, NumericalFailureError, integer
+from .ensembles import BETAS
+from .errors import DomainError, NumericalFailureError, integer, one_of
 
 # Quantile ratios closer than this to 0 or 1 put the center in the singular
 # scaling region t -> +-1 and are rejected; inside it 1 - t^2 >= 2.8e-4.
@@ -42,8 +43,8 @@ def _warn_outside_package(message):
 
 def semicircle_density(x, sigma=1.0):
     """Density (1/(2 pi sigma^2)) sqrt(4 sigma^2 - x^2) on [-2 sigma, 2 sigma]."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     if abs(x) > 2.0 * sigma:
         return 0.0
     return sqrt(4.0 * sigma * sigma - x * x) / (2.0 * pi * sigma * sigma)
@@ -144,7 +145,6 @@ def edge_center_scale(k, n, beta):
 
 def _check_arguments(k, n, beta):
     """(k, n) as ints after the one argument check of both centre functions."""
-    if beta not in (1, 2, 4):
-        raise DomainError(f"beta must be 1, 2 or 4, got {beta}")
+    one_of(beta, "beta", BETAS)
     n = integer(n, "n", least=1)
     return integer(k, "k"), n

@@ -34,7 +34,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .ensembles import MatrixSample
 from .errors import InvalidDataError, NumericalFailureError, ShapeError
-from .errors import integer, strictly_increasing
+from .errors import finite, integer, strictly_increasing
 
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
@@ -46,12 +46,12 @@ _STERF, _STEBZ, _SYTRD, _SYTRD_LWORK = get_lapack_funcs(
 
 
 def _real(values, what):
-    """values as a float array.  Complex entries raise ShapeError: the cast
-    would drop their imaginary parts and give another matrix's spectrum."""
+    """values as a finite float array.  Complex entries raise ShapeError: the
+    cast would drop their imaginary parts and give another matrix's spectrum."""
     a = np.asarray(values)
     if a.dtype.kind == "c":
         raise ShapeError(f"{what} must be real, got dtype {a.dtype}")
-    return a.astype(float, copy=False)
+    return finite(a, what)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ class Tridiagonal:
             )
         if d.size == 0:
             raise ShapeError("empty tridiagonal")
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise InvalidDataError("tridiagonal entries must be finite")
 
     @property
     def n(self):
@@ -101,8 +99,6 @@ def tridiagonalize(matrix):
     a = _real(matrix, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidDataError("matrix entries must be finite")
     if not (a == a.T).all():
         raise ShapeError("matrix is not exactly symmetric")
     n = a.shape[0]
@@ -245,16 +241,20 @@ def _collapse_multiplicity(values, mult):
 def _solve(sample, positions):
     """Eigenvalues of the sample: the whole ascending spectrum when
     positions is None, else the value at each 0-based ascending position,
-    in the order given.  A numerical failure carries the sample's seed and
-    size."""
+    in the order given, each checked against the sample's n before it is
+    scaled by the multiplicity.  A numerical failure carries the sample's
+    seed and size."""
     try:
         t, mult = _reduce(sample)
         if positions is None:
             values = tridiag_eigenvalues(t)
         else:
-            selected = [
-                tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1) for p in positions
-            ]
+            n, selected = t.n // mult, []
+            for p in positions:
+                p = integer(p, "position")
+                if not 0 <= p < n:
+                    raise ShapeError(f"position {p} invalid for n={n}")
+                selected.append(tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1))
             values = np.concatenate(selected) if selected else np.empty(0)
         if mult > 1:
             values = _collapse_multiplicity(values, mult)

@@ -17,7 +17,7 @@ scale); every emitted verdict carries the threshold it was judged against.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from math import sqrt
 
@@ -38,8 +38,8 @@ def standard_normal_cdf(x):
 
 
 def ks_one_sample(samples, cdf=standard_normal_cdf):
-    """Sup-distance between the empirical CDF of the samples and cdf."""
-    xs = np.sort(np.asarray(samples, dtype=float))
+    """Sup-distance between the empirical CDF of the (finite) samples and cdf."""
+    xs = np.sort(errors.finite(samples, "samples"))
     n = xs.size
     if n == 0:
         raise InvalidSizeError("need at least one sample")
@@ -50,10 +50,10 @@ def ks_one_sample(samples, cdf=standard_normal_cdf):
 
 
 def ks_two_sample(a, b):
-    """Two-sample KS statistic d and its asymptotic p-value, the Kolmogorov
-    survival function (scipy.special.kolmogorov) at sqrt(nm / (n + m)) d."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    """Two-sample KS statistic d of two finite samples and its asymptotic p-value,
+    the Kolmogorov survival function (scipy.special.kolmogorov) at sqrt(nm / (n + m)) d."""
+    a = np.sort(errors.finite(a, "samples"))
+    b = np.sort(errors.finite(b, "samples"))
     if a.size == 0 or b.size == 0:
         raise InvalidSizeError("both samples must be nonempty")
     grid = np.concatenate([a, b])
@@ -65,8 +65,8 @@ def ks_two_sample(a, b):
 
 
 def empirical_corr(vectors):
-    """Pearson correlation matrix of per-trial fluctuation vectors (T, m)."""
-    x = np.asarray(vectors, dtype=float)
+    """Pearson correlation matrix of finite per-trial fluctuation vectors (T, m)."""
+    x = errors.finite(vectors, "vectors")
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] < 2:
@@ -81,12 +81,18 @@ def empirical_corr(vectors):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Verdict bounds; any field left as None is simply not checked."""
+    """Verdict bounds; any field left as None is simply not checked, and one
+    that is set must be finite (a nan bound would fail every verdict)."""
 
     ks_max: float | None = None
     var_lo: float | None = None
     var_hi: float | None = None
     corr_tol: float | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                errors.finite(getattr(self, f.name), f.name)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import wigner_fluct as wf
+from wigner_fluct import errors
 
 PUBLIC = {
     # ensembles
@@ -83,14 +87,40 @@ def test_acceptance_suite_calls_only_public_names():
 
 
 def test_bound_messages_are_written_only_by_the_integer_rule():
-    """Every integer and lower-bound message comes from errors.integer; cli's
-    argparse messages are excluded, since its parsers run at parse time."""
+    """Every integer, lower-bound, seed-range and membership message comes
+    from a rule of errors (integer, uint64, one_of), cli's argparse messages
+    included: its parsers only turn text into numbers."""
+    wordings = ("must be >=", "must be an integer", "must be < 2**64", "must be one of")
     offenders = []
     for module, tree in parsed_modules():
-        if module in ("errors.py", "cli.py"):
+        if module == "errors.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if "must be >=" in node.value or "must be an integer" in node.value:
+                if any(wording in node.value for wording in wordings):
                     offenders.append(f"{module}:{node.lineno}")
     assert offenders == []
+
+
+
+# (rule, arguments, the class it raises, its message): the seed, membership
+# and finiteness rules beside integer and strictly_increasing
+REFUSED_BY_RULE = [
+    ("uint64", (-1, "seed"), wf.InvalidSizeError, "seed must be >= 0, got -1"),
+    ("uint64", (2**64, "seed"), wf.InvalidSizeError, f"seed must be < 2**64, got {2**64}"),
+    ("one_of", (3, "beta", (1, 2, 4)), wf.UnsupportedError, "beta must be one of {1,2,4}, got 3"),
+    ("finite", ([0.0, float("nan")], "data"), wf.InvalidDataError, "data must be finite"),
+]
+
+
+@pytest.mark.parametrize("rule, args, cls, message", REFUSED_BY_RULE)
+def test_each_argument_rule_raises_one_class(rule, args, cls, message):
+    with pytest.raises(ValueError) as exc:
+        getattr(errors, rule)(*args)
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
+def test_argument_rules_return_the_value_they_accept():
+    assert errors.uint64(np.uint64(2**64 - 1), "seed") == 2**64 - 1
+    assert errors.one_of(4, "beta", (1, 2, 4)) == 4
+    assert errors.finite([1, 2], "data").dtype == float

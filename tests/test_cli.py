@@ -11,7 +11,7 @@ import scipy
 
 from wigner_fluct import cli, kernel, spectra, stats
 from wigner_fluct.ensembles import EnsembleKind, mix_trial_seed
-from wigner_fluct.errors import NumericalFailureError
+from wigner_fluct.errors import NumericalFailureError, ShapeError
 
 
 def run(argv):
@@ -447,7 +447,22 @@ class TestFrCheckCommand:
         assert code in (0, 1)
 
     def test_k_above_n_rejected(self):
-        assert run(["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "9"]) == 2
+        argv = ["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "9"]
+        assert run(argv) == 2
+        # an index out of range is a ShapeError, as in fluctuations.coordinates
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ShapeError, match="--k indices must be <= n=4"):
+            args.run(args)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("2,0", "--k must be >= 1, got 0"), ("2,x", "--k expects an integer, got 'x'")],
+    )
+    def test_each_k_index_parsed_like_an_integer_flag(self, text, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fr-check", "--which", "gue", "--n", "4", "--k", text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --k: {message}")
 
     def test_repeated_k_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -566,7 +581,7 @@ class TestExitCodes:
     def test_edge_at_one_level_is_2(self, command, capsys):
         assert run([*command, "--n", "1", "--k", "1", "--beta", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "n >= 2" in err[0]
+        assert len(err) == 1 and "n must be >= 2" in err[0]
 
     def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
         assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3

@@ -555,6 +555,23 @@ class TestEnsembleSpec:
         with pytest.raises(wf.UnsupportedError):
             wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3)
 
+    def test_beta_passes_the_integer_rule_first(self):
+        kind = wf.EnsembleKind.TRIDIAG_BETA
+        with pytest.raises(wf.InvalidSizeError, match="beta must be an integer, got 2.0"):
+            wf.EnsembleSpec(kind, 3, beta=2.0)
+        with pytest.raises(wf.UnsupportedError, match=r"beta must be one of \{1,2,4\}, got 3"):
+            wf.EnsembleSpec(kind, 3, beta=3)
+        spec = wf.EnsembleSpec(kind, 3, beta=True)
+        assert type(spec.beta) is int and spec.beta == 1
+        assert type(wf.EnsembleSpec(kind, 3, beta=np.int64(4)).beta) is int
+
+    @pytest.mark.parametrize("seed, message", [(-1, "must be >= 0"), (2**64, "must be < 2")])
+    def test_seed_outside_the_uint64_range_rejected(self, seed, message):
+        with pytest.raises(wf.InvalidSizeError, match=f"seed {message}"):
+            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
+        with pytest.raises(wf.InvalidSizeError, match=f"master seed {message}"):
+            wf.mix_trial_seed(seed, 0)
+
     @pytest.mark.parametrize("kind", list(wf.EnsembleKind), ids=lambda k: k.value)
     def test_dispatch_matches_direct_samplers(self, kind):
         beta = 2 if kind is wf.EnsembleKind.TRIDIAG_BETA else 0

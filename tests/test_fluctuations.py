@@ -34,9 +34,18 @@ class TestIndexSpec:
         assert th[0] == pytest.approx(log(31) / log(1000))
         assert th[1] == pytest.approx(log(100) / log(1000))
 
+    @pytest.mark.parametrize("n", [10.5, np.float64(10.0), "10"])
+    def test_size_that_is_not_an_integer_rejected(self, n):
+        # a fractional n gave exponents relative to log 10.5
+        with pytest.raises(wf.InvalidSizeError, match="n must be an integer"):
+            wf.thetas_from_indices((1, 3), n)
+        with pytest.raises(wf.InvalidSizeError, match="n must be an integer"):
+            wf.edge_index_spec((10, 12), n)
+        assert wf.thetas_from_indices((1, 3), np.int64(10)) == wf.thetas_from_indices((1, 3), 10)
+
     def test_edge_index_spec_needs_two_levels(self):
         # gamma = log k / log n has no meaning at n = 1
-        with pytest.raises(wf.DomainError, match="n >= 2"):
+        with pytest.raises(wf.InvalidSizeError, match="n must be >= 2"):
             wf.edge_index_spec((1,), 1)
 
     def test_bulk_index_spec_clamps_theta(self):
@@ -260,5 +269,5 @@ class TestFluctuationVector:
         values = synthetic_spectrum(10)
         values[4] = np.nan
         spec = wf.IndexSpec(regime="bulk", indices=(5,))
-        with pytest.raises(wf.DomainError):
+        with pytest.raises(wf.InvalidDataError):
             wf.normalize(values, spec, 1)

@@ -36,6 +36,11 @@ class TestDensity:
         with pytest.raises(wf.DomainError):
             wf.semicircle_density(0.0, 0.0)
 
+    @pytest.mark.parametrize("sigma", [nan, float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(wf.DomainError, match="sigma must be positive and finite"):
+            wf.semicircle_density(0.1, sigma)
+
 
 class TestCDF:
     def test_midpoint(self):
@@ -121,7 +126,7 @@ class TestBulkCenterScale:
             wf.bulk_center_scale(1, 10**8, 1)
 
     def test_bad_beta(self):
-        with pytest.raises(wf.DomainError):
+        with pytest.raises(wf.UnsupportedError):
             wf.bulk_center_scale(5, 10, 3)
 
 
@@ -184,8 +189,8 @@ class TestCenterScaleArguments:
             assert center_scale(np.int64(k), np.int32(n), 1) == center_scale(k, n, 1)
             with pytest.raises(wf.InvalidSizeError):
                 center_scale(np.float64(k), n, 1)
-            # beta is checked first and keeps its DomainError
-            with pytest.raises(wf.DomainError):
+            # beta is checked first, by the membership rule
+            with pytest.raises(wf.UnsupportedError):
                 center_scale(k + 0.5, n, 3)
 
 

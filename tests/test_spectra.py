@@ -316,6 +316,18 @@ class TestEigenvalues:
         got = wf.eigenvalues_at(sample, [np.int64(2), np.int32(7)])
         assert np.array_equal(got, wf.eigenvalues_at(sample, [2, 7]))
 
+    @pytest.mark.parametrize("sampler", [wf.sample_gue, wf.sample_gse], ids=["gue", "gse"])
+    def test_bad_position_named_in_the_callers_terms(self, sampler):
+        # the embedding repeats each eigenvalue 2 or 4 times; an error names
+        # the position and size the caller gave, not the embedding's
+        sample = sampler(8, 0)
+        with pytest.raises(wf.InvalidSizeError, match="position must be an integer, got 2.5"):
+            wf.eigenvalues_at(sample, [2.5])
+        for position in (-1, 8):
+            with pytest.raises(wf.ShapeError, match=f"position {position} invalid for n=8$"):
+                wf.eigenvalues_at(sample, [3, position])
+        assert np.allclose(wf.eigenvalues_at(sample, [7]), wf.eigenvalues(sample).values[7])
+
     def test_selected_range_that_is_not_an_integer_rejected(self):
         t = random_tridiagonal(8, 0)
         with pytest.raises(wf.InvalidSizeError, match="must be an integer"):

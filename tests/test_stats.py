@@ -84,6 +84,11 @@ class TestKSOneSample:
         with pytest.raises(wf.InvalidSizeError):
             wf.ks_one_sample([])
 
+    def test_nan_sample_rejected(self):
+        # a NaN would sort last and make the statistic NaN
+        with pytest.raises(wf.InvalidDataError, match="samples must be finite"):
+            wf.ks_one_sample([0.1, np.nan, -0.3])
+
 
 class TestKSTwoSample:
     def test_identical_multisets(self):
@@ -112,6 +117,14 @@ class TestKSTwoSample:
         with pytest.raises(wf.InvalidSizeError):
             wf.ks_two_sample([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN in either sample gave a finite, wrong (d, p): (0.667, 0.660)
+        with pytest.raises(wf.InvalidDataError, match="samples must be finite"):
+            wf.ks_two_sample([bad, 0.1, 0.2], [0.3, 0.4])
+        with pytest.raises(wf.InvalidDataError, match="samples must be finite"):
+            wf.ks_two_sample([0.3, 0.4], [0.1, bad, 0.2])
+
 
 class TestEmpiricalCorr:
     def test_duplicated_coordinate(self):
@@ -133,6 +146,21 @@ class TestEmpiricalCorr:
         x = np.ones((10, 2))
         with pytest.raises(wf.DegenerateInputError):
             wf.empirical_corr(x)
+
+    def test_nan_entry_rejected(self):
+        x = np.random.default_rng(2).standard_normal((20, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(wf.InvalidDataError, match="vectors must be finite"):
+            wf.empirical_corr(x)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("field", ["ks_max", "var_lo", "var_hi", "corr_tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, field, bad):
+        # a nan bound fails every verdict without saying why
+        with pytest.raises(wf.InvalidDataError, match=f"{field} must be finite"):
+            Thresholds(**{field: bad})
 
 
 class TestRunMC:
