@@ -236,10 +236,9 @@ def sample_gue(n, seed):
     """
     spec = EnsembleSpec(EnsembleKind.GUE, n, seed=seed)
     upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 2)
-    return MatrixSample(
-        spec=spec,
-        array=_hermitian(diag * sqrt(0.5), upper, off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)),
-    )
+    # each row (Re, Im) read as one complex number
+    vals = (off * 0.5).view(complex)[:, 0]
+    return MatrixSample(spec=spec, array=_hermitian(diag * sqrt(0.5), upper, vals))
 
 
 def sample_gse(n, seed):
@@ -269,8 +268,8 @@ def sample_gse(n, seed):
     blocks[:, 0, :, 1] = b
     blocks[:, 1, :, 0] = b.conj().T
     blocks[:, 1, :, 1] = a.T
-    # conjugating B's zero diagonal gave -0 imaginary parts
-    np.fill_diagonal(blocks[:, 1, :, 0], 0.0)
+    # conjugating B's zero diagonal gave -0 imaginary parts, at h[2j+1, 2j]
+    h.reshape(-1)[2 * n :: 4 * n + 2] = 0.0
     return MatrixSample(spec=spec, array=h)
 
 
@@ -335,8 +334,9 @@ def superpose_decimate_even(spectrum_a, spectrum_b):
     """
     a = strictly_increasing(spectrum_a, "spectrum_a")
     b = strictly_increasing(spectrum_b, "spectrum_b")
-    merged = np.sort(np.concatenate([a, b]))
-    if merged.size > 1 and np.any(np.diff(merged) == 0.0):
+    merged = np.concatenate([a, b])
+    merged.sort()
+    if (merged[1:] == merged[:-1]).any():
         raise DegenerateInputError("exact tie in superposed spectra; resample")
     return merged[1::2]
 

@@ -19,7 +19,7 @@ from math import log
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, finite, integer, strictly_increasing
+from .errors import DomainError, ShapeError, finite, integer, one_of, strictly_increasing
 from .semicircle import bulk_center_scale, edge_center_scale
 from .spectra import SpectrumSample
 
@@ -35,8 +35,7 @@ class IndexSpec:
     gamma: float = 0.0  # edge only
 
     def __post_init__(self):
-        if self.regime not in ("bulk", "edge"):
-            raise DomainError(f"regime must be 'bulk' or 'edge', got {self.regime!r}")
+        one_of(self.regime, "regime", ("bulk", "edge"))
         idx = _checked_indices(self.indices)
         object.__setattr__(self, "indices", idx)
         th = tuple(float(t) for t in self.thetas)

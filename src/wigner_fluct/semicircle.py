@@ -101,7 +101,7 @@ def bulk_center_scale(k, n, beta):
     """Center t*sqrt(2n) with t the k/n semicircle quantile, and scale
     sqrt(log n / (2 beta (1-t^2) n)), for eigenvalue number k (1-based).
     """
-    k, n = _check_arguments(k, n, beta)
+    k, n, beta = _check_arguments(k, n, beta)
     ratio = k / n
     if not (_BULK_GUARD <= ratio <= 1.0 - _BULK_GUARD):
         raise DomainError(
@@ -123,7 +123,7 @@ def edge_center_scale(k, n, beta):
     the scale collapse to zero).  k < 10 is far outside the intended
     k -> infinity regime, so it issues a UserWarning.
     """
-    k, n = _check_arguments(k, n, beta)
+    k, n, beta = _check_arguments(k, n, beta)
     if not 1 <= k < n:
         raise DomainError(f"edge index k must satisfy 1 <= k < n, got k={k}, n={n}")
     if k == 1:
@@ -144,7 +144,8 @@ def edge_center_scale(k, n, beta):
 
 
 def _check_arguments(k, n, beta):
-    """(k, n) as ints after the one argument check of both centre functions."""
-    one_of(beta, "beta", BETAS)
+    """(k, n, beta) as ints after the one argument check of both centre
+    functions; beta is an integer in BETAS, as EnsembleSpec takes it."""
+    beta = one_of(integer(beta, "beta"), "beta", BETAS)
     n = integer(n, "n", least=1)
-    return integer(k, "k"), n
+    return integer(k, "k"), n, beta

@@ -229,13 +229,13 @@ def _collapse_multiplicity(values, mult):
     if values.size % mult:
         raise ShapeError(f"spectrum length {values.size} not divisible by {mult}")
     groups = values.reshape(-1, mult)
-    radius = max(float(np.max(np.abs(values), initial=0.0)), 1.0)
-    spread = np.max(groups[:, -1] - groups[:, 0], initial=0.0)
+    radius = max(float(np.abs(values).max(initial=0.0)), 1.0)
+    spread = (groups[:, -1] - groups[:, 0]).max(initial=0.0)
     if spread > _DEDUP_RTOL * radius:
         raise NumericalFailureError(
             "doubled-eigenvalue pairing violated", spread=float(spread), radius=radius
         )
-    return groups.mean(axis=1)
+    return groups.sum(axis=1) / mult
 
 
 def _solve(sample, positions):

@@ -82,7 +82,8 @@ def empirical_corr(vectors):
 @dataclass(frozen=True)
 class Thresholds:
     """Verdict bounds; any field left as None is simply not checked, and one
-    that is set must be finite (a nan bound would fail every verdict)."""
+    that is set must be finite (a nan bound would fail every verdict), with
+    var_lo <= var_hi when both are set (else every variance verdict fails)."""
 
     ks_max: float | None = None
     var_lo: float | None = None
@@ -93,6 +94,8 @@ class Thresholds:
         for f in fields(self):
             if getattr(self, f.name) is not None:
                 errors.finite(getattr(self, f.name), f.name)
+        if None not in (self.var_lo, self.var_hi) and self.var_lo > self.var_hi:
+            raise errors.DomainError(f"var_lo must be <= var_hi, got {self.var_lo} > {self.var_hi}")
 
 
 @dataclass(frozen=True)

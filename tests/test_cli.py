@@ -583,6 +583,12 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n must be >= 2" in err[0]
 
+    def test_inverted_variance_bounds_are_2(self, capsys):
+        argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "5"]
+        assert run([*argv, "--var-lo", "1.3", "--var-hi", "0.8"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "var_lo must be <= var_hi" in err[0]
+
     def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
         assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3
         assert len(capsys.readouterr().err.splitlines()) == 1

@@ -75,6 +75,21 @@ def gse_stream_reference(n, seed):
     return h
 
 
+def gue_stream_reference(n, seed):
+    """The GUE matrix as the complex arithmetic x * 0.5 + 1j * (y * 0.5)
+    assembles it from each off-diagonal entry's (Re, Im) draws, scattered
+    through explicit positions, with the conjugates below a real N(0, 1/2)
+    diagonal."""
+    upper, diag, off = ensembles._upper_triangle_draws(n, _generator(seed).standard_normal, 2)
+    vals = off[:, 0] * 0.5 + 1j * (off[:, 1] * 0.5)
+    rows, cols = np.nonzero(upper)
+    h = np.zeros((n, n), dtype=complex)
+    h.reshape(-1)[:: n + 1] = diag * sqrt(0.5)
+    h[rows, cols] = vals
+    h[cols, rows] = vals.conj()
+    return h
+
+
 def gse_block_index_reference(n, seed):
     """The GSE embedding scattered through explicit block positions: row i of
     (rows, cols) holds the four positions of the 2x2 block of the i-th
@@ -325,6 +340,13 @@ class TestGUE:
         assert abs(h.real.var(ddof=1) - 0.25) <= 10 / np.sqrt(n)
         assert abs(h.imag.var(ddof=1) - 0.25) <= 10 / np.sqrt(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 100])
+    def test_matches_complex_assembly_oracle_byte_for_byte(self, n):
+        # tobytes also tells +0 from -0, which array_equal does not
+        for seed in (0, 1):
+            got = wf.sample_gue(n, seed).array
+            assert got.tobytes() == gue_stream_reference(n, seed).tobytes(), seed
+
 
 class TestGSE:
     def test_n1_is_doubled_scalar(self):
@@ -470,6 +492,9 @@ class TestSuperposeDecimate:
     def test_exact_tie_rejected(self):
         with pytest.raises(wf.DegenerateInputError):
             wf.superpose_decimate_even([1.0, 2.0], [2.0, 3.0])
+        # inf == inf is a tie too (inf - inf is nan, so a difference test missed it)
+        with pytest.raises(wf.DegenerateInputError):
+            wf.superpose_decimate_even([0.0, np.inf], [np.inf])
 
     def test_not_increasing_rejected(self):
         with pytest.raises(wf.ShapeError):
@@ -482,6 +507,28 @@ class TestSuperposeDecimate:
             b = np.sort(rng.standard_normal(8))
             out = wf.superpose_decimate_even(a, b)
             assert np.all(np.diff(out) > 0)
+
+    def test_matches_sort_and_difference_form(self):
+        def reference(a, b):
+            merged = np.sort(np.concatenate([a, b]))
+            if merged.size > 1 and np.any(np.diff(merged) == 0.0):
+                return None
+            return merged[1::2]
+
+        rng = np.random.default_rng(11)
+        ties = 0
+        for i in range(500):
+            # every other pair on a coarse grid, where ties are common
+            draw = rng.standard_normal if i % 2 else lambda size: rng.integers(-20, 20, size) / 4.0
+            a, b = (np.unique(draw(rng.integers(0, 10))) for _ in range(2))
+            want = reference(a, b)
+            if want is None:
+                ties += 1
+                with pytest.raises(wf.DegenerateInputError):
+                    wf.superpose_decimate_even(a, b)
+            else:
+                assert wf.superpose_decimate_even(a, b).tobytes() == want.tobytes(), i
+        assert 0 < ties < 250
 
 
 class TestGSEFromGOE:

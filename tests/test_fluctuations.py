@@ -17,6 +17,11 @@ class TestIndexSpec:
         with pytest.raises(wf.ShapeError):
             wf.IndexSpec(regime="bulk", indices=(5, 5))
 
+    def test_unknown_regime_is_an_unsupported_option(self):
+        # the same class as any other option outside its set (beta, symmetry)
+        with pytest.raises(wf.UnsupportedError, match="regime must be one of {bulk,edge}, got mid"):
+            wf.IndexSpec(regime="mid", indices=(1,))
+
     def test_bulk_theta_range(self):
         with pytest.raises(wf.DomainError):
             wf.IndexSpec(regime="bulk", indices=(1, 2), thetas=(1.5,))

@@ -129,6 +129,14 @@ class TestBulkCenterScale:
         with pytest.raises(wf.UnsupportedError):
             wf.bulk_center_scale(5, 10, 3)
 
+    def test_beta_taken_as_an_integer_like_ensemble_spec(self):
+        # a float beta passed the membership test once and was used as given
+        for center_scale, k, n in ((wf.bulk_center_scale, 10, 20), (wf.edge_center_scale, 12, 100)):
+            with pytest.raises(wf.InvalidSizeError, match="beta must be an integer"):
+                center_scale(k, n, 2.0)
+            assert center_scale(k, n, True) == center_scale(k, n, 1)
+            assert center_scale(k, n, np.int64(4)) == center_scale(k, n, 4)
+
 
 class TestEdgeCenterScale:
     def test_reference_values(self):

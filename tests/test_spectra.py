@@ -375,6 +375,19 @@ def failing_handle(info):
     return handle
 
 
+class TestCollapseMultiplicity:
+    @pytest.mark.parametrize("mult", [2, 4])
+    def test_is_bitwise_the_group_mean(self, mult):
+        rng = np.random.default_rng(mult)
+        for size in (1, 2, 7, 100):
+            # each value repeated mult times, the copies split by a spread
+            # far inside the dedup tolerance
+            base = np.sort(rng.standard_normal(size)) * 30.0
+            values = np.sort(np.repeat(base, mult) + rng.standard_normal(size * mult) * 1e-12)
+            want = values.reshape(-1, mult).mean(axis=1)
+            assert spectra._collapse_multiplicity(values, mult).tobytes() == want.tobytes()
+
+
 class TestDirectLapack:
     """The direct dsterf/dstebz calls return exactly what scipy's
     eigvalsh_tridiagonal, the wrapper they replace, returns."""

@@ -162,6 +162,13 @@ class TestThresholds:
         with pytest.raises(wf.InvalidDataError, match=f"{field} must be finite"):
             Thresholds(**{field: bad})
 
+    def test_inverted_variance_bounds_rejected(self):
+        # with var_lo > var_hi every sample_variance verdict fails without saying why
+        with pytest.raises(wf.DomainError, match="var_lo must be <= var_hi"):
+            Thresholds(var_lo=1.3, var_hi=0.8)
+        assert Thresholds(var_lo=1.0, var_hi=1.0).var_lo == 1.0
+        assert Thresholds(var_lo=1.3).var_hi is None
+
 
 class TestRunMC:
     def test_single_trial_shape(self):
