@@ -2,12 +2,14 @@
 
 One of each path:
 
-- a command table: ``build_parser`` adds ``bulk-fluct``, ``edge-fluct`` and
-  ``joint-fluct`` from the rows of ``_FLUCT_COMMANDS``, and ``_cmd_fluct``
-  runs all three; only they take ``--threads``, which ``stats.run_mc``
-  passes to its trial pool; every integer flag is parsed by ``_int_arg``,
-  which leaves its range to a rule of ``errors`` (``integer``, ``uint64``
-  or ``one_of``), and every threshold flag by ``_finite_arg``;
+- one subcommand skeleton: a helper in ``build_parser`` adds every command
+  with ``--n``, its own flags, ``--seed``, ``--trials`` if it draws trials,
+  and the output flags (``--out``, the files it writes, ``--no-timestamp``);
+  ``_cmd_fluct`` runs the commands of ``_FLUCT_COMMANDS``, the only ones
+  with ``--threads``, which ``stats.run_mc`` passes to its trial pool;
+- one number parser: ``_number_arg`` reads a flag as an int or a float and
+  leaves its domain to a rule of ``errors``, whose message becomes the
+  usage error; ``kernel`` checks the order of ``--interval``;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
@@ -15,10 +17,7 @@ One of each path:
   ``build_parser`` made on its first call;
 - one payload builder: ``_write_payload`` assembles and writes every
   command's JSON, ``meta`` (config echo, the thresholds that are set, env),
-  ``plan`` and ``summary``;
-- output flags only where they write: every command takes ``--out`` and
-  ``--no-timestamp``, the fluctuation commands also ``--csv``, ``--svg``
-  and ``--per-trial``, and ``semicircle-check`` also ``--svg``.
+  ``plan`` and ``summary``.
 
 Exit codes, from the outcome or the error class that ``execute`` catches:
 
@@ -66,39 +65,27 @@ _ENSEMBLE_FLAGS = {
 _positive = functools.partial(errors.integer, least=1)  # the rule of most integer flags
 
 
-def _int_arg(flag, rule):
-    """argparse type of flag: the text as an int, checked by rule(value, flag)."""
+def _number_arg(flag, convert, rule):
+    """argparse type of flag: the text read by convert (int or float), returned
+    as that plain number once rule(value, flag), a rule of errors, accepts it."""
+    noun = "an integer" if convert is int else "a finite number"
 
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} expects an integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"{flag} expects {noun}, got {text!r}")
         try:
-            return rule(value, flag)
+            rule(value, flag)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-
-    return parse
-
-
-def _finite_arg(flag):
-    """argparse type of flag: a finite float (a nan or inf bound never passes)."""
-
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"{flag} expects a finite number, got {text!r}")
         return value
 
     return parse
 
 
 def _index_list(flag):
-    index = _int_arg(flag, _positive)
+    index = _number_arg(flag, int, _positive)
 
     def parse(text):
         values = tuple(map(index, text.split(",")))
@@ -112,40 +99,32 @@ def _index_list(flag):
 def _interval_arg(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"--interval expects 'a,b' (inf allowed), got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"--interval expects 'a,b' (inf allowed), got {text!r}")
     try:
-        a = float(parts[0])
-        b = float(parts[1])
+        return (float(parts[0]), float(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--interval endpoints must be numbers, got {text!r}")
-    if not a < b:
-        raise argparse.ArgumentTypeError(f"--interval needs a < b, got {text!r}")
-    return (a, b)
 
 
 # The fluctuation commands, all run by _cmd_fluct.  Per command: help, the
 # regime (None: the --regime flag chooses), the --k parser and help, the
-# default trial count, the --check help, the threshold flags (their dests
-# are Thresholds fields) with defaults, and the SVG title, formatted with
-# the parsed flags.
+# default trial count, the threshold flags (their dests are Thresholds
+# fields) with defaults, and the SVG title, formatted with the parsed flags.
 _FLUCT_COMMANDS = {
     "bulk-fluct": (
-        "bulk eigenvalue fluctuation experiment", "bulk", _int_arg("--k", _positive), None, 2000,
-        "exit 1 unless thresholds hold", {"--ks-max": 0.08, "--var-lo": 0.8, "--var-hi": 1.25},
+        "bulk eigenvalue fluctuation experiment", "bulk", _number_arg("--k", int, _positive),
+        None, 2000, {"--ks-max": 0.08, "--var-lo": 0.8, "--var-hi": 1.25},
         "{regime} fluctuation, n={n}, k={k}",
     ),
     "edge-fluct": (
-        "edge eigenvalue fluctuation experiment", "edge", _int_arg("--k", _positive),
+        "edge eigenvalue fluctuation experiment", "edge", _number_arg("--k", int, _positive),
         "offset from the top edge; normalizes eigenvalue n-k", 2000,
-        None, {"--ks-max": 0.1, "--var-lo": 0.75, "--var-hi": 1.3},
+        {"--ks-max": 0.1, "--var-lo": 0.75, "--var-hi": 1.3},
         "{regime} fluctuation, n={n}, k={k}",
     ),
     "joint-fluct": (
         "joint fluctuations of several eigenvalues", None, _index_list("--k"),
-        "comma-separated indices (bulk) or edge offsets (edge)", 3000,
-        None, {"--corr-tol": 0.12},
+        "comma-separated indices (bulk) or edge offsets (edge)", 3000, {"--corr-tol": 0.12},
         "joint {regime} fluctuations, n={n}",
     ),
 }
@@ -168,77 +147,78 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    n_arg = _int_arg("--n", _positive)
-    beta_arg = _int_arg("--beta", functools.partial(errors.one_of, choices=ensembles.BETAS))
-    seed_arg = _int_arg("--seed", errors.uint64)
+    n_arg = _number_arg("--n", int, _positive)
+    seed_arg = _number_arg("--seed", int, errors.uint64)
+    beta_rule = functools.partial(errors.one_of, choices=ensembles.BETAS)
+    beta = {"type": _number_arg("--beta", int, beta_rule), "default": None}
 
-    def add_common(p, trials_default, run, *files):
+    def finite(flag, default):
+        return {"type": _number_arg(flag, float, errors.finite), "default": default}
+
+    def command(name, help_, run, options, trials=None, files=()):
+        """Add the subcommand name, handled by run: --n, then options (each
+        flag with its add_argument keywords), --seed, --trials when trials
+        gives its default, and the output flags: --out, files (keys of
+        _FILE_FLAGS) and --no-timestamp."""
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--n", type=n_arg, required=True)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=seed_arg, default=0)
-        p.add_argument("--trials", type=_int_arg("--trials", _positive), default=trials_default)
-        add_output(p, run, *files)
-
-    def add_output(p, run, *files):
-        """The output flags, last in every command, and run as its handler;
-        files (keys of _FILE_FLAGS) go between --out and --no-timestamp."""
+        if trials is not None:
+            p.add_argument("--trials", type=_number_arg("--trials", int, _positive), default=trials)
         p.add_argument("--out", help="write the JSON result here instead of stdout")
         for flag in files:
             p.add_argument(flag, **_FILE_FLAGS[flag])
         p.add_argument("--no-timestamp", action="store_true")
         p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("sample", help="draw one matrix and report its spectrum")
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), required=True)
-    p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--seed", type=seed_arg, default=0)
-    p.add_argument("--beta", type=beta_arg, default=None)
-    add_output(p, _cmd_sample)
+    command("sample", "draw one matrix and report its spectrum", _cmd_sample, {
+        "--ensemble": {"choices": sorted(_ENSEMBLE_FLAGS), "required": True},
+        "--beta": beta,
+    })
 
-    for name, row in _FLUCT_COMMANDS.items():
-        help_, regime, k_type, k_help, trials, check_help, thresholds, title = row
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--n", type=n_arg, required=True)
-        p.add_argument("--k", type=k_type, required=True, help=k_help)
+    for name, (help_, regime, k_type, k_help, trials, thresholds, title) in _FLUCT_COMMANDS.items():
+        options = {"--k": {"type": k_type, "required": True, "help": k_help}}
         if regime is None:
-            p.add_argument("--regime", choices=("bulk", "edge"), default="bulk")
-        else:
+            options["--regime"] = {"choices": ("bulk", "edge"), "default": "bulk"}
+        options.update({
+            "--beta": beta,
+            "--ensemble": {"choices": sorted(_ENSEMBLE_FLAGS), "default": "tridiag"},
+            "--check": {"action": "store_true", "help": "exit 1 unless thresholds hold"},
+            **{flag: finite(flag, default) for flag, default in thresholds.items()},
+            "--threads": {"type": _number_arg("--threads", int, _positive), "default": 1},
+        })
+        run = functools.partial(_cmd_fluct, title=title)
+        p = command(name, help_, run, options, trials, _FILE_FLAGS)
+        if regime is not None:
             p.set_defaults(regime=regime)
-        p.add_argument("--beta", type=beta_arg, default=None)
-        p.add_argument("--ensemble", choices=sorted(_ENSEMBLE_FLAGS), default="tridiag")
-        p.add_argument("--check", action="store_true", help=check_help)
-        for flag, default in thresholds.items():
-            p.add_argument(flag, type=_finite_arg(flag), default=default)
-        p.add_argument("--threads", type=_int_arg("--threads", _positive), default=1)
-        add_common(p, trials, functools.partial(_cmd_fluct, title=title), *_FILE_FLAGS)
 
-    p = sub.add_parser("fr-check", help="superposition/decimation identity check")
-    p.add_argument("--which", choices=("gue", "gse"), required=True)
-    p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--k", type=_index_list("--k"), default=None,
-                   help="indices to compare (default: all)")
-    p.add_argument("--p-min", type=_finite_arg("--p-min"), default=0.01)
-    add_common(p, 5000, _cmd_fr_check)
+    command("fr-check", "superposition/decimation identity check", _cmd_fr_check, {
+        "--which": {"choices": ("gue", "gse"), "required": True},
+        "--k": {"type": _index_list("--k"), "default": None,
+                "help": "indices to compare (default: all)"},
+        "--p-min": finite("--p-min", 0.01),
+    }, trials=5000)
 
-    p = sub.add_parser("kernel", help="counting expectation/variance from the exact Gram matrix")
-    p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--interval", type=_interval_arg, required=True)
-    p.add_argument("--variance", action="store_true", help="also compute the count variance")
-    p.add_argument("--seed", type=seed_arg, default=0)
-    add_output(p, _cmd_kernel)
+    interval = {"type": _interval_arg, "required": True}
+    command("kernel", "counting expectation/variance from the exact Gram matrix", _cmd_kernel, {
+        "--interval": interval,
+        "--variance": {"action": "store_true", "help": "also compute the count variance"},
+    })
 
-    p = sub.add_parser("cumulants", help="counting-statistic cumulants of the kernel operator")
-    p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--interval", type=_interval_arg, required=True)
     order = functools.partial(errors.integer, least=kernel.MIN_QUADRATURE_ORDER)
-    p.add_argument("--order", type=_int_arg("--order", order), default=32)
-    p.add_argument("--seed", type=seed_arg, default=0)
-    add_output(p, _cmd_cumulants)
+    command("cumulants", "counting-statistic cumulants of the kernel operator", _cmd_cumulants, {
+        "--interval": interval,
+        "--order": {"type": _number_arg("--order", int, order), "default": 32},
+    })
 
-    p = sub.add_parser("semicircle-check", help="empirical spectral CDF vs the semicircle law")
-    p.add_argument("--n", type=n_arg, required=True)
-    p.add_argument("--threshold", type=_finite_arg("--threshold"), default=0.05)
-    p.add_argument("--path", choices=("tridiag", "dense"), default="tridiag")
-    p.add_argument("--seed", type=seed_arg, default=0)
-    add_output(p, _cmd_semicircle_check, "--svg")
+    command("semicircle-check", "empirical spectral CDF vs the semicircle law",
+            _cmd_semicircle_check, {
+                "--threshold": finite("--threshold", 0.05),
+                "--path": {"choices": ("tridiag", "dense"), "default": "tridiag"},
+            }, files=("--svg",))
 
     return parser
 
@@ -414,7 +394,10 @@ def fr_check_samples(which, n, trials, seed):
 
     Three trial streams, each run serially, stream s with master seed
     mix_trial_seed(seed, s): 1 and 2 the GOE spectra the map merges (2 only
-    for gue), 3 the direct GUE or GSE spectra."""
+    for gue), 3 the direct GUE or GSE spectra.  which must be "gue" or "gse"
+    (UnsupportedError) and trials an integer >= 1 (InvalidSizeError)."""
+    errors.one_of(which, "which", ("gue", "gse"))
+    trials = errors.integer(trials, "trials", least=1)
 
     def spectra_of(stream, sampler, size):
         def solve(t, trial_seed):
@@ -500,12 +483,8 @@ def _cmd_semicircle_check(args):
     plan = {**config, "seed": args.seed}
     _write_payload(args, config, plan, summary, {"sup_max": args.threshold})
     if args.svg:
-        _svg_histogram(
-            values,
-            args.svg,
-            f"rescaled GOE_{n} spectrum vs semicircle",
-            density=lambda x: semicircle.semicircle_density(x, 0.5),
-        )
+        title = f"rescaled GOE_{n} spectrum vs semicircle"
+        _svg_histogram(values, args.svg, title, density=semicircle.semicircle_density)
     return 0 if passed else 1
 
 

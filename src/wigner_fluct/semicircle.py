@@ -1,10 +1,10 @@
 """Semicircle distribution and the centering/scaling constants for bulk and
 edge eigenvalue fluctuations.
 
-Everything here is a deterministic pure function.  The unit-scale semicircle
-CDF and its inverse operate on [-1, 1]; matrices sampled at size n have
-spectra living on roughly [-sqrt(2n), sqrt(2n)], so centers are reported in
-those units.
+Everything here is a deterministic pure function.  The unit semicircle
+density, CDF and its inverse operate on [-1, 1]; matrices sampled at size n
+have spectra living on roughly [-sqrt(2n), sqrt(2n)], so centers are
+reported in those units.
 
 The quantile is Kepler's equation: with t = sin(phi/2) the CDF is
 (phi + sin phi)/(2 pi) + 1/2, so t is read off the root of
@@ -15,7 +15,7 @@ a loop that still fails to converge raises NumericalFailureError.
 """
 
 from dataclasses import dataclass
-from math import asin, copysign, cos, inf, log, pi, sin, sqrt
+from math import asin, copysign, cos, log, pi, sin, sqrt
 import os
 import sys
 import warnings
@@ -41,13 +41,11 @@ def _warn_outside_package(message):
     warnings.warn(message, stacklevel=level)
 
 
-def semicircle_density(x, sigma=1.0):
-    """Density (1/(2 pi sigma^2)) sqrt(4 sigma^2 - x^2) on [-2 sigma, 2 sigma]."""
-    if not 0 < sigma < inf:
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if abs(x) > 2.0 * sigma:
+def semicircle_density(x):
+    """Density (2/pi) sqrt(1 - x^2) of the unit semicircle law on [-1, 1]."""
+    if abs(x) > 1.0:
         return 0.0
-    return sqrt(4.0 * sigma * sigma - x * x) / (2.0 * pi * sigma * sigma)
+    return sqrt(1.0 - x * x) / (0.5 * pi)
 
 
 def semicircle_cdf(t):

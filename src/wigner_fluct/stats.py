@@ -108,6 +108,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         errors.integer(self.trials, "trials", least=1)
+        errors.uint64(self.seed, "seed")
         # the summary needs the predicted covariance (gap exponents when
         # m > 1): reject a plan without it before any trial is drawn
         fluctuations.predicted_cov(self.index_spec)
@@ -169,15 +170,14 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
     ks = np.array([ks_one_sample(x[:, i]) for i in range(m)])
 
     th = thresholds
-    lo = -np.inf if th.var_lo is None else th.var_lo
-    hi = np.inf if th.var_hi is None else th.var_hi
+    var_bound = {side: v for side, v in (("min", th.var_lo), ("max", th.var_hi)) if v is not None}
+    lo, hi = var_bound.get("min", -np.inf), var_bound.get("max", np.inf)
     checks = []  # (criterion, coordinate, value, bound, passed)
     for i in range(m):
         if th.ks_max is not None:
             checks.append(("ks_vs_normal", i, ks[i], {"max": th.ks_max}, ks[i] <= th.ks_max))
-        if th.var_lo is not None or th.var_hi is not None:
-            bound = {"min": lo, "max": hi}
-            checks.append(("sample_variance", i, var[i], bound, lo <= var[i] <= hi))
+        if var_bound:  # only the sides that are set: an infinite side is not JSON
+            checks.append(("sample_variance", i, var[i], dict(var_bound), lo <= var[i] <= hi))
     if th.corr_tol is not None:
         for i, j in combinations(range(m), 2):
             bound = {"target": float(lam[i, j]), "tol": th.corr_tol}
@@ -201,7 +201,8 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
 def run_mc(plan: ExperimentPlan, threads=1):
     """Sample the planned ensemble over all trials, normalize the requested
     eigenvalues, and aggregate.  Output is bit-identical for any thread
-    count (see _map_trials)."""
+    count (see _map_trials); threads is an integer >= 1."""
+    threads = errors.integer(threads, "threads", least=1)
     spec = plan.ensemble
     positions, centers, scales = fluctuations.coordinates(plan.index_spec, spec.n, spec.beta)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import scipy
 
 from wigner_fluct import cli, kernel, spectra, stats
 from wigner_fluct.ensembles import EnsembleKind, mix_trial_seed
-from wigner_fluct.errors import NumericalFailureError, ShapeError
+from wigner_fluct.errors import (
+    InvalidSizeError, NumericalFailureError, ShapeError, UnsupportedError,
+)
 
 
 def run(argv):
@@ -63,6 +66,38 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["bulk-fluct", "--n", "10", "--k", "5", "--trials", "0"])
         assert "--trials" in capsys.readouterr().err
+
+    def test_one_skeleton_and_one_number_parser(self):
+        # every command gets --n, --seed and the output flags from one helper,
+        # and every scalar number flag is read by _number_arg
+        actions = cli.build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        factory = cli._number_arg("--x", int, cli._positive).__qualname__
+        assert set(sub.choices) == {
+            "sample", "bulk-fluct", "edge-fluct", "joint-fluct", "fr-check", "kernel",
+            "cumulants", "semicircle-check",
+        }
+        for name, p in sub.choices.items():
+            flags = {flag for a in p._actions for flag in a.option_strings}
+            assert {"--n", "--seed", "--out", "--no-timestamp"} <= flags, name
+            for a in p._actions:
+                if a.dest == "interval":
+                    assert a.type is cli._interval_arg
+                elif a.dest == "k" and name in ("joint-fluct", "fr-check"):
+                    assert a.type.__qualname__ == "_index_list.<locals>.parse"
+                elif a.type is not None:
+                    assert a.type.__qualname__ == factory, (name, a.dest)
+        checks = {p._option_string_actions["--check"].help for n, p in sub.choices.items()
+                  if n.endswith("-fluct")}
+        assert checks == {"exit 1 unless thresholds hold"}
+
+    def test_numbers_are_plain_python_numbers(self):
+        args = cli.build_parser().parse_args(
+            ["bulk-fluct", "--n", "10", "--k", "5", "--ks-max", "0.5", "--seed", "3"]
+        )
+        assert type(args.n) is int and type(args.seed) is int and type(args.k) is int
+        assert type(args.ks_max) is float and type(args.var_lo) is float
+        assert json.dumps([args.n, args.seed, args.k, args.ks_max]) == "[10, 3, 5, 0.5]"
 
 
 FLUCT_KEYS = {"ensemble", "n", "beta", "regime", "indices", "trials"}
@@ -165,6 +200,7 @@ class TestSchema:
             ),
             ("--beta", "3", "argument --beta: --beta must be one of {1,2,4}, got 3"),
             ("--n", "x", "argument --n: --n expects an integer, got 'x'"),
+            ("--ks-max", "x", "argument --ks-max: --ks-max expects a finite number, got 'x'"),
             # the quadrature order discretize_operator accepts
             ("--order", "8", "argument --order: --order must be >= 16, got 8"),
         ],
@@ -190,17 +226,14 @@ class TestSchema:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command, flag", THRESHOLD_FLAGS)
     def test_non_finite_threshold_exits_2(self, command, flag, value, capsys):
-        # a nan bound never passes and inf is not JSON
+        # a nan bound never passes and inf is not JSON; errors.finite decides
         argv = [command, *SCHEMA_CASES[command][0], flag, value]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith(f"usage: wigner-fluct {command}")
-        assert err[-1] == (
-            f"wigner-fluct {command}: error: argument {flag}: {flag} expects a finite number, "
-            f"got '{value}'"
-        )
+        assert err[-1] == f"wigner-fluct {command}: error: argument {flag}: {flag} must be finite"
 
     def test_every_payload_is_strict_json(self, tmp_path):
         # RFC 8259 has no NaN or Infinity token: an infinite --interval
@@ -307,6 +340,18 @@ class TestKernelCommand:
             "variance_count": kernel.variance_count(50, (-1.0, 2.0)),
         }
         assert calls == [50, 50, 50]
+
+
+    @pytest.mark.parametrize("command", ["kernel", "cumulants"])
+    @pytest.mark.parametrize("interval", ["2,1", "1,1", "nan,1"])
+    def test_unordered_interval_is_kernels_shape_error(self, command, interval, tmp_path, capsys):
+        # the CLI leaves a < b to kernel._clip_interval; nothing is written
+        out = tmp_path / "k.json"
+        assert run([command, "--n", "5", f"--interval={interval}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid configuration: interval endpoints must satisfy a < b")
+        assert not out.exists()
 
 
 class TestFluctCommands:
@@ -469,6 +514,15 @@ class TestFrCheckCommand:
             run(["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "3,3"])
         assert exc.value.code == 2
         assert "--k indices must be distinct, got '3,3'" in capsys.readouterr().err
+
+    def test_samples_refuse_an_unknown_side_or_no_trials(self):
+        # "GUE" ran the GSE decimation branch; 0 trials failed later with an IndexError
+        with pytest.raises(UnsupportedError, match="which must be one of {gue,gse}, got GUE"):
+            cli.fr_check_samples("GUE", 4, 3, 0)
+        with pytest.raises(InvalidSizeError, match="trials must be >= 1, got 0"):
+            cli.fr_check_samples("gue", 4, 0, 0)
+        left, right = cli.fr_check_samples("gse", 2, np.int64(3), 0)
+        assert left.shape == right.shape == (3, 2)
 
     def test_threads_flag_refused(self, capsys):
         # only the fluctuation commands run their trials on a pool

@@ -21,25 +21,32 @@ def cdf_quadrature_oracle(t):
 
 class TestDensity:
     def test_at_zero(self):
-        assert wf.semicircle_density(0.0, 1.0) == pytest.approx(1.0 / pi)
+        assert wf.semicircle_density(0.0) == pytest.approx(2.0 / pi)
 
-    def test_outside_support(self):
-        assert wf.semicircle_density(2.5, 1.0) == 0.0
+    @pytest.mark.parametrize("x", [-1.5, -1.0000001, 1.0000001, 2.5])
+    def test_outside_support(self, x):
+        assert wf.semicircle_density(x) == 0.0
 
     def test_normalization_by_quadrature(self):
         from scipy.integrate import quad
 
-        total, err = quad(lambda x: wf.semicircle_density(x, 1.0), -2.0, 2.0, limit=200)
+        total, err = quad(wf.semicircle_density, -1.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_bad_sigma(self):
-        with pytest.raises(wf.DomainError):
-            wf.semicircle_density(0.0, 0.0)
+    @pytest.mark.parametrize("t", [-0.9, -0.3, 0.0, 0.45, 0.99])
+    def test_integrates_to_the_cdf(self, t):
+        from scipy.integrate import quad
 
-    @pytest.mark.parametrize("sigma", [nan, float("inf")])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(wf.DomainError, match="sigma must be positive and finite"):
-            wf.semicircle_density(0.1, sigma)
+        val, err = quad(wf.semicircle_density, -1.0, t, limit=400)
+        assert val == pytest.approx(wf.semicircle_cdf(t), abs=1e-10)
+
+    def test_matches_the_half_scale_formula_bitwise(self):
+        # (1/(2 pi s^2)) sqrt(4 s^2 - x^2) at s = 0.5, the curve the
+        # semicircle-check SVG drew before the density became the unit law
+        for x in np.linspace(-1.2, 1.2, 10001):
+            s = 0.5
+            old = 0.0 if abs(x) > 2.0 * s else sqrt(4.0 * s * s - x * x) / (2.0 * pi * s * s)
+            assert wf.semicircle_density(x) == old
 
 
 class TestCDF:

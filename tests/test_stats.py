@@ -245,6 +245,22 @@ class TestRunMC:
             bulk_plan(trials=3.5)
         assert wf.run_mc(bulk_plan(trials=np.int64(2))).vectors.shape == (2, 1)
 
+    @pytest.mark.parametrize("threads", [0, -3, "2", 2.0])
+    def test_thread_count_validated(self, threads):
+        # the rule of --threads: 0 and -3 ran serially, "2" raised a bare TypeError
+        with pytest.raises(wf.InvalidSizeError, match="threads must be"):
+            wf.run_mc(bulk_plan(trials=2), threads=threads)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (2**64, "seed must be < 2[*][*]64"),
+         (1.5, "seed must be an integer")],
+    )
+    def test_plan_seed_validated_before_sampling(self, seed, message):
+        with pytest.raises(wf.InvalidSizeError, match=message):
+            bulk_plan(seed=seed)
+        assert bulk_plan(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_plan_without_gap_exponents_rejected_before_sampling(self, monkeypatch):
         # two indices and no gap exponents: the summary's predicted covariance
         # cannot be formed, so no trial may be drawn
@@ -286,6 +302,18 @@ class TestVerdictCalibration:
             x, spec, Thresholds(var_lo=0.8, var_hi=1.25, corr_tol=0.12)
         )
         assert all(rec["passed"] for rec in summary["pass"])
+
+    @pytest.mark.parametrize("side, bound", [("var_lo", "min"), ("var_hi", "max")])
+    def test_one_sided_variance_bound_records_only_its_side(self, side, bound):
+        # the unset side was written as +-inf, which is not JSON
+        x = synthetic_normal_vectors(np.eye(1), 200, seed=4)
+        spec = wf.IndexSpec(regime="bulk", indices=(1,))
+        summary = wf.summarize_vectors(x, spec, Thresholds(**{side: 1.0}))
+        (record,) = summary["pass"]
+        assert record["bound"] == {bound: 1.0}
+        value = record["value"]
+        assert record["passed"] == (value >= 1.0 if bound == "min" else value <= 1.0)
+        json.dumps(summary, allow_nan=False)
 
     @pytest.mark.parametrize(
         "columns, indices, thetas", [(2, (1,), ()), (1, (1, 2), (0.5,))], ids=["wide", "narrow"]
