@@ -74,20 +74,21 @@ class EnsembleKind(str, Enum):
     TRIDIAG_BETA = "tridiag-beta"
 
 
-# kind -> (implied beta, None for the tridiagonal model whose beta is a
-# parameter; the sampler of a spec).  Each sampler is looked up by its module
-# name when called, not held, so rebinding that name also reaches sample().
+# kind's value -> (implied beta, None for the tridiagonal model whose beta is
+# a parameter; the sampler of a spec).  A kind hashes and compares as its value,
+# so it finds itself here, and the keys are the kinds EnsembleSpec accepts.
+# Samplers are looked up by name when called, so rebinding one reaches sample().
 _ENSEMBLES = {
-    EnsembleKind.GOE: (1, lambda s: sample_goe(s.n, s.seed)),
-    EnsembleKind.GUE: (2, lambda s: sample_gue(s.n, s.seed)),
-    EnsembleKind.GSE: (4, lambda s: sample_gse(s.n, s.seed)),
-    EnsembleKind.WIGNER_REAL_MATCHED: (
+    EnsembleKind.GOE.value: (1, lambda s: sample_goe(s.n, s.seed)),
+    EnsembleKind.GUE.value: (2, lambda s: sample_gue(s.n, s.seed)),
+    EnsembleKind.GSE.value: (4, lambda s: sample_gse(s.n, s.seed)),
+    EnsembleKind.WIGNER_REAL_MATCHED.value: (
         1, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="real")
     ),
-    EnsembleKind.WIGNER_HERMITIAN_MATCHED: (
+    EnsembleKind.WIGNER_HERMITIAN_MATCHED.value: (
         2, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="hermitian")
     ),
-    EnsembleKind.TRIDIAG_BETA: (None, lambda s: sample_tridiag_beta(s.n, s.beta, s.seed)),
+    EnsembleKind.TRIDIAG_BETA.value: (None, lambda s: sample_tridiag_beta(s.n, s.beta, s.seed)),
 }
 
 
@@ -104,7 +105,7 @@ class EnsembleSpec:
         object.__setattr__(self, "n", integer(self.n, "matrix size", least=1))
         object.__setattr__(self, "seed", uint64(self.seed, "seed"))
         object.__setattr__(self, "beta", integer(self.beta, "beta"))
-        kind = EnsembleKind(self.kind)
+        kind = EnsembleKind(one_of(self.kind, "ensemble kind", tuple(_ENSEMBLES)))
         object.__setattr__(self, "kind", kind)
         implied = _ENSEMBLES[kind][0]
         if implied is None:

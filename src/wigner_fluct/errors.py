@@ -8,7 +8,8 @@ orders, trial counts, indices; numpy integers accepted, fractions refused,
 not truncated; ``least`` is the one integer lower bound) and ``uint64``
 (seeds, in [0, 2**64)) InvalidSizeError, ``one_of`` (an option such as
 beta in {1,2,4}) UnsupportedError, ``finite`` (no NaN or inf entry)
-InvalidDataError, and ``strictly_increasing`` (spectra, index lists) ShapeError.
+InvalidDataError, and ``strictly_increasing`` (spectra, index lists) ShapeError;
+both array rules first refuse data that is not real (_real, InvalidDataError).
 """
 
 import operator
@@ -25,7 +26,7 @@ class ShapeError(ValueError):
 
 
 class InvalidDataError(ValueError):
-    """Input contains NaN or infinite entries where finite data is required."""
+    """Input is not real (e.g. complex), or not finite where finite data is required."""
 
 
 class DomainError(ValueError):
@@ -88,17 +89,26 @@ def one_of(value, name, choices):
     return value
 
 
+def _real(values, name):
+    """values as a float array, if their dtype is bool, int or float: any other
+    (complex, whose cast drops the imaginary part) raises InvalidDataError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise InvalidDataError(f"{name} must be real, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def finite(values, name):
-    """values as a float array, if every entry is finite."""
-    values = np.asarray(values, dtype=float)
+    """values as a real float array, if every entry is finite."""
+    values = _real(values, name)
     if not np.isfinite(values).all():
         raise InvalidDataError(f"{name} must be finite")
     return values
 
 
 def strictly_increasing(values, name):
-    """values as a float array, if one-dimensional and strictly increasing."""
-    values = np.asarray(values, dtype=float)
+    """values as a real float array, if one-dimensional and strictly increasing."""
+    values = _real(values, name)
     if values.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {values.shape}")
     if not (values[1:] > values[:-1]).all():

@@ -118,9 +118,11 @@ def normalize(spectrum, spec: IndexSpec, beta):
     """The coordinates X_i = (x - center_i) / scale_i, as an array, for the
     eigenvalue x that coordinate i reads (x_{k_i} in the bulk, x_{n-k_i} at
     the edge), with the positions, centers and scales of coordinates().
-    The spectrum (a SpectrumSample or an ascending array) may come from
-    outside the package, so a non-finite coordinate raises InvalidDataError."""
-    values = spectrum.values if isinstance(spectrum, SpectrumSample) else np.asarray(spectrum)
+    The spectrum (a SpectrumSample or an array) may come from outside the
+    package: it must be real and finite (else InvalidDataError) and strictly
+    increasing (else ShapeError), as must each coordinate (InvalidDataError)."""
+    values = spectrum.values if isinstance(spectrum, SpectrumSample) else spectrum
+    values = strictly_increasing(finite(values, "spectrum"), "spectrum")
     positions, centers, scales = coordinates(spec, values.size, beta)
     return finite((values[positions] - centers) / scales, "fluctuation coordinates")
 

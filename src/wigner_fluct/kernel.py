@@ -81,14 +81,8 @@ from math import erfc, ldexp, pi, sqrt
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (
-    DiscretizationFailureError,
-    DomainError,
-    NumericalFailureError,
-    NumericalRangeError,
-    ShapeError,
-    integer,
-)
+from .errors import DiscretizationFailureError, DomainError, NumericalFailureError
+from .errors import NumericalRangeError, ShapeError, finite, integer
 
 _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
@@ -193,7 +187,7 @@ def _psi_table(n, x, rows=None):
     vector layout of _psi_scaled.  Both skip the first n + 1 - rows indices
     and write each descaled row or column into the table in place."""
     _hermite_guard(n)
-    x = np.asarray(x, dtype=float)
+    x = finite(x, "points")
     rows = n + 1 if rows is None else rows
     skip = n + 1 - rows
     table = np.empty((rows,) + x.shape)

@@ -45,15 +45,6 @@ _STERF, _STEBZ, _SYTRD, _SYTRD_LWORK = get_lapack_funcs(
 )
 
 
-def _real(values, what):
-    """values as a finite float array.  Complex entries raise ShapeError: the
-    cast would drop their imaginary parts and give another matrix's spectrum."""
-    a = np.asarray(values)
-    if a.dtype.kind == "c":
-        raise ShapeError(f"{what} must be real, got dtype {a.dtype}")
-    return finite(a, what)
-
-
 @dataclass(frozen=True)
 class Tridiagonal:
     """Symmetric tridiagonal matrix: diagonal (n,) and off-diagonal (n-1,)."""
@@ -62,8 +53,8 @@ class Tridiagonal:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        d = _real(self.diag, "tridiagonal entries")
-        e = _real(self.offdiag, "tridiagonal entries")
+        d = finite(self.diag, "tridiagonal entries")
+        e = finite(self.offdiag, "tridiagonal entries")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
         if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
@@ -96,7 +87,7 @@ def tridiagonalize(matrix):
     """Householder reduction of an exactly symmetric real matrix to
     tridiagonal form (orthogonally similar, spectrum preserved).
     """
-    a = _real(matrix, "matrix entries")
+    a = finite(matrix, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not (a == a.T).all():
@@ -153,8 +144,8 @@ def sturm_count_below_batch(diag, offdiag, x):
 
     diag (B, n), offdiag (B, n-1); x scalar or (B,).  Returns (B,) counts.
     """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
+    diag = finite(diag, "diag")
+    offdiag = finite(offdiag, "offdiag")
     if diag.ndim != 2 or offdiag.shape != (diag.shape[0], diag.shape[1] - 1):
         raise ShapeError("batch shapes must be (B, n) and (B, n-1)")
     if np.isnan(x).any():
@@ -174,9 +165,11 @@ def sturm_count_below_batch(diag, offdiag, x):
 
 def check_interlacing(parent, child):
     """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
-    parent eigenvalues and s the (one fewer) child eigenvalues."""
-    r = np.asarray(parent.values if isinstance(parent, SpectrumSample) else parent)
-    s = np.asarray(child.values if isinstance(child, SpectrumSample) else child)
+    parent eigenvalues and s the (one fewer) child eigenvalues; either must
+    pass strictly_increasing (InvalidDataError if not real, else ShapeError)."""
+    r = parent.values if isinstance(parent, SpectrumSample) else parent
+    s = child.values if isinstance(child, SpectrumSample) else child
+    r, s = strictly_increasing(r, "parent spectrum"), strictly_increasing(s, "child spectrum")
     if r.size != s.size + 1:
         raise ShapeError(
             f"parent must have exactly one more eigenvalue (got {r.size} vs {s.size})"

@@ -157,7 +157,7 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
     Deterministic function of its inputs; rerunning it on stored per-trial
     vectors must reproduce a result's summary exactly.
     """
-    x = np.asarray(vectors, dtype=float)
+    x = errors.finite(vectors, "vectors")
     if x.ndim == 1:
         x = x[:, None]
     m = x.shape[1]

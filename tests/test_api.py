@@ -4,6 +4,7 @@ acceptance suite calls among them."""
 import ast
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,11 @@ REFUSED_BY_RULE = [
     ("uint64", (2**64, "seed"), wf.InvalidSizeError, f"seed must be < 2**64, got {2**64}"),
     ("one_of", (3, "beta", (1, 2, 4)), wf.UnsupportedError, "beta must be one of {1,2,4}, got 3"),
     ("finite", ([0.0, float("nan")], "data"), wf.InvalidDataError, "data must be finite"),
+    # the array rules' shared cast: complex data is refused before it is cast
+    *[
+        (rule, (data, "x"), wf.InvalidDataError, "x must be real, got dtype complex128")
+        for rule, data in (("finite", np.array([1j])), ("strictly_increasing", [0, 1j]))
+    ],
 ]
 
 
@@ -124,3 +130,66 @@ def test_argument_rules_return_the_value_they_accept():
     assert errors.uint64(np.uint64(2**64 - 1), "seed") == 2**64 - 1
     assert errors.one_of(4, "beta", (1, 2, 4)) == 4
     assert errors.finite([1, 2], "data").dtype == float
+
+
+# Public entries that take outside data, each with an input it refuses and
+# the class it raises: a complex ndarray, a Python complex in a list, NaN, and
+# the wrong rank or order where the entry reads a 1-D spectrum.  None may warn,
+# truncate, answer, or let a numpy or Python exception through.
+_Z = np.array([0.0, 1.0 + 1.0j, 2.0])
+_L = [0.0, 1j, 2.0]
+_BULK2 = wf.IndexSpec("bulk", (2,))
+_ONE = wf.IndexSpec("bulk", (1,))
+DATA, SHAPE = wf.InvalidDataError, wf.ShapeError
+REFUSED_AT_ENTRY = [
+    ("check_interlacing-complex", lambda: wf.check_interlacing(_Z, [0.5, 1.5]), DATA),
+    ("check_interlacing-list", lambda: wf.check_interlacing(_L, [0.5, 1.5]), DATA),
+    ("check_interlacing-nan", lambda: wf.check_interlacing([0.0, np.nan, 2.0], [0.5, 1.5]), SHAPE),
+    ("check_interlacing-order", lambda: wf.check_interlacing([2.0, 0.0, 1.0], [0.5, 1.5]), SHAPE),
+    ("check_interlacing-rank", lambda: wf.check_interlacing([[0.0, 1.0, 2.0]], [0.5, 1.5]), SHAPE),
+    ("normalize-complex", lambda: wf.normalize(_Z, _BULK2, 1), DATA),
+    ("normalize-list", lambda: wf.normalize(_L, _BULK2, 1), DATA),
+    ("normalize-order", lambda: wf.normalize([0.0, 2.0, 1.0], _BULK2, 1), SHAPE),
+    ("normalize-rank", lambda: wf.normalize([[0.0, 1.0, 2.0]], _BULK2, 1), SHAPE),
+    ("sturm-complex", lambda: wf.sturm_count_below_batch(_Z[None], [[1.0, 1.0]], 0.0), DATA),
+    ("sturm-list", lambda: wf.sturm_count_below_batch([[0.0, 0.0]], [[1j]], 0.0), DATA),
+    ("sturm-nan", lambda: wf.sturm_count_below_batch([[0.0, np.nan]], [[1.0]], 0.0), DATA),
+    ("hermite_psi-complex", lambda: wf.hermite_psi(3, np.array([0.5 + 1j])), DATA),
+    ("hermite_psi-list", lambda: wf.hermite_psi(3, [1j]), DATA),
+    ("hermite_psi-nan", lambda: wf.hermite_psi(3, np.nan), DATA),
+    ("hermite_psi-inf", lambda: wf.hermite_psi(3, -np.inf), DATA),
+    ("kernel_diag-complex", lambda: wf.kernel_diag(4, _Z), DATA),
+    ("kernel_diag-list", lambda: wf.kernel_diag(4, _L), DATA),
+    ("kernel_diag-nan", lambda: wf.kernel_diag(4, [0.0, np.nan]), DATA),
+    ("summarize_vectors-complex", lambda: wf.summarize_vectors(_Z[:, None], _ONE), DATA),
+    ("summarize_vectors-list", lambda: wf.summarize_vectors([[0.1], [1j], [0.3]], _ONE), DATA),
+    ("ks_one_sample-complex", lambda: wf.ks_one_sample(_Z), DATA),
+    ("ks_one_sample-list", lambda: wf.ks_one_sample(_L), DATA),
+    ("ks_two_sample-complex", lambda: wf.ks_two_sample([0.1, 0.2], _Z), DATA),
+    ("ks_two_sample-list", lambda: wf.ks_two_sample(_L, [0.1, 0.2]), DATA),
+    ("empirical_corr-complex", lambda: wf.empirical_corr(_Z), DATA),
+    ("empirical_corr-list", lambda: wf.empirical_corr(_L), DATA),
+    ("Thresholds-complex", lambda: wf.Thresholds(ks_max=np.array(0.1 + 1j)), DATA),
+    ("Thresholds-list", lambda: wf.Thresholds(var_lo=[0.8j]), DATA),
+    ("SpectrumSample-complex", lambda: wf.SpectrumSample(_Z), DATA),
+    ("SpectrumSample-list", lambda: wf.SpectrumSample(_L), DATA),
+    ("superpose-complex", lambda: wf.superpose_decimate_even(_Z, [0.5, 1.5, 2.5]), DATA),
+    ("superpose-list", lambda: wf.superpose_decimate_even([0.5, 1.5], _L), DATA),
+    ("gse_from_goe-complex", lambda: wf.gse_from_goe(_Z), DATA),
+    ("gse_from_goe-list", lambda: wf.gse_from_goe(_L), DATA),
+    ("Tridiagonal-complex", lambda: wf.Tridiagonal(diag=_Z, offdiag=[1.0, 1.0]), DATA),
+    ("Tridiagonal-list", lambda: wf.Tridiagonal(diag=[0.0, 0.0], offdiag=[1j]), DATA),
+    ("tridiagonalize-complex", lambda: wf.tridiagonalize(np.array([[1.0, 1j], [-1j, 1.0]])), DATA),
+    ("tridiagonalize-list", lambda: wf.tridiagonalize([[1.0, 1j], [-1j, 1.0]]), DATA),
+]
+
+
+@pytest.mark.parametrize(
+    "call, cls", [row[1:] for row in REFUSED_AT_ENTRY], ids=[row[0] for row in REFUSED_AT_ENTRY]
+)
+def test_public_entries_refuse_data_that_is_not_real(call, cls):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert type(exc.value) is cls

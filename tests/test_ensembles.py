@@ -602,6 +602,13 @@ class TestEnsembleSpec:
         with pytest.raises(wf.UnsupportedError):
             wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3)
 
+    def test_unknown_kind_is_an_unsupported_option(self):
+        kinds = ",".join(k.value for k in wf.EnsembleKind)
+        with pytest.raises(wf.UnsupportedError) as exc:
+            wf.EnsembleSpec("foo", 3)
+        assert str(exc.value) == f"ensemble kind must be one of {{{kinds}}}, got foo"
+        assert wf.EnsembleSpec("gse", 3).kind is wf.EnsembleKind.GSE
+
     def test_beta_passes_the_integer_rule_first(self):
         kind = wf.EnsembleKind.TRIDIAG_BETA
         with pytest.raises(wf.InvalidSizeError, match="beta must be an integer, got 2.0"):

@@ -12,6 +12,12 @@ def synthetic_spectrum(n):
     return np.linspace(-sqrt(2 * n), sqrt(2 * n), n)
 
 
+def spectrum_through(n, position, value):
+    """Strictly increasing placeholder spectrum of size n holding value, exactly,
+    at the 0-based position (normalize refuses an unsorted spectrum)."""
+    return value + 0.01 * (np.arange(n) - position)
+
+
 class TestIndexSpec:
     def test_requires_increasing(self):
         with pytest.raises(wf.ShapeError):
@@ -161,10 +167,8 @@ class TestNormalizeBulk:
         n, k, beta = 300, 111, 1
         cs = wf.bulk_center_scale(k, n, beta)
         spec = wf.IndexSpec(regime="bulk", indices=(k,))
-        base = synthetic_spectrum(n)
         for shift in (-2.0, 0.5, 3.0):
-            values = base.copy()
-            values[k - 1] = cs.center + shift * cs.scale
+            values = spectrum_through(n, k - 1, cs.center + shift * cs.scale)
             x = wf.normalize(values, spec, beta)
             assert x[0] == pytest.approx(shift, abs=1e-12)
 
@@ -178,8 +182,7 @@ class TestNormalizeEdge:
     def test_center_maps_to_zero(self):
         n, k, beta = 500, 25, 1
         cs = wf.edge_center_scale(k, n, beta)
-        values = synthetic_spectrum(n)
-        values[n - k - 1] = cs.center
+        values = spectrum_through(n, n - k - 1, cs.center)
         spec = wf.IndexSpec(regime="edge", indices=(k,), gamma=log(k) / log(n))
         x = wf.normalize(values, spec, beta)
         assert x[0] == pytest.approx(0.0, abs=1e-12)

@@ -173,7 +173,7 @@ class TestTridiagonalize:
 
     def test_rejects_complex_entries(self):
         # a cast to float would drop the imaginary part and reduce another matrix
-        with pytest.raises(wf.ShapeError, match="real"):
+        with pytest.raises(wf.InvalidDataError, match="real"):
             wf.tridiagonalize(wf.sample_gue(4, 3).array)
 
 
@@ -599,9 +599,9 @@ class TestValidation:
             wf.Tridiagonal(diag=np.array([np.inf, 0.0]), offdiag=np.zeros(1))
 
     def test_tridiagonal_rejects_complex_entries(self):
-        with pytest.raises(wf.ShapeError, match="real"):
+        with pytest.raises(wf.InvalidDataError, match="real"):
             wf.Tridiagonal(diag=np.zeros(2), offdiag=np.array([1j]))
-        with pytest.raises(wf.ShapeError, match="real"):
+        with pytest.raises(wf.InvalidDataError, match="real"):
             wf.Tridiagonal(diag=np.zeros(2, dtype=complex), offdiag=np.ones(1))
 
     def test_spectrum_sample_requires_sorted(self):
