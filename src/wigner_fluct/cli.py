@@ -9,7 +9,7 @@ One of each path:
   with ``--threads``, which ``stats.run_mc`` passes to its trial pool;
 - one number parser: ``_number_arg`` reads a flag as an int or a float and
   leaves its domain to a rule of ``errors``, whose message becomes the
-  usage error; ``kernel`` checks the order of ``--interval``;
+  usage error; ``kernel`` checks ``--interval`` as a strictly increasing pair;
 - one dispatch: each subparser names its handler with
   ``set_defaults(run=...)``, and ``execute`` calls it and maps the error
   class to the exit code;
@@ -97,11 +97,8 @@ def _index_list(flag):
 
 
 def _interval_arg(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"--interval expects 'a,b' (inf allowed), got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        return tuple(map(float, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"--interval endpoints must be numbers, got {text!r}")
 

@@ -1,15 +1,15 @@
-"""Exception types shared across the package, and its five argument rules.
+"""Exception types shared across the package, and its six argument rules.
 
 Argument validation failures raise ValueError subclasses so callers can
 catch them uniformly; runtime numerical breakdowns raise RuntimeError
 subclasses and carry enough context to reproduce the failing case.  Each
 argument domain has one rule, which raises one class: ``integer`` (sizes,
-orders, trial counts, indices; numpy integers accepted, fractions refused,
-not truncated; ``least`` is the one integer lower bound) and ``uint64``
-(seeds, in [0, 2**64)) InvalidSizeError, ``one_of`` (an option such as
-beta in {1,2,4}) UnsupportedError, ``finite`` (no NaN or inf entry)
-InvalidDataError, and ``strictly_increasing`` (spectra, index lists) ShapeError;
-both array rules first refuse data that is not real (_real, InvalidDataError).
+orders, trial counts, indices; fractions refused, not truncated; ``least``
+is the one integer lower bound) and ``uint64`` (seeds) InvalidSizeError,
+``one_of`` (an option such as beta) UnsupportedError, ``finite`` (no NaN or
+inf) and ``extended_real`` (no NaN; points such as a shift) InvalidDataError,
+``strictly_increasing`` (spectra, intervals) ShapeError.  The array rules
+refuse data that is not real (_real) or NaN as InvalidDataError, always.
 """
 
 import operator
@@ -106,11 +106,20 @@ def finite(values, name):
     return values
 
 
+def extended_real(values, name):
+    """values as a real float array, if no entry is NaN (+-inf allowed)."""
+    values = _real(values, name)
+    if np.isnan(values).any():
+        raise InvalidDataError(f"{name} must not be NaN")
+    return values
+
+
 def strictly_increasing(values, name):
-    """values as a real float array, if one-dimensional and strictly increasing."""
+    """values as a real float array, if one-dimensional, strictly increasing and not NaN."""
     values = _real(values, name)
     if values.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {values.shape}")
-    if not (values[1:] > values[:-1]).all():
-        raise ShapeError(f"{name} must be strictly increasing")
+    if values.size == 1 or not (values[1:] > values[:-1]).all():  # NaN fails the order
+        if extended_real(values, name).size > 1:
+            raise ShapeError(f"{name} must be strictly increasing")
     return values

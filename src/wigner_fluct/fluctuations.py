@@ -10,8 +10,8 @@ Index conventions (all 1-based, matching x_1 < x_2 < ... < x_n):
         and the leading offset grows like n^gamma.
 
 For finite n the exponents are defined as theta_i = log(k_{i+1} - k_i) / log n
-(the asymptotic ~ relation has no finite-n content); they may also be
-declared explicitly.  Indices pass errors' integer (>= 1) and ascending rules.
+(the asymptotic ~ relation has no finite-n content); they may also be declared
+explicitly (errors' finite rule).  Indices pass its integer rule (>= 1) and ascend.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, finite, integer, one_of, strictly_increasing
 from .semicircle import bulk_center_scale, edge_center_scale
-from .spectra import SpectrumSample
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class IndexSpec:
         one_of(self.regime, "regime", ("bulk", "edge"))
         idx = _checked_indices(self.indices)
         object.__setattr__(self, "indices", idx)
-        th = tuple(float(t) for t in self.thetas)
+        th = tuple(finite(self.thetas, "gap exponents").tolist())
         object.__setattr__(self, "thetas", th)
         if th and len(th) != len(idx) - 1:
             raise ShapeError(
@@ -48,7 +47,7 @@ class IndexSpec:
             if any(not 0.0 < t <= 1.0 for t in th):
                 raise DomainError(f"bulk gap exponents must lie in (0, 1], got {th}")
         else:
-            if not 0.0 < self.gamma < 1.0:
+            if not 0.0 < finite(self.gamma, "gamma") < 1.0:
                 raise DomainError(f"edge regime needs gamma in (0, 1), got {self.gamma}")
             if any(not 0.0 < t < self.gamma for t in th):
                 raise DomainError(
@@ -61,12 +60,13 @@ class IndexSpec:
 
 
 def _checked_indices(indices):
-    """indices as a tuple of at least one int >= 1: the one index check of
-    IndexSpec and thetas_from_indices."""
+    """indices as an ascending tuple of at least one int >= 1: the one index check of
+    IndexSpec and thetas_from_indices, on Python ints (numpy has none above 2**64)."""
     idx = tuple(integer(k, "eigenvalue index", least=1) for k in indices)
     if not idx:
         raise ShapeError("at least one eigenvalue index required")
-    strictly_increasing(idx, "indices")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ShapeError("indices must be strictly increasing")
     return idx
 
 
@@ -121,8 +121,7 @@ def normalize(spectrum, spec: IndexSpec, beta):
     The spectrum (a SpectrumSample or an array) may come from outside the
     package: it must be real and finite (else InvalidDataError) and strictly
     increasing (else ShapeError), as must each coordinate (InvalidDataError)."""
-    values = spectrum.values if isinstance(spectrum, SpectrumSample) else spectrum
-    values = strictly_increasing(finite(values, "spectrum"), "spectrum")
+    values = strictly_increasing(finite(spectrum, "spectrum"), "spectrum")
     positions, centers, scales = coordinates(spec, values.size, beta)
     return finite((values[positions] - centers) / scales, "fluctuation coordinates")
 

@@ -4,8 +4,8 @@ Gaussian ensemble: weighted Hermite functions, the n-level kernel
     K_n(x, y) = sum_{i=0}^{n-1} phi_i(x) phi_i(y) exp(-(x^2+y^2)/2),
 
 exact counting expectations/variances from the Gram matrix, Nystrom
-discretization of the kernel operator on an interval, and the
-counting-statistic cumulant engine.
+discretization of the kernel operator on an interval (a strictly increasing
+pair, either end possibly infinite), and the counting-statistic cumulant engine.
 
 phi_i are the orthonormal Hermite polynomials for the weight exp(-x^2); the
 code works throughout with the weighted functions psi_i = phi_i exp(-x^2/2),
@@ -82,7 +82,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import DiscretizationFailureError, DomainError, NumericalFailureError
-from .errors import NumericalRangeError, ShapeError, finite, integer
+from .errors import NumericalRangeError, ShapeError, finite, integer, strictly_increasing
 
 _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
@@ -229,13 +229,13 @@ def truncation_halfwidth(n):
 
 
 def _clip_interval(n, interval):
-    """The one interval check of the Gram and Nystrom paths, after the order's."""
+    """The Gram and Nystrom paths' one interval check: a strictly increasing pair."""
     integer(n, "kernel order", least=1)
-    a, b = interval
-    if not a < b:
-        raise ShapeError(f"interval endpoints must satisfy a < b, got ({a}, {b})")
+    pair = strictly_increasing(interval, "interval")
+    if pair.size != 2:
+        raise ShapeError(f"interval must be a pair (a, b), got shape {pair.shape}")
     lim = truncation_halfwidth(n)
-    return max(float(a), -lim), min(float(b), lim)
+    return max(float(pair[0]), -lim), min(float(pair[1]), lim)
 
 
 @lru_cache(maxsize=16)

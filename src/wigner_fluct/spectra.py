@@ -34,7 +34,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .ensembles import MatrixSample
 from .errors import InvalidDataError, NumericalFailureError, ShapeError
-from .errors import finite, integer, strictly_increasing
+from .errors import extended_real, finite, integer, strictly_increasing
 
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
@@ -77,6 +77,9 @@ class SpectrumSample:
 
     def __post_init__(self):
         self.values = strictly_increasing(self.values, "spectrum")
+
+    def __array__(self, dtype=None, copy=None):  # every rule reads a sample as its values
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     @property
     def n(self):
@@ -142,14 +145,13 @@ def sturm_count_below_batch(diag, offdiag, x):
     the number of eigenvalues strictly below x, by LDL^T inertia of T - xI
     with the standard pivot-perturbation guard.
 
-    diag (B, n), offdiag (B, n-1); x scalar or (B,).  Returns (B,) counts.
+    diag (B, n), offdiag (B, n-1); x scalar or (B,), an extended_real.  Returns (B,) counts.
     """
     diag = finite(diag, "diag")
     offdiag = finite(offdiag, "offdiag")
     if diag.ndim != 2 or offdiag.shape != (diag.shape[0], diag.shape[1] - 1):
         raise ShapeError("batch shapes must be (B, n) and (B, n-1)")
-    if np.isnan(x).any():
-        raise InvalidDataError("shift must not be NaN")
+    x = extended_real(x, "shift")
     n = diag.shape[1]
     emax = np.max(np.abs(offdiag)) if n > 1 else 0.0
     pivmin = 1e-300 * max(1.0, float(emax) * float(emax))
@@ -164,12 +166,10 @@ def sturm_count_below_batch(diag, offdiag, x):
 
 
 def check_interlacing(parent, child):
-    """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n, where r are the
-    parent eigenvalues and s the (one fewer) child eigenvalues; either must
-    pass strictly_increasing (InvalidDataError if not real, else ShapeError)."""
-    r = parent.values if isinstance(parent, SpectrumSample) else parent
-    s = child.values if isinstance(child, SpectrumSample) else child
-    r, s = strictly_increasing(r, "parent spectrum"), strictly_increasing(s, "child spectrum")
+    """True iff r_1 <= s_1 <= r_2 <= ... <= s_(n-1) <= r_n for the parent eigenvalues r
+    and the (one fewer) child eigenvalues s, both read by strictly_increasing."""
+    r = strictly_increasing(parent, "parent spectrum")
+    s = strictly_increasing(child, "child spectrum")
     if r.size != s.size + 1:
         raise ShapeError(
             f"parent must have exactly one more eigenvalue (got {r.size} vs {s.size})"
@@ -272,7 +272,7 @@ def eigenvalues(sample):
     values = _solve(sample, None)
     try:
         return SpectrumSample(values)
-    except ShapeError as exc:
+    except (ShapeError, InvalidDataError) as exc:
         if not isinstance(sample, MatrixSample):
             raise
         raise NumericalFailureError(

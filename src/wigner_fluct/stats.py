@@ -37,12 +37,20 @@ def standard_normal_cdf(x):
     return ndtr(x)
 
 
-def ks_one_sample(samples, cdf=standard_normal_cdf):
-    """Sup-distance between the empirical CDF of the (finite) samples and cdf."""
-    xs = np.sort(errors.finite(samples, "samples"))
-    n = xs.size
-    if n == 0:
+def _sorted_sample(samples):
+    """samples sorted, if they are finite, one-dimensional and not empty."""
+    xs = errors.finite(samples, "samples")
+    if xs.ndim != 1:
+        raise ShapeError(f"samples must be one-dimensional, got shape {xs.shape}")
+    if xs.size == 0:
         raise InvalidSizeError("need at least one sample")
+    return np.sort(xs)
+
+
+def ks_one_sample(samples, cdf=standard_normal_cdf):
+    """Sup-distance between the empirical CDF of the (finite, 1-D) samples and cdf."""
+    xs = _sorted_sample(samples)
+    n = xs.size
     f = np.asarray([cdf(v) for v in xs])
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
@@ -50,12 +58,9 @@ def ks_one_sample(samples, cdf=standard_normal_cdf):
 
 
 def ks_two_sample(a, b):
-    """Two-sample KS statistic d of two finite samples and its asymptotic p-value,
+    """Two-sample KS statistic d of two finite 1-D samples and its asymptotic p-value,
     the Kolmogorov survival function (scipy.special.kolmogorov) at sqrt(nm / (n + m)) d."""
-    a = np.sort(errors.finite(a, "samples"))
-    b = np.sort(errors.finite(b, "samples"))
-    if a.size == 0 or b.size == 0:
-        raise InvalidSizeError("both samples must be nonempty")
+    a, b = _sorted_sample(a), _sorted_sample(b)
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -67,6 +72,8 @@ def ks_two_sample(a, b):
 def empirical_corr(vectors):
     """Pearson correlation matrix of finite per-trial fluctuation vectors (T, m)."""
     x = errors.finite(vectors, "vectors")
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"vectors must be one- or two-dimensional, got shape {x.shape}")
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[0] < 2:

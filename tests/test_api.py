@@ -103,6 +103,21 @@ def test_bound_messages_are_written_only_by_the_integer_rule():
     assert offenders == []
 
 
+def test_nan_and_real_data_are_decided_only_by_errors():
+    """No module but errors raises InvalidDataError or calls isnan: every NaN
+    and every dtype that is not real is refused by a rule of errors."""
+    offenders = []
+    for module, tree in parsed_modules():
+        if module == "errors.py":
+            continue
+        for node in ast.walk(tree):
+            raised = ast.walk(node.exc) if isinstance(node, ast.Raise) and node.exc else ()
+            if any(getattr(n, "id", getattr(n, "attr", "")) == "InvalidDataError" for n in raised):
+                offenders.append(f"{module}:{node.lineno} raises InvalidDataError")
+            if isinstance(node, ast.Attribute) and node.attr == "isnan":
+                offenders.append(f"{module}:{node.lineno} calls isnan")
+    assert offenders == []
+
 
 # (rule, arguments, the class it raises, its message): the seed, membership
 # and finiteness rules beside integer and strictly_increasing
@@ -115,6 +130,13 @@ REFUSED_BY_RULE = [
     *[
         (rule, (data, "x"), wf.InvalidDataError, "x must be real, got dtype complex128")
         for rule, data in (("finite", np.array([1j])), ("strictly_increasing", [0, 1j]))
+    ],
+    ("extended_real", (1j, "x"), wf.InvalidDataError, "x must be real, got dtype complex128"),
+    ("extended_real", ([-np.inf, np.nan], "x"), wf.InvalidDataError, "x must not be NaN"),
+    # NaN is data to strictly_increasing too, alone or among other entries
+    *[
+        ("strictly_increasing", (data, "x"), wf.InvalidDataError, "x must not be NaN")
+        for data in ([np.nan], [0.0, np.nan], [np.nan, 0.0, 1.0])
     ],
 ]
 
@@ -130,6 +152,21 @@ def test_argument_rules_return_the_value_they_accept():
     assert errors.uint64(np.uint64(2**64 - 1), "seed") == 2**64 - 1
     assert errors.one_of(4, "beta", (1, 2, 4)) == 4
     assert errors.finite([1, 2], "data").dtype == float
+    line = [-np.inf, 0.0, np.inf]
+    assert errors.extended_real(line, "x").tolist() == line
+    assert errors.strictly_increasing(line, "x").tolist() == line
+
+
+def test_the_packages_own_spectra_pass_its_rules():
+    # a SpectrumSample is read as its values by every rule, through numpy's array protocol
+    a, b = wf.eigenvalues(wf.sample_goe(8, 1)), wf.eigenvalues(wf.sample_goe(9, 2))
+    merged = wf.superpose_decimate_even(a, b)
+    assert np.array_equal(merged, wf.superpose_decimate_even(a.values, b.values))
+    assert np.array_equal(wf.gse_from_goe(b), wf.gse_from_goe(b.values))
+    assert wf.ks_one_sample(a) == wf.ks_one_sample(a.values)
+    interlaced = wf.check_interlacing(b.values, merged)
+    assert wf.check_interlacing(b, wf.SpectrumSample(merged)) is interlaced
+    assert np.asarray(a) is a.values and np.asarray(a, copy=True) is not a.values
 
 
 # Public entries that take outside data, each with an input it refuses and
@@ -144,7 +181,7 @@ DATA, SHAPE = wf.InvalidDataError, wf.ShapeError
 REFUSED_AT_ENTRY = [
     ("check_interlacing-complex", lambda: wf.check_interlacing(_Z, [0.5, 1.5]), DATA),
     ("check_interlacing-list", lambda: wf.check_interlacing(_L, [0.5, 1.5]), DATA),
-    ("check_interlacing-nan", lambda: wf.check_interlacing([0.0, np.nan, 2.0], [0.5, 1.5]), SHAPE),
+    ("check_interlacing-nan", lambda: wf.check_interlacing([0.0, np.nan, 2.0], [0.5, 1.5]), DATA),
     ("check_interlacing-order", lambda: wf.check_interlacing([2.0, 0.0, 1.0], [0.5, 1.5]), SHAPE),
     ("check_interlacing-rank", lambda: wf.check_interlacing([[0.0, 1.0, 2.0]], [0.5, 1.5]), SHAPE),
     ("normalize-complex", lambda: wf.normalize(_Z, _BULK2, 1), DATA),
@@ -154,6 +191,12 @@ REFUSED_AT_ENTRY = [
     ("sturm-complex", lambda: wf.sturm_count_below_batch(_Z[None], [[1.0, 1.0]], 0.0), DATA),
     ("sturm-list", lambda: wf.sturm_count_below_batch([[0.0, 0.0]], [[1j]], 0.0), DATA),
     ("sturm-nan", lambda: wf.sturm_count_below_batch([[0.0, np.nan]], [[1.0]], 0.0), DATA),
+    ("sturm-shift-complex", lambda: wf.sturm_count_below_batch([[0.0, 1.0]], [[1.0]], 1j), DATA),
+    ("sturm-shift-str", lambda: wf.sturm_count_below_batch([[0.0, 1.0]], [[1.0]], "a"), DATA),
+    ("counting_experiment-cut-complex", lambda: wf.counting_experiment(5, 1, 1j, 3, 0), DATA),
+    ("expected_count-complex", lambda: wf.expected_count(10, (0j, 1.0)), DATA),
+    ("expected_count-nan", lambda: wf.expected_count(10, (np.nan, 1.0)), DATA),
+    ("expected_count-triple", lambda: wf.expected_count(10, (0.0, 1.0, 2.0)), SHAPE),
     ("hermite_psi-complex", lambda: wf.hermite_psi(3, np.array([0.5 + 1j])), DATA),
     ("hermite_psi-list", lambda: wf.hermite_psi(3, [1j]), DATA),
     ("hermite_psi-nan", lambda: wf.hermite_psi(3, np.nan), DATA),
@@ -163,16 +206,27 @@ REFUSED_AT_ENTRY = [
     ("kernel_diag-nan", lambda: wf.kernel_diag(4, [0.0, np.nan]), DATA),
     ("summarize_vectors-complex", lambda: wf.summarize_vectors(_Z[:, None], _ONE), DATA),
     ("summarize_vectors-list", lambda: wf.summarize_vectors([[0.1], [1j], [0.3]], _ONE), DATA),
+    ("summarize_vectors-rank", lambda: wf.summarize_vectors(np.ones((3, 1, 2)), _ONE), SHAPE),
     ("ks_one_sample-complex", lambda: wf.ks_one_sample(_Z), DATA),
     ("ks_one_sample-list", lambda: wf.ks_one_sample(_L), DATA),
+    ("ks_one_sample-rank", lambda: wf.ks_one_sample([[0.1], [0.2], [0.9]]), SHAPE),
     ("ks_two_sample-complex", lambda: wf.ks_two_sample([0.1, 0.2], _Z), DATA),
     ("ks_two_sample-list", lambda: wf.ks_two_sample(_L, [0.1, 0.2]), DATA),
+    ("ks_two_sample-rank", lambda: wf.ks_two_sample([[0.1], [0.2]], [0.1, 0.2]), SHAPE),
     ("empirical_corr-complex", lambda: wf.empirical_corr(_Z), DATA),
     ("empirical_corr-list", lambda: wf.empirical_corr(_L), DATA),
+    ("empirical_corr-rank", lambda: wf.empirical_corr(np.ones((3, 2, 2))), SHAPE),
     ("Thresholds-complex", lambda: wf.Thresholds(ks_max=np.array(0.1 + 1j)), DATA),
     ("Thresholds-list", lambda: wf.Thresholds(var_lo=[0.8j]), DATA),
     ("SpectrumSample-complex", lambda: wf.SpectrumSample(_Z), DATA),
     ("SpectrumSample-list", lambda: wf.SpectrumSample(_L), DATA),
+    ("SpectrumSample-nan", lambda: wf.SpectrumSample([np.nan]), DATA),
+    # 2**70 is an integer index out of range, not data that is not real
+    ("IndexSpec-huge-index",
+     lambda: wf.normalize([0.0, 1.0], wf.IndexSpec("bulk", (2**70,)), 1), SHAPE),
+    ("IndexSpec-thetas-str", lambda: wf.IndexSpec("bulk", (1, 2), thetas=("a",)), DATA),
+    ("IndexSpec-thetas-nan", lambda: wf.IndexSpec("bulk", (1, 2), thetas=(np.nan,)), DATA),
+    ("IndexSpec-gamma-str", lambda: wf.IndexSpec("edge", (2,), gamma="x"), DATA),
     ("superpose-complex", lambda: wf.superpose_decimate_even(_Z, [0.5, 1.5, 2.5]), DATA),
     ("superpose-list", lambda: wf.superpose_decimate_even([0.5, 1.5], _L), DATA),
     ("gse_from_goe-complex", lambda: wf.gse_from_goe(_Z), DATA),

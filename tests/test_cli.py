@@ -345,12 +345,14 @@ class TestKernelCommand:
     @pytest.mark.parametrize("command", ["kernel", "cumulants"])
     @pytest.mark.parametrize("interval", ["2,1", "1,1", "nan,1"])
     def test_unordered_interval_is_kernels_shape_error(self, command, interval, tmp_path, capsys):
-        # the CLI leaves a < b to kernel._clip_interval; nothing is written
+        # the CLI leaves the pair to kernel._clip_interval, whose strictly_increasing
+        # refuses NaN as data; nothing is written
         out = tmp_path / "k.json"
         assert run([command, "--n", "5", f"--interval={interval}", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("invalid configuration: interval endpoints must satisfy a < b")
+        wording = "must not be NaN" if "nan" in interval else "must be strictly increasing"
+        assert err[0] == f"invalid configuration: interval {wording}"
         assert not out.exists()
 
 
@@ -636,6 +638,13 @@ class TestExitCodes:
         assert run([*command, "--n", "1", "--k", "1", "--beta", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n must be >= 2" in err[0]
+
+    def test_index_beyond_numpy_integers_is_2(self, capsys):
+        # an index of 2**64 or more is an integer: out of range, not data that is not real
+        k = "99999999999999999999999"
+        assert run(["bulk-fluct", "--n", "10", "--k", k, "--beta", "1", "--trials", "5"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"invalid configuration: eigenvalue index {k} out of range 1..10"]
 
     def test_inverted_variance_bounds_are_2(self, capsys):
         argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "5"]
