@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its six argument rules.
+"""Exception types shared across the package, and its seven argument rules.
 
 Argument validation failures raise ValueError subclasses so callers can
 catch them uniformly; runtime numerical breakdowns raise RuntimeError
@@ -8,8 +8,9 @@ orders, trial counts, indices; fractions refused, not truncated; ``least``
 is the one integer lower bound) and ``uint64`` (seeds) InvalidSizeError,
 ``one_of`` (an option such as beta) UnsupportedError, ``finite`` (no NaN or
 inf) and ``extended_real`` (no NaN; points such as a shift) InvalidDataError,
-``strictly_increasing`` (spectra, intervals) ShapeError.  The array rules
-refuse data that is not real (_real) or NaN as InvalidDataError, always.
+``strictly_increasing`` (spectra, intervals) and ``rank`` ("{name} must be a scalar",
+"one-dimensional" or "one- or two-dimensional", ", got shape ...") ShapeError.  The
+array rules refuse data that is not real (_real) or NaN as InvalidDataError, always.
 """
 
 import operator
@@ -114,11 +115,18 @@ def extended_real(values, name):
     return values
 
 
+def rank(values, name, *ndims):
+    """values, an array as the rules above return it, if its rank is one of ndims."""
+    if values.ndim not in ndims:
+        wanted = {(0,): "a scalar", (0, 1): "a scalar or one-dimensional", (1,): "one-dimensional",
+                  (1, 2): "one- or two-dimensional", (2,): "two-dimensional"}[ndims]
+        raise ShapeError(f"{name} must be {wanted}, got shape {values.shape}")
+    return values
+
+
 def strictly_increasing(values, name):
     """values as a real float array, if one-dimensional, strictly increasing and not NaN."""
-    values = _real(values, name)
-    if values.ndim != 1:
-        raise ShapeError(f"{name} must be one-dimensional, got shape {values.shape}")
+    values = rank(_real(values, name), name, 1)
     if values.size == 1 or not (values[1:] > values[:-1]).all():  # NaN fails the order
         if extended_real(values, name).size > 1:
             raise ShapeError(f"{name} must be strictly increasing")

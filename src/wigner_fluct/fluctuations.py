@@ -11,7 +11,7 @@ Index conventions (all 1-based, matching x_1 < x_2 < ... < x_n):
 
 For finite n the exponents are defined as theta_i = log(k_{i+1} - k_i) / log n
 (the asymptotic ~ relation has no finite-n content); they may also be declared
-explicitly (errors' finite rule).  Indices pass its integer rule (>= 1) and ascend.
+explicitly (errors' finite and rank rules).  Indices pass its integer rule (>= 1) and ascend.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from math import log
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, finite, integer, one_of, strictly_increasing
+from .errors import DomainError, ShapeError, finite, integer, one_of, rank, strictly_increasing
 from .semicircle import bulk_center_scale, edge_center_scale
 
 
@@ -37,17 +37,16 @@ class IndexSpec:
         one_of(self.regime, "regime", ("bulk", "edge"))
         idx = _checked_indices(self.indices)
         object.__setattr__(self, "indices", idx)
-        th = tuple(finite(self.thetas, "gap exponents").tolist())
+        th = tuple(rank(finite(self.thetas, "gap exponents"), "gap exponents", 1).tolist())
         object.__setattr__(self, "thetas", th)
+        object.__setattr__(self, "gamma", float(rank(finite(self.gamma, "gamma"), "gamma", 0)))
         if th and len(th) != len(idx) - 1:
-            raise ShapeError(
-                f"{len(idx)} indices need {len(idx) - 1} gap exponents, got {len(th)}"
-            )
+            raise ShapeError(f"{len(idx)} indices need {len(idx) - 1} gap exponents, got {len(th)}")
         if self.regime == "bulk":
             if any(not 0.0 < t <= 1.0 for t in th):
                 raise DomainError(f"bulk gap exponents must lie in (0, 1], got {th}")
         else:
-            if not 0.0 < finite(self.gamma, "gamma") < 1.0:
+            if not 0.0 < self.gamma < 1.0:
                 raise DomainError(f"edge regime needs gamma in (0, 1), got {self.gamma}")
             if any(not 0.0 < t < self.gamma for t in th):
                 raise DomainError(

@@ -34,7 +34,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .ensembles import MatrixSample
 from .errors import InvalidDataError, NumericalFailureError, ShapeError
-from .errors import extended_real, finite, integer, strictly_increasing
+from .errors import extended_real, finite, integer, rank, strictly_increasing
 
 # Relative tolerance for collapsing structurally doubled eigenvalues of
 # embedded forms back to single copies.
@@ -53,14 +53,12 @@ class Tridiagonal:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        d = finite(self.diag, "tridiagonal entries")
-        e = finite(self.offdiag, "tridiagonal entries")
+        d = rank(finite(self.diag, "tridiagonal entries"), "diag", 1)
+        e = rank(finite(self.offdiag, "tridiagonal entries"), "offdiag", 1)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
-        if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
-            raise ShapeError(
-                f"inconsistent tridiagonal shapes: diag {d.shape}, offdiag {e.shape}"
-            )
+        if e.size != max(d.size - 1, 0):
+            raise ShapeError(f"inconsistent tridiagonal shapes: diag {d.shape}, offdiag {e.shape}")
         if d.size == 0:
             raise ShapeError("empty tridiagonal")
 
@@ -90,9 +88,11 @@ def tridiagonalize(matrix):
     """Householder reduction of an exactly symmetric real matrix to
     tridiagonal form (orthogonally similar, spectrum preserved).
     """
-    a = finite(matrix, "matrix entries")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = rank(finite(matrix, "matrix entries"), "matrix", 2)
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:  # sytrd cannot size its output for order 0
+        raise ShapeError("empty tridiagonal")
     if not (a == a.T).all():
         raise ShapeError("matrix is not exactly symmetric")
     n = a.shape[0]
@@ -145,13 +145,14 @@ def sturm_count_below_batch(diag, offdiag, x):
     the number of eigenvalues strictly below x, by LDL^T inertia of T - xI
     with the standard pivot-perturbation guard.
 
-    diag (B, n), offdiag (B, n-1); x scalar or (B,), an extended_real.  Returns (B,) counts.
+    diag (B, n), offdiag (B, n-1); x scalar or (B,), an extended_real; any
+    other rank (errors.rank) or shape raises ShapeError.  Returns (B,) counts.
     """
-    diag = finite(diag, "diag")
+    diag = rank(finite(diag, "diag"), "diag", 2)
     offdiag = finite(offdiag, "offdiag")
-    if diag.ndim != 2 or offdiag.shape != (diag.shape[0], diag.shape[1] - 1):
-        raise ShapeError("batch shapes must be (B, n) and (B, n-1)")
-    x = extended_real(x, "shift")
+    x = rank(extended_real(x, "shift"), "shift", 0, 1)
+    if offdiag.shape != (diag.shape[0], diag.shape[1] - 1) or x.shape not in ((), diag.shape[:1]):
+        raise ShapeError("batch shapes must be (B, n) and (B, n-1), and the shift () or (B,)")
     n = diag.shape[1]
     emax = np.max(np.abs(offdiag)) if n > 1 else 0.0
     pivmin = 1e-300 * max(1.0, float(emax) * float(emax))
@@ -202,12 +203,12 @@ def _reduce(sample):
     if isinstance(sample, Tridiagonal):
         return sample, 1
     if not isinstance(sample, MatrixSample):
-        a, copies = np.asarray(sample), 1
+        a, copies = rank(np.asarray(sample), "matrix", 2), 1
     elif sample.array is None:
         return Tridiagonal(diag=sample.diag, offdiag=sample.offdiag), 1
     else:
-        a = sample.array
-        copies, rest = divmod(a.shape[0] if a.ndim == 2 else 0, sample.n)
+        a = rank(sample.array, "matrix", 2)
+        copies, rest = divmod(a.shape[0], sample.n)
         if rest or not copies:
             raise ShapeError(f"array of shape {a.shape} for a sample of size n={sample.n}")
     if a.dtype.kind == "c":
@@ -219,9 +220,7 @@ def _collapse_multiplicity(values, mult):
     """Average consecutive groups of mult values (each group ascending) down
     to single copies, verifying the within-group spread stays below the
     dedup tolerance relative to the largest |value| given (at least 1)."""
-    if values.size % mult:
-        raise ShapeError(f"spectrum length {values.size} not divisible by {mult}")
-    groups = values.reshape(-1, mult)
+    groups = values.reshape(-1, mult)  # _reduce's order check makes mult divide the length
     radius = max(float(np.abs(values).max(initial=0.0)), 1.0)
     spread = (groups[:, -1] - groups[:, 0]).max(initial=0.0)
     if spread > _DEDUP_RTOL * radius:
@@ -234,16 +233,16 @@ def _collapse_multiplicity(values, mult):
 def _solve(sample, positions):
     """Eigenvalues of the sample: the whole ascending spectrum when
     positions is None, else the value at each 0-based ascending position,
-    in the order given, each checked against the sample's n before it is
-    scaled by the multiplicity.  A numerical failure carries the sample's
-    seed and size."""
+    in the order given, each uncast (positions are read as an object array)
+    and checked against the sample's n before it is scaled by the multiplicity.
+    A numerical failure carries the sample's seed and size."""
     try:
         t, mult = _reduce(sample)
         if positions is None:
             values = tridiag_eigenvalues(t)
         else:
             n, selected = t.n // mult, []
-            for p in positions:
+            for p in rank(np.asarray(positions, dtype=object), "positions", 1).tolist():
                 p = integer(p, "position")
                 if not 0 <= p < n:
                     raise ShapeError(f"position {p} invalid for n={n}")
@@ -288,7 +287,7 @@ def eigenvalues_at(sample, positions):
     Only the requested eigenvalues are solved (LAPACK stebz bisection on the
     reduced tridiagonal, one call per position), so a trial that reads a few
     of n eigenvalues pays for those alone.  No positions give an empty
-    array; a position that is not an integer raises InvalidSizeError, and
-    one outside [0, n) ShapeError.
+    array; positions that are not 1-D (rank), or one outside [0, n), raise
+    ShapeError, and a position that is not an integer InvalidSizeError.
     """
     return _solve(sample, positions)

@@ -38,10 +38,8 @@ def standard_normal_cdf(x):
 
 
 def _sorted_sample(samples):
-    """samples sorted, if they are finite, one-dimensional and not empty."""
-    xs = errors.finite(samples, "samples")
-    if xs.ndim != 1:
-        raise ShapeError(f"samples must be one-dimensional, got shape {xs.shape}")
+    """samples sorted, if they are finite, 1-D and not empty."""
+    xs = errors.rank(errors.finite(samples, "samples"), "samples", 1)
     if xs.size == 0:
         raise InvalidSizeError("need at least one sample")
     return np.sort(xs)
@@ -69,13 +67,17 @@ def ks_two_sample(a, b):
     return d, float(kolmogorov(eff * d))
 
 
+def _trial_vectors(vectors):
+    """vectors as a finite (T, m) array, T >= 1, read from 2-D or (one column) 1-D input."""
+    x = errors.rank(errors.finite(vectors, "vectors"), "vectors", 1, 2)
+    if not x.shape[0]:
+        raise InvalidSizeError("need at least one trial")
+    return x[:, None] if x.ndim == 1 else x
+
+
 def empirical_corr(vectors):
     """Pearson correlation matrix of finite per-trial fluctuation vectors (T, m)."""
-    x = errors.finite(vectors, "vectors")
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"vectors must be one- or two-dimensional, got shape {x.shape}")
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _trial_vectors(vectors)
     if x.shape[0] < 2:
         raise InvalidSizeError("need at least two trials for a correlation")
     stds = x.std(axis=0, ddof=1)
@@ -88,9 +90,9 @@ def empirical_corr(vectors):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Verdict bounds; any field left as None is simply not checked, and one
-    that is set must be finite (a nan bound would fail every verdict), with
-    var_lo <= var_hi when both are set (else every variance verdict fails)."""
+    """Verdict bounds; a field left as None is not checked, and one that is set
+    is a finite scalar, stored as a float (a nan bound would fail every verdict),
+    with var_lo <= var_hi when both are set (else every variance verdict fails)."""
 
     ks_max: float | None = None
     var_lo: float | None = None
@@ -100,7 +102,8 @@ class Thresholds:
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) is not None:
-                errors.finite(getattr(self, f.name), f.name)
+                bound = errors.rank(errors.finite(getattr(self, f.name), f.name), f.name, 0)
+                object.__setattr__(self, f.name, float(bound))
         if None not in (self.var_lo, self.var_hi) and self.var_lo > self.var_hi:
             raise errors.DomainError(f"var_lo must be <= var_hi, got {self.var_lo} > {self.var_hi}")
 
@@ -162,11 +165,10 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
     """Summary statistics plus pass/fail records for the given thresholds.
 
     Deterministic function of its inputs; rerunning it on stored per-trial
-    vectors must reproduce a result's summary exactly.
+    vectors must reproduce a result's summary exactly.  Vectors are read as in
+    empirical_corr (rank 1 or 2, else ShapeError; no trial, InvalidSizeError).
     """
-    x = errors.finite(vectors, "vectors")
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _trial_vectors(vectors)
     m = x.shape[1]
     if m != index_spec.m:
         raise ShapeError(f"vectors have {m} columns, the index spec {index_spec.m}")
@@ -232,11 +234,13 @@ def counting_experiment(n, beta, cut, trials, seed):
 
     Each trial draws sample_tridiag_beta (identical spectrum law) from its
     mixed seed, and counting goes through batched Sturm inertia
-    (spectra.sturm_count_below_batch), so one trial costs O(n).
+    (spectra.sturm_count_below_batch), so one trial costs O(n).  A cut that is
+    not a scalar (ShapeError) or is NaN is refused before any trial is drawn.
     """
     errors.integer(trials, "trials", least=1)
     # checks n and beta before the batch arrays are sized from n
     EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta)
+    cut = errors.rank(errors.extended_real(cut, "cut"), "cut", 0)
     batch = min(_COUNTING_BATCH, trials)
     # each draw goes straight into its row; holding the samples would raise
     # the peak memory of a batch

@@ -88,10 +88,13 @@ def test_acceptance_suite_calls_only_public_names():
 
 
 def test_bound_messages_are_written_only_by_the_integer_rule():
-    """Every integer, lower-bound, seed-range and membership message comes
-    from a rule of errors (integer, uint64, one_of), cli's argparse messages
-    included: its parsers only turn text into numbers."""
-    wordings = ("must be >=", "must be an integer", "must be < 2**64", "must be one of")
+    """Every integer, lower-bound, seed-range, membership and rank message
+    comes from a rule of errors (integer, uint64, one_of, rank), cli's argparse
+    messages included: its parsers only turn text into numbers."""
+    wordings = (
+        "must be >=", "must be an integer", "must be < 2**64", "must be one of",
+        "-dimensional", "must be a scalar",
+    )
     offenders = []
     for module, tree in parsed_modules():
         if module == "errors.py":
@@ -119,8 +122,8 @@ def test_nan_and_real_data_are_decided_only_by_errors():
     assert offenders == []
 
 
-# (rule, arguments, the class it raises, its message): the seed, membership
-# and finiteness rules beside integer and strictly_increasing
+# (rule, arguments, the class it raises, its message): the seed, membership,
+# finiteness and rank rules beside integer and strictly_increasing
 REFUSED_BY_RULE = [
     ("uint64", (-1, "seed"), wf.InvalidSizeError, "seed must be >= 0, got -1"),
     ("uint64", (2**64, "seed"), wf.InvalidSizeError, f"seed must be < 2**64, got {2**64}"),
@@ -137,6 +140,18 @@ REFUSED_BY_RULE = [
     *[
         ("strictly_increasing", (data, "x"), wf.InvalidDataError, "x must not be NaN")
         for data in ([np.nan], [0.0, np.nan], [np.nan, 0.0, 1.0])
+    ],
+    # rank, one row per wording
+    *[
+        ("rank", (np.zeros(shape), "x", *ndims), wf.ShapeError,
+         f"x must be {wording}, got shape {shape}")
+        for shape, ndims, wording in (
+            ((2,), (0,), "a scalar"),
+            ((1, 2), (0, 1), "a scalar or one-dimensional"),
+            ((2, 3), (1,), "one-dimensional"),
+            ((3, 2, 2), (1, 2), "one- or two-dimensional"),
+            ((), (2,), "two-dimensional"),
+        )
     ],
 ]
 
@@ -155,6 +170,8 @@ def test_argument_rules_return_the_value_they_accept():
     line = [-np.inf, 0.0, np.inf]
     assert errors.extended_real(line, "x").tolist() == line
     assert errors.strictly_increasing(line, "x").tolist() == line
+    scalar = np.array(0.5)
+    assert errors.rank(scalar, "x", 0) is scalar
 
 
 def test_the_packages_own_spectra_pass_its_rules():
@@ -171,12 +188,15 @@ def test_the_packages_own_spectra_pass_its_rules():
 
 # Public entries that take outside data, each with an input it refuses and
 # the class it raises: a complex ndarray, a Python complex in a list, NaN, and
-# the wrong rank or order where the entry reads a 1-D spectrum.  None may warn,
-# truncate, answer, or let a numpy or Python exception through.
+# the wrong rank or order where the entry reads a 1-D spectrum, and the wrong
+# rank wherever it reads a scalar, vector or matrix (with rank's message, the
+# row's last entry).  None may warn, truncate, answer, or let a numpy or
+# Python exception through.
 _Z = np.array([0.0, 1.0 + 1.0j, 2.0])
 _L = [0.0, 1j, 2.0]
 _BULK2 = wf.IndexSpec("bulk", (2,))
 _ONE = wf.IndexSpec("bulk", (1,))
+_GOE4 = wf.sample_goe(4, 1)
 DATA, SHAPE = wf.InvalidDataError, wf.ShapeError
 REFUSED_AT_ENTRY = [
     ("check_interlacing-complex", lambda: wf.check_interlacing(_Z, [0.5, 1.5]), DATA),
@@ -235,15 +255,46 @@ REFUSED_AT_ENTRY = [
     ("Tridiagonal-list", lambda: wf.Tridiagonal(diag=[0.0, 0.0], offdiag=[1j]), DATA),
     ("tridiagonalize-complex", lambda: wf.tridiagonalize(np.array([[1.0, 1j], [-1j, 1.0]])), DATA),
     ("tridiagonalize-list", lambda: wf.tridiagonalize([[1.0, 1j], [-1j, 1.0]]), DATA),
+    # inputs of the wrong rank or length
+    ("sturm-shift-length",
+     lambda: wf.sturm_count_below_batch([[0.0, 1.0]], [[1.0]], [0.0, 1.0, 2.0]), SHAPE),
+    ("sturm-shift-rank", lambda: wf.sturm_count_below_batch([[0.0, 1.0]], [[1.0]], [[0.0, 1.0]]),
+     SHAPE, "shift must be a scalar or one-dimensional, got shape (1, 2)"),
+    ("counting_experiment-cut-rank", lambda: wf.counting_experiment(5, 1, [0.0, 1.0], 3, 0),
+     SHAPE, "cut must be a scalar, got shape (2,)"),
+    ("IndexSpec-thetas-scalar", lambda: wf.IndexSpec("bulk", (1, 2), thetas=0.5),
+     SHAPE, "gap exponents must be one-dimensional, got shape ()"),
+    ("IndexSpec-thetas-nested", lambda: wf.IndexSpec("bulk", (1, 2), thetas=((0.5,),)),
+     SHAPE, "gap exponents must be one-dimensional, got shape (1, 1)"),
+    ("IndexSpec-gamma-pair", lambda: wf.IndexSpec("edge", (2,), gamma=[0.5, 0.6]),
+     SHAPE, "gamma must be a scalar, got shape (2,)"),
+    ("IndexSpec-gamma-list", lambda: wf.IndexSpec("edge", (2,), gamma=[0.5]),
+     SHAPE, "gamma must be a scalar, got shape (1,)"),
+    ("Thresholds-rank", lambda: wf.Thresholds(ks_max=[0.1]),
+     SHAPE, "ks_max must be a scalar, got shape (1,)"),
+    ("summarize_vectors-scalar", lambda: wf.summarize_vectors(np.array(0.5), _ONE),
+     SHAPE, "vectors must be one- or two-dimensional, got shape ()"),
+    ("summarize_vectors-no-trial", lambda: wf.summarize_vectors(np.ones((0, 1)), _ONE),
+     wf.InvalidSizeError, "need at least one trial"),
+    ("eigenvalues_at-scalar", lambda: wf.eigenvalues_at(_GOE4, 3),
+     SHAPE, "positions must be one-dimensional, got shape ()"),
+    ("eigenvalues-complex-vector", lambda: wf.eigenvalues([1j, 2.0]),
+     SHAPE, "matrix must be two-dimensional, got shape (2,)"),
+    ("tridiagonalize-empty", lambda: wf.tridiagonalize(np.zeros((0, 0))), SHAPE,
+     "empty tridiagonal"),
+    ("eigenvalues-empty", lambda: wf.eigenvalues(np.zeros((0, 0))), SHAPE, "empty tridiagonal"),
 ]
 
 
 @pytest.mark.parametrize(
-    "call, cls", [row[1:] for row in REFUSED_AT_ENTRY], ids=[row[0] for row in REFUSED_AT_ENTRY]
+    "call, cls, message",
+    [(row[1], row[2], row[3] if len(row) > 3 else None) for row in REFUSED_AT_ENTRY],
+    ids=[row[0] for row in REFUSED_AT_ENTRY],
 )
-def test_public_entries_refuse_data_that_is_not_real(call, cls):
+def test_public_entries_refuse_data_that_is_not_real(call, cls, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as exc:
             call()
     assert type(exc.value) is cls
+    assert message is None or str(exc.value) == message

@@ -36,6 +36,11 @@ class TestIndexSpec:
         with pytest.raises(wf.DomainError):
             wf.IndexSpec(regime="edge", indices=(10, 20), thetas=(0.5,))
 
+    def test_gamma_is_stored_as_a_python_float(self):
+        for gamma in (np.array(0.5), np.float32(0.5), 0.5):
+            spec = wf.IndexSpec(regime="edge", indices=(2,), gamma=gamma)
+            assert type(spec.gamma) is float and spec.gamma == 0.5
+
     def test_edge_theta_below_gamma(self):
         with pytest.raises(wf.DomainError):
             wf.IndexSpec(regime="edge", indices=(10, 20), thetas=(0.9,), gamma=0.8)

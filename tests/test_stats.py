@@ -169,6 +169,15 @@ class TestThresholds:
         assert Thresholds(var_lo=1.0, var_hi=1.0).var_lo == 1.0
         assert Thresholds(var_lo=1.3).var_hi is None
 
+    def test_bounds_are_stored_as_python_floats(self):
+        # a 0-d array or an int bound would otherwise reach the summary's JSON as it was given
+        th = Thresholds(ks_max=np.array(0.5), var_lo=np.float32(0.75), var_hi=2, corr_tol=None)
+        assert [type(v) for v in (th.ks_max, th.var_lo, th.var_hi)] == [float] * 3
+        assert (th.ks_max, th.var_lo, th.var_hi, th.corr_tol) == (0.5, 0.75, 2.0, None)
+        x = np.random.default_rng(0).standard_normal((20, 1))
+        summary = wf.summarize_vectors(x, wf.IndexSpec("bulk", (1,)), th)
+        assert json.loads(json.dumps(summary))["pass"][0]["bound"] == {"max": 0.5}
+
 
 class TestRunMC:
     def test_single_trial_shape(self):
