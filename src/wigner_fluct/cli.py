@@ -48,7 +48,7 @@ import scipy
 
 from . import __version__, ensembles, errors, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import NumericalFailureError, NumericalRangeError, ShapeError, UnsupportedError
+from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
 from .stats import ExperimentPlan, Thresholds
 
 SCHEMA_VERSION = 1
@@ -415,9 +415,7 @@ def fr_check_samples(which, n, trials, seed):
 
 def _cmd_fr_check(args):
     n = args.n
-    indices = args.k or tuple(range(1, n + 1))
-    if any(k > n for k in indices):
-        raise ShapeError(f"--k indices must be <= n={n}")
+    indices = [errors.integer(k, "--k", most=n) for k in args.k or range(1, n + 1)]
     left, right = fr_check_samples(args.which, n, args.trials, args.seed)
     ks = {}
     all_pass = True

@@ -3,14 +3,19 @@
 Argument validation failures raise ValueError subclasses so callers can
 catch them uniformly; runtime numerical breakdowns raise RuntimeError
 subclasses and carry enough context to reproduce the failing case.  Each
-argument domain has one rule, which raises one class: ``integer`` (sizes,
-orders, trial counts, indices; fractions refused, not truncated; ``least``
-is the one integer lower bound) and ``uint64`` (seeds) InvalidSizeError,
-``one_of`` (an option such as beta) UnsupportedError, ``finite`` (no NaN or
-inf) and ``extended_real`` (no NaN; points such as a shift) InvalidDataError,
-``strictly_increasing`` (spectra, intervals) and ``rank`` ("{name} must be a scalar",
-"one-dimensional" or "one- or two-dimensional", ", got shape ...") ShapeError.  The
-array rules refuse data that is not real (_real) or NaN as InvalidDataError, always.
+argument domain has one rule, which raises one class:
+
+- integer: sizes, counts, indices; fractions refused, not truncated; ``least`` and ``most``
+  are the one integer bounds ("{name} must be <= {most}, got ..."); InvalidSizeError
+- uint64: seeds, integers in [0, 2**64); InvalidSizeError
+- one_of: an option such as beta; UnsupportedError
+- finite: no NaN or inf; InvalidDataError
+- extended_real: no NaN, +-inf allowed (points such as a shift); InvalidDataError
+- strictly_increasing: spectra and intervals; ShapeError
+- rank: "{name} must be a scalar" or "one-dimensional" ..., ", got shape ..."; ShapeError
+
+No other module raises InvalidSizeError.  The array rules refuse data that is
+not real (_real) or NaN as InvalidDataError, always.
 """
 
 import operator
@@ -62,14 +67,16 @@ class DiscretizationFailureError(NumericalFailureError):
     """A discretized operator violated a structural bound (raise the order)."""
 
 
-def integer(value, name, least=None):
-    """value as an int (numpy integers included), >= least if given."""
+def integer(value, name, least=None, most=None):
+    """value as an int (numpy integers included), in [least, most] where given."""
     try:
         value = operator.index(value)
     except TypeError:
         raise InvalidSizeError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise InvalidSizeError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InvalidSizeError(f"{name} must be <= {most}, got {value}")
     return value
 
 

@@ -11,7 +11,8 @@ Index conventions (all 1-based, matching x_1 < x_2 < ... < x_n):
 
 For finite n the exponents are defined as theta_i = log(k_{i+1} - k_i) / log n
 (the asymptotic ~ relation has no finite-n content); they may also be declared
-explicitly (errors' finite and rank rules).  Indices pass its integer rule (>= 1) and ascend.
+explicitly (errors' finite and rank rules).  Indices pass its integer rule (>= 1) and ascend;
+the centre functions bound them above, by n in the bulk and n - 1 at the edge.
 """
 
 from dataclasses import dataclass
@@ -59,11 +60,11 @@ class IndexSpec:
 
 
 def _checked_indices(indices):
-    """indices as an ascending tuple of at least one int >= 1: the one index check of
-    IndexSpec and thetas_from_indices, on Python ints (numpy has none above 2**64)."""
-    idx = tuple(integer(k, "eigenvalue index", least=1) for k in indices)
-    if not idx:
-        raise ShapeError("at least one eigenvalue index required")
+    """indices, a nonempty vector, as an ascending tuple of ints >= 1: the one index check
+    of IndexSpec and thetas_from_indices, on Python ints (numpy has none above 2**64)."""
+    idx = rank(np.asarray(indices, dtype=object), "eigenvalue indices", 1).tolist()
+    integer(len(idx), "number of eigenvalue indices", least=1)
+    idx = tuple(integer(k, "eigenvalue index", least=1) for k in idx)
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ShapeError("indices must be strictly increasing")
     return idx
@@ -79,7 +80,7 @@ def thetas_from_indices(indices, n):
 
 def bulk_index_spec(indices, n):
     """IndexSpec for bulk indices with exponents inferred from the gaps."""
-    idx = tuple(indices)
+    idx = _checked_indices(indices)
     thetas = thetas_from_indices(idx, n) if len(idx) > 1 else ()
     thetas = tuple(min(t, 1.0) for t in thetas)
     return IndexSpec(regime="bulk", indices=idx, thetas=thetas)
@@ -87,8 +88,9 @@ def bulk_index_spec(indices, n):
 
 def edge_index_spec(indices, n):
     """IndexSpec for edge offsets with gamma and exponents inferred."""
-    idx = tuple(indices)
-    thetas = thetas_from_indices(idx, n)  # checks the indices, and n >= 2 for gamma too
+    idx = _checked_indices(indices)
+    thetas = thetas_from_indices(idx, n)  # checks n >= 2, for gamma too
+    integer(idx[-1], "k", most=n - 1)  # edge_center_scale's bound; past it gamma is >= 1
     return IndexSpec(regime="edge", indices=idx, thetas=thetas, gamma=log(idx[0]) / log(n))
 
 
@@ -100,12 +102,8 @@ def coordinates(spec: IndexSpec, n, beta):
     indices to eigenvalues; normalize() and stats.run_mc both read it."""
     bulk = spec.regime == "bulk"
     center_scale = bulk_center_scale if bulk else edge_center_scale
-    top = n if bulk else n - 1
     positions, centers, scales = [], [], []
     for k in spec.indices:
-        if k > top:
-            what = "eigenvalue index" if bulk else "edge offset"
-            raise ShapeError(f"{what} {k} out of range 1..{top}")
         cs = center_scale(k, n, beta)
         positions.append(k - 1 if bulk else n - k - 1)
         centers.append(cs.center)

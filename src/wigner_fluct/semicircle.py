@@ -97,9 +97,9 @@ class CenterScale:
 
 def bulk_center_scale(k, n, beta):
     """Center t*sqrt(2n) with t the k/n semicircle quantile, and scale
-    sqrt(log n / (2 beta (1-t^2) n)), for eigenvalue number k (1-based).
+    sqrt(log n / (2 beta (1-t^2) n)), for eigenvalue number k, 1 <= k <= n.
     """
-    k, n, beta = _check_arguments(k, n, beta)
+    k, n, beta = _check_arguments(k, n, beta, 0)
     ratio = k / n
     if not (_BULK_GUARD <= ratio <= 1.0 - _BULK_GUARD):
         raise DomainError(
@@ -117,13 +117,11 @@ def edge_center_scale(k, n, beta):
     center = sqrt(2n) (1 - (3 pi k / (4 sqrt(2) n))^(2/3))
     scale  = ((1/(12 pi))^(2/3) * 2 log k / (beta n^(1/3) k^(2/3)))^(1/2)
 
-    k counts inward from the edge and must satisfy 2 <= k < n (k = 1 makes
-    the scale collapse to zero).  k < 10 is far outside the intended
+    k counts inward from the edge, 1 <= k <= n - 1, and k = 1 makes the
+    scale collapse to zero.  k < 10 is far outside the intended
     k -> infinity regime, so it issues a UserWarning.
     """
-    k, n, beta = _check_arguments(k, n, beta)
-    if not 1 <= k < n:
-        raise DomainError(f"edge index k must satisfy 1 <= k < n, got k={k}, n={n}")
+    k, n, beta = _check_arguments(k, n, beta, 1)
     if k == 1:
         raise DomainError("edge scaling degenerates at k = 1 (log k = 0)")
     if k < _EDGE_SMALL_K:
@@ -141,9 +139,10 @@ def edge_center_scale(k, n, beta):
     return CenterScale(center=center, scale=scale)
 
 
-def _check_arguments(k, n, beta):
+def _check_arguments(k, n, beta, gap):
     """(k, n, beta) as ints after the one argument check of both centre
-    functions; beta is an integer in BETAS, as EnsembleSpec takes it."""
+    functions: beta an integer in BETAS, as EnsembleSpec takes it, n >= 1
+    and 1 <= k <= n - gap (gap 0 in the bulk, 1 at the edge)."""
     beta = one_of(integer(beta, "beta"), "beta", BETAS)
     n = integer(n, "n", least=1)
-    return integer(k, "k"), n, beta
+    return integer(k, "k", least=1, most=n - gap), n, beta

@@ -128,9 +128,8 @@ def tridiag_eigenvalues(t: Tridiagonal):
 
 def tridiag_eigenvalues_selected(t: Tridiagonal, lo, hi):
     """Eigenvalues with 0-based ascending indices lo..hi inclusive."""
-    lo, hi = integer(lo, "position lo"), integer(hi, "position hi")
-    if not 0 <= lo <= hi < t.n:
-        raise ShapeError(f"index range [{lo}, {hi}] invalid for n={t.n}")
+    lo = integer(lo, "position lo", least=0, most=t.n - 1)
+    hi = integer(hi, "position hi", least=lo, most=t.n - 1)
     if t.n == 1:
         return t.diag.copy()
     # range 2: by 1-based index (vl, vu unused); abstol 0 picks LAPACK's default
@@ -207,7 +206,7 @@ def _reduce(sample):
     elif sample.array is None:
         return Tridiagonal(diag=sample.diag, offdiag=sample.offdiag), 1
     else:
-        a = rank(sample.array, "matrix", 2)
+        a = rank(np.asarray(sample.array), "matrix", 2)
         copies, rest = divmod(a.shape[0], sample.n)
         if rest or not copies:
             raise ShapeError(f"array of shape {a.shape} for a sample of size n={sample.n}")
@@ -243,9 +242,7 @@ def _solve(sample, positions):
         else:
             n, selected = t.n // mult, []
             for p in rank(np.asarray(positions, dtype=object), "positions", 1).tolist():
-                p = integer(p, "position")
-                if not 0 <= p < n:
-                    raise ShapeError(f"position {p} invalid for n={n}")
+                p = integer(p, "position", least=0, most=n - 1)
                 selected.append(tridiag_eigenvalues_selected(t, mult * p, mult * p + mult - 1))
             values = np.concatenate(selected) if selected else np.empty(0)
         if mult > 1:
@@ -287,7 +284,7 @@ def eigenvalues_at(sample, positions):
     Only the requested eigenvalues are solved (LAPACK stebz bisection on the
     reduced tridiagonal, one call per position), so a trial that reads a few
     of n eigenvalues pays for those alone.  No positions give an empty
-    array; positions that are not 1-D (rank), or one outside [0, n), raise
-    ShapeError, and a position that is not an integer InvalidSizeError.
+    array; positions that are not 1-D (rank) raise ShapeError, and a position
+    that is not an integer in [0, n - 1] InvalidSizeError.
     """
     return _solve(sample, positions)

@@ -26,7 +26,7 @@ from scipy.special import kolmogorov, ndtr
 
 from . import ensembles, errors, fluctuations, spectra
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import DegenerateInputError, InvalidSizeError, NumericalFailureError, ShapeError
+from .errors import DegenerateInputError, NumericalFailureError, ShapeError
 from .fluctuations import IndexSpec
 # unused here; bench/tests/test_spans.py traces the name stats.bulk_center_scale
 from .semicircle import bulk_center_scale  # noqa: F401
@@ -40,8 +40,7 @@ def standard_normal_cdf(x):
 def _sorted_sample(samples):
     """samples sorted, if they are finite, 1-D and not empty."""
     xs = errors.rank(errors.finite(samples, "samples"), "samples", 1)
-    if xs.size == 0:
-        raise InvalidSizeError("need at least one sample")
+    errors.integer(xs.size, "sample size", least=1)
     return np.sort(xs)
 
 
@@ -68,18 +67,18 @@ def ks_two_sample(a, b):
 
 
 def _trial_vectors(vectors):
-    """vectors as a finite (T, m) array, T >= 1, read from 2-D or (one column) 1-D input."""
+    """vectors as a finite (T, m) array, T, m >= 1, read from 2-D or (one column) 1-D input."""
     x = errors.rank(errors.finite(vectors, "vectors"), "vectors", 1, 2)
-    if not x.shape[0]:
-        raise InvalidSizeError("need at least one trial")
-    return x[:, None] if x.ndim == 1 else x
+    x = x[:, None] if x.ndim == 1 else x
+    errors.integer(x.shape[0], "trials", least=1)
+    errors.integer(x.shape[1], "coordinates", least=1)
+    return x
 
 
 def empirical_corr(vectors):
     """Pearson correlation matrix of finite per-trial fluctuation vectors (T, m)."""
     x = _trial_vectors(vectors)
-    if x.shape[0] < 2:
-        raise InvalidSizeError("need at least two trials for a correlation")
+    errors.integer(x.shape[0], "trials", least=2)
     stds = x.std(axis=0, ddof=1)
     if np.any(stds == 0.0):
         raise DegenerateInputError("zero-variance coordinate in correlation input")
@@ -105,7 +104,7 @@ class Thresholds:
                 bound = errors.rank(errors.finite(getattr(self, f.name), f.name), f.name, 0)
                 object.__setattr__(self, f.name, float(bound))
         if None not in (self.var_lo, self.var_hi) and self.var_lo > self.var_hi:
-            raise errors.DomainError(f"var_lo must be <= var_hi, got {self.var_lo} > {self.var_hi}")
+            raise errors.DomainError(f"var_lo {self.var_lo} exceeds var_hi {self.var_hi}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def summarize_vectors(vectors, index_spec, thresholds=Thresholds()):
 
     Deterministic function of its inputs; rerunning it on stored per-trial
     vectors must reproduce a result's summary exactly.  Vectors are read as in
-    empirical_corr (rank 1 or 2, else ShapeError; no trial, InvalidSizeError).
+    empirical_corr (rank 1 or 2, else ShapeError; no trial or column, InvalidSizeError).
     """
     x = _trial_vectors(vectors)
     m = x.shape[1]

@@ -88,12 +88,15 @@ def test_acceptance_suite_calls_only_public_names():
 
 
 def test_bound_messages_are_written_only_by_the_integer_rule():
-    """Every integer, lower-bound, seed-range, membership and rank message
-    comes from a rule of errors (integer, uint64, one_of, rank), cli's argparse
-    messages included: its parsers only turn text into numbers."""
+    """Every integer, bound, seed-range, membership and rank message comes from
+    a rule of errors (integer, uint64, one_of, rank), cli's argparse messages
+    included: its parsers only turn text into numbers.  The last six wordings
+    are those of the hand-written range and count checks the rules replaced."""
     wordings = (
         "must be >=", "must be an integer", "must be < 2**64", "must be one of",
         "-dimensional", "must be a scalar",
+        "must be <=", "out of range", "invalid for n", "must satisfy", "need at least",
+        "at least one",
     )
     offenders = []
     for module, tree in parsed_modules():
@@ -106,6 +109,12 @@ def test_bound_messages_are_written_only_by_the_integer_rule():
     assert offenders == []
 
 
+def raises(node, cls):
+    """True if node is a raise statement whose exception names the class cls."""
+    raised = ast.walk(node.exc) if isinstance(node, ast.Raise) and node.exc else ()
+    return any(getattr(n, "id", getattr(n, "attr", "")) == cls for n in raised)
+
+
 def test_nan_and_real_data_are_decided_only_by_errors():
     """No module but errors raises InvalidDataError or calls isnan: every NaN
     and every dtype that is not real is refused by a rule of errors."""
@@ -114,16 +123,29 @@ def test_nan_and_real_data_are_decided_only_by_errors():
         if module == "errors.py":
             continue
         for node in ast.walk(tree):
-            raised = ast.walk(node.exc) if isinstance(node, ast.Raise) and node.exc else ()
-            if any(getattr(n, "id", getattr(n, "attr", "")) == "InvalidDataError" for n in raised):
+            if raises(node, "InvalidDataError"):
                 offenders.append(f"{module}:{node.lineno} raises InvalidDataError")
             if isinstance(node, ast.Attribute) and node.attr == "isnan":
                 offenders.append(f"{module}:{node.lineno} calls isnan")
     assert offenders == []
 
 
+def test_integers_out_of_range_are_decided_only_by_errors():
+    """No module but errors raises InvalidSizeError: every size, count, index
+    and position out of range is refused by integer (or a seed by uint64)."""
+    offenders = [
+        f"{module}:{node.lineno}"
+        for module, tree in parsed_modules()
+        if module != "errors.py"
+        for node in ast.walk(tree)
+        if raises(node, "InvalidSizeError")
+    ]
+    assert offenders == []
+
+
 # (rule, arguments, the class it raises, its message): the seed, membership,
-# finiteness and rank rules beside integer and strictly_increasing
+# finiteness and rank rules beside integer and strictly_increasing, and
+# integer's upper bound
 REFUSED_BY_RULE = [
     ("uint64", (-1, "seed"), wf.InvalidSizeError, "seed must be >= 0, got -1"),
     ("uint64", (2**64, "seed"), wf.InvalidSizeError, f"seed must be < 2**64, got {2**64}"),
@@ -153,6 +175,12 @@ REFUSED_BY_RULE = [
             ((), (2,), "two-dimensional"),
         )
     ],
+    # integer's upper bound, alone and with its lower bound
+    ("integer", (4, "k", None, 3), wf.InvalidSizeError, "k must be <= 3, got 4"),
+    ("integer", (np.int64(4), "k", 1, 3), wf.InvalidSizeError, "k must be <= 3, got 4"),
+    ("integer", (0, "k", 1, 3), wf.InvalidSizeError, "k must be >= 1, got 0"),
+    ("integer", (2**70, "k", 1, 3), wf.InvalidSizeError, f"k must be <= 3, got {2**70}"),
+    ("integer", (2.0, "k", 1, 3), wf.InvalidSizeError, "k must be an integer, got 2.0"),
 ]
 
 
@@ -166,6 +194,9 @@ def test_each_argument_rule_raises_one_class(rule, args, cls, message):
 def test_argument_rules_return_the_value_they_accept():
     assert errors.uint64(np.uint64(2**64 - 1), "seed") == 2**64 - 1
     assert errors.one_of(4, "beta", (1, 2, 4)) == 4
+    assert errors.integer(3, "k", most=3) == 3
+    at_both_bounds = errors.integer(np.int64(1), "k", 1, 1)
+    assert at_both_bounds == 1 and type(at_both_bounds) is int
     assert errors.finite([1, 2], "data").dtype == float
     line = [-np.inf, 0.0, np.inf]
     assert errors.extended_real(line, "x").tolist() == line
@@ -243,7 +274,8 @@ REFUSED_AT_ENTRY = [
     ("SpectrumSample-nan", lambda: wf.SpectrumSample([np.nan]), DATA),
     # 2**70 is an integer index out of range, not data that is not real
     ("IndexSpec-huge-index",
-     lambda: wf.normalize([0.0, 1.0], wf.IndexSpec("bulk", (2**70,)), 1), SHAPE),
+     lambda: wf.normalize([0.0, 1.0], wf.IndexSpec("bulk", (2**70,)), 1),
+     wf.InvalidSizeError, f"k must be <= 2, got {2**70}"),
     ("IndexSpec-thetas-str", lambda: wf.IndexSpec("bulk", (1, 2), thetas=("a",)), DATA),
     ("IndexSpec-thetas-nan", lambda: wf.IndexSpec("bulk", (1, 2), thetas=(np.nan,)), DATA),
     ("IndexSpec-gamma-str", lambda: wf.IndexSpec("edge", (2,), gamma="x"), DATA),
@@ -275,7 +307,7 @@ REFUSED_AT_ENTRY = [
     ("summarize_vectors-scalar", lambda: wf.summarize_vectors(np.array(0.5), _ONE),
      SHAPE, "vectors must be one- or two-dimensional, got shape ()"),
     ("summarize_vectors-no-trial", lambda: wf.summarize_vectors(np.ones((0, 1)), _ONE),
-     wf.InvalidSizeError, "need at least one trial"),
+     wf.InvalidSizeError, "trials must be >= 1, got 0"),
     ("eigenvalues_at-scalar", lambda: wf.eigenvalues_at(_GOE4, 3),
      SHAPE, "positions must be one-dimensional, got shape ()"),
     ("eigenvalues-complex-vector", lambda: wf.eigenvalues([1j, 2.0]),
@@ -298,3 +330,46 @@ def test_public_entries_refuse_data_that_is_not_real(call, cls, message):
             call()
     assert type(exc.value) is cls
     assert message is None or str(exc.value) == message
+
+
+# Every index, position and count out of range, at each public entry that
+# reads one: InvalidSizeError in integer's wording.
+_T4 = wf.Tridiagonal(diag=[1.0, 2.0, 3.0, 4.0], offdiag=[0.5, 0.5, 0.5])
+OUT_OF_RANGE = [
+    ("eigenvalues_at", lambda: wf.eigenvalues_at(_GOE4, [4]), "position must be <= 3, got 4"),
+    ("eigenvalues_at-negative", lambda: wf.eigenvalues_at(_GOE4, [-1]),
+     "position must be >= 0, got -1"),
+    ("selected-hi", lambda: wf.tridiag_eigenvalues_selected(_T4, 0, 4),
+     "position hi must be <= 3, got 4"),
+    ("selected-reversed", lambda: wf.tridiag_eigenvalues_selected(_T4, 2, 1),
+     "position hi must be >= 2, got 1"),
+    ("selected-lo", lambda: wf.tridiag_eigenvalues_selected(_T4, -1, 1),
+     "position lo must be >= 0, got -1"),
+    ("normalize-bulk", lambda: wf.normalize([0.0, 1.0, 2.0, 3.0], wf.IndexSpec("bulk", (5,)), 1),
+     "k must be <= 4, got 5"),
+    ("edge_center_scale", lambda: wf.edge_center_scale(10, 10, 1), "k must be <= 9, got 10"),
+    # an offset past the edge was refused as an exponent: gamma in (0, 1), got 1.0
+    ("edge_index_spec", lambda: wf.edge_index_spec((3, 10), 10), "k must be <= 9, got 10"),
+    ("edge_center_scale-zero", lambda: wf.edge_center_scale(0, 10, 1), "k must be >= 1, got 0"),
+    ("bulk_center_scale-zero", lambda: wf.bulk_center_scale(0, 10, 1), "k must be >= 1, got 0"),
+    ("bulk_center_scale-above", lambda: wf.bulk_center_scale(11, 10, 1),
+     "k must be <= 10, got 11"),
+    ("ks_one_sample", lambda: wf.ks_one_sample([]), "sample size must be >= 1, got 0"),
+    ("ks_two_sample", lambda: wf.ks_two_sample([0.1], []), "sample size must be >= 1, got 0"),
+    ("empirical_corr-one-trial", lambda: wf.empirical_corr(np.ones((1, 2))),
+     "trials must be >= 2, got 1"),
+    ("empirical_corr-no-column", lambda: wf.empirical_corr(np.ones((3, 0))),
+     "coordinates must be >= 1, got 0"),
+    ("IndexSpec-no-index", lambda: wf.IndexSpec("bulk", ()),
+     "number of eigenvalue indices must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in OUT_OF_RANGE], ids=[row[0] for row in OUT_OF_RANGE]
+)
+def test_every_integer_out_of_range_is_an_invalid_size_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is wf.InvalidSizeError and str(exc.value) == message
+

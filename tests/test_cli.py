@@ -13,7 +13,7 @@ import scipy
 from wigner_fluct import cli, kernel, spectra, stats
 from wigner_fluct.ensembles import EnsembleKind, mix_trial_seed
 from wigner_fluct.errors import (
-    InvalidSizeError, NumericalFailureError, ShapeError, UnsupportedError,
+    InvalidSizeError, NumericalFailureError, UnsupportedError,
 )
 
 
@@ -493,12 +493,14 @@ class TestFrCheckCommand:
             assert 0.0 <= rec["ks_p"] <= 1.0
         assert code in (0, 1)
 
-    def test_k_above_n_rejected(self):
+    def test_k_above_n_rejected(self, capsys):
         argv = ["fr-check", "--which", "gue", "--n", "4", "--trials", "10", "--k", "9"]
         assert run(argv) == 2
-        # an index out of range is a ShapeError, as in fluctuations.coordinates
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid configuration: --k must be <= 4, got 9"]
+        # an index out of range is the integer rule's InvalidSizeError, as in coordinates
         args = cli.build_parser().parse_args(argv)
-        with pytest.raises(ShapeError, match="--k indices must be <= n=4"):
+        with pytest.raises(InvalidSizeError, match="^--k must be <= 4, got 9$"):
             args.run(args)
 
     @pytest.mark.parametrize(
@@ -644,13 +646,20 @@ class TestExitCodes:
         k = "99999999999999999999999"
         assert run(["bulk-fluct", "--n", "10", "--k", k, "--beta", "1", "--trials", "5"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"invalid configuration: eigenvalue index {k} out of range 1..10"]
+        assert err == [f"invalid configuration: k must be <= 10, got {k}"]
+
+    @pytest.mark.parametrize("command", [["edge-fluct"], ["joint-fluct", "--regime", "edge"]])
+    def test_edge_offset_past_the_edge_is_2(self, command, capsys):
+        # the integer rule's message, not "edge regime needs gamma in (0, 1), got 1.0"
+        assert run([*command, "--n", "20", "--k", "20", "--beta", "1", "--trials", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid configuration: k must be <= 19, got 20"]
 
     def test_inverted_variance_bounds_are_2(self, capsys):
         argv = ["bulk-fluct", "--n", "20", "--k", "10", "--beta", "1", "--trials", "5"]
         assert run([*argv, "--var-lo", "1.3", "--var-hi", "0.8"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "var_lo must be <= var_hi" in err[0]
+        assert err == ["invalid configuration: var_lo 1.3 exceeds var_hi 0.8"]
 
     def test_kernel_order_beyond_hermite_range_is_3(self, capsys):
         assert run(["kernel", "--n", "20000", "--interval=0,inf"]) == 3

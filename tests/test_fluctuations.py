@@ -121,9 +121,21 @@ class TestIndexSpec:
             lambda: wf.IndexSpec("bulk", ()),
             lambda: wf.thetas_from_indices((), 100),
         ):
-            with pytest.raises(wf.ShapeError) as err:
+            with pytest.raises(wf.InvalidSizeError) as err:
                 make()
-            assert str(err.value) == "at least one eigenvalue index required"
+            assert str(err.value) == "number of eigenvalue indices must be >= 1, got 0"
+
+    @pytest.mark.parametrize("indices", [3, np.int64(3), (x for x in (1, 2)), ((1,), (2,))])
+    def test_indices_that_are_not_a_vector_rejected_by_every_constructor(self, indices):
+        # a scalar escaped as Python's "'int' object is not iterable"
+        for make in (
+            lambda: wf.IndexSpec("bulk", indices),
+            lambda: wf.bulk_index_spec(indices, 100),
+            lambda: wf.edge_index_spec(indices, 100),
+            lambda: wf.thetas_from_indices(indices, 100),
+        ):
+            with pytest.raises(wf.ShapeError, match="^eigenvalue indices must be one-dimensional"):
+                make()
 
 
 class TestCoordinates:
@@ -143,8 +155,9 @@ class TestCoordinates:
 
     def test_edge_offset_n_rejected(self):
         spec = wf.IndexSpec(regime="edge", indices=(100,), gamma=0.5)
-        with pytest.raises(wf.ShapeError, match="edge offset 100"):
+        with pytest.raises(wf.InvalidSizeError) as err:
             coordinates(spec, 100, 1)
+        assert str(err.value) == "k must be <= 99, got 100"
 
 
 class TestNormalizeBulk:
@@ -179,8 +192,9 @@ class TestNormalizeBulk:
 
     def test_index_out_of_range(self):
         spec = wf.IndexSpec(regime="bulk", indices=(500,))
-        with pytest.raises(wf.ShapeError):
+        with pytest.raises(wf.InvalidSizeError) as err:
             wf.normalize(synthetic_spectrum(100), spec, 1)
+        assert str(err.value) == "k must be <= 100, got 500"
 
 
 class TestNormalizeEdge:

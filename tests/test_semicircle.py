@@ -131,6 +131,9 @@ class TestBulkCenterScale:
     def test_edge_guard(self):
         with pytest.raises(wf.DomainError):
             wf.bulk_center_scale(1, 10**8, 1)
+        # k = n is in range: the guard, a property of the scaling, refuses it
+        with pytest.raises(wf.DomainError, match="^k/n = 1.0 too close to the spectral edge"):
+            wf.bulk_center_scale(10, 10, 1)
 
     def test_bad_beta(self):
         with pytest.raises(wf.UnsupportedError):
@@ -181,8 +184,11 @@ class TestEdgeCenterScale:
             wf.edge_center_scale(1, 100, 1)
 
     def test_k_out_of_range(self):
-        with pytest.raises(wf.DomainError):
+        # an index out of range is the integer rule's, not a property of the scaling
+        with pytest.raises(wf.InvalidSizeError) as err:
             wf.edge_center_scale(100, 100, 1)
+        assert str(err.value) == "k must be <= 99, got 100"
+        assert wf.edge_center_scale(99, 100, 1).scale > 0.0  # n - 1 is in range
 
 
 class TestCenterScaleArguments:

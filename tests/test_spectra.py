@@ -297,7 +297,7 @@ class TestEigenvalues:
         positions = [24, 23, 0, 12]
         got = wf.eigenvalues_at(sample, positions)
         assert np.allclose(got, full[positions], rtol=0, atol=1e-12 * np.sqrt(50))
-        with pytest.raises(wf.ShapeError):
+        with pytest.raises(wf.InvalidSizeError, match=r"^position must be <= 24, got 25$"):
             wf.eigenvalues_at(sample, [25])
 
     @pytest.mark.parametrize("case", ["goe", "gue"])
@@ -323,9 +323,10 @@ class TestEigenvalues:
         sample = sampler(8, 0)
         with pytest.raises(wf.InvalidSizeError, match="position must be an integer, got 2.5"):
             wf.eigenvalues_at(sample, [2.5])
-        for position in (-1, 8):
-            with pytest.raises(wf.ShapeError, match=f"position {position} invalid for n=8$"):
+        for position, bound in ((-1, ">= 0"), (8, "<= 7")):
+            with pytest.raises(wf.InvalidSizeError) as err:
                 wf.eigenvalues_at(sample, [3, position])
+            assert str(err.value) == f"position must be {bound}, got {position}"
         assert np.allclose(wf.eigenvalues_at(sample, [7]), wf.eigenvalues(sample).values[7])
 
     def test_selected_range_that_is_not_an_integer_rejected(self):
@@ -336,7 +337,7 @@ class TestEigenvalues:
             wf.tridiag_eigenvalues_selected(t, 0, 1.0)
         got = wf.tridiag_eigenvalues_selected(t, np.int64(0), np.int32(1))
         assert np.array_equal(got, wf.tridiag_eigenvalues_selected(t, 0, 1))
-        with pytest.raises(wf.ShapeError, match="invalid for n=8"):
+        with pytest.raises(wf.InvalidSizeError, match=r"^position lo must be >= 0, got -1$"):
             wf.tridiag_eigenvalues_selected(t, -1, 1)
 
     @pytest.mark.parametrize(
@@ -348,6 +349,12 @@ class TestEigenvalues:
         array = np.array(rows)
         assert np.array_equal(wf.eigenvalues(rows).values, wf.eigenvalues(array).values)
         assert np.array_equal(wf.eigenvalues_at(rows, [1, 0]), wf.eigenvalues_at(array, [1, 0]))
+        # a sample built with a nested list is read the same way (a bare AttributeError once)
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2, seed=1)
+        sample = wf.MatrixSample(spec=spec, array=rows)
+        dense = wf.MatrixSample(spec=spec, array=array)
+        assert np.array_equal(wf.eigenvalues(sample).values, wf.eigenvalues(dense).values)
+        assert np.array_equal(wf.eigenvalues_at(sample, [1]), wf.eigenvalues_at(dense, [1]))
 
 
 def random_tridiagonal(n, seed):

@@ -153,6 +153,14 @@ class TestEmpiricalCorr:
         with pytest.raises(wf.InvalidDataError, match="vectors must be finite"):
             wf.empirical_corr(x)
 
+    def test_vectors_without_coordinates_rejected(self):
+        # (3, 0) vectors gave an empty (0, 0) correlation matrix
+        spec = wf.IndexSpec("bulk", (1,))
+        for call in (lambda: wf.empirical_corr(np.ones((3, 0))),
+                     lambda: wf.summarize_vectors(np.ones((3, 0)), spec)):
+            with pytest.raises(wf.InvalidSizeError, match="^coordinates must be >= 1, got 0$"):
+                call()
+
 
 class TestThresholds:
     @pytest.mark.parametrize("field", ["ks_max", "var_lo", "var_hi", "corr_tol"])
@@ -164,7 +172,7 @@ class TestThresholds:
 
     def test_inverted_variance_bounds_rejected(self):
         # with var_lo > var_hi every sample_variance verdict fails without saying why
-        with pytest.raises(wf.DomainError, match="var_lo must be <= var_hi"):
+        with pytest.raises(wf.DomainError, match="^var_lo 1.3 exceeds var_hi 0.8$"):
             Thresholds(var_lo=1.3, var_hi=0.8)
         assert Thresholds(var_lo=1.0, var_hi=1.0).var_lo == 1.0
         assert Thresholds(var_lo=1.3).var_hi is None
