@@ -41,6 +41,7 @@ import datetime as _dt
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -229,14 +230,20 @@ def _blas_build(module):
         return "unknown"
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _env():
-    """Versions that bit-identical results depend on: dense reductions run
-    in scipy's LAPACK on its BLAS level-3 kernels, the rest on numpy's."""
+    """Versions and settings that bit-identical results depend on: dense
+    reductions run in scipy's LAPACK on its BLAS level-3 kernels, the rest
+    on numpy's, and the BLAS thread count (None where unset) can move the
+    last bits of a level-3 sum, such as the cumulants' syrk."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+        "threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
     }
 
 

@@ -28,20 +28,25 @@ K_n(x, x) = n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n, and the Gram and
 Nystrom paths the whole table.  The table has two layouts, chosen only by
 the number of points.  The vector layout steps all points at once with
 numpy; its fixed cost of a few numpy calls per step dominates for few
-points.  Up to _FEW_POINTS = 16 points (the Gram path's two interval
-endpoints, the scalar x of kernel_diag and hermite_psi) the scalar layout
-runs the recurrence for each point alone in Python floats instead.  At
-n = 1000 on a 2-vCPU x86-64 host one point costs 0.3-0.5 ms against 3-6 ms
-for the vector layout, and the two cost the same at 16-20 points.  Both
-perform the same IEEE operations in the same order, with the same scale
-checks and exact power-of-two scalings, so every psi value is
-bit-identical in both.
+points.  Up to _FEW_POINTS = 16 points (the Gram path's finite interval
+ends, the scalar x of kernel_diag and hermite_psi) the scalar layout runs
+the recurrence for each point alone in Python floats instead, with one
+exponent per 16-step block.  At n = 1000 on a 2-vCPU x86-64 host, one BLAS
+thread, one point costs 0.2 ms (step weights cached per n) against
+3.2-3.6 ms for the vector layout, and the two cost the same at 16-18
+points.  Both perform the same IEEE operations in the same order, with
+the same scale checks and exact power-of-two scalings, so every psi value
+is bit-identical in both.
 
 Counting statistics use no quadrature.  The count in I is a sum of
 independent Bernoulli(eig G), G_ij = int_I psi_i psi_j the n x n Gram
 compression (Hough-Krishnapur-Peres-Virag, Probab. Surveys 2006), so
 E#I = tr G and Var#I = tr G - ||G||_F^2 exactly; G = G(a) - G(b) on
-I = (a, b), with G(t) = int_t^inf.  The Hermite equation and the relation
+I = (a, b), with G(t) = int_t^inf.  At an infinite end, or one that the
+truncation clips, G takes its closed form G(-inf) = I or G(inf) = 0, so psi
+runs only at the finite ends: a half-line costs one recurrence, and the
+whole line none (G = I, so E = n and Var = 0 exactly).  The Hermite
+equation and the relation
 psi_i' = sqrt(2i) psi_{i-1} - x psi_i give, for i != j,
 
     G(t)_ij = [sqrt(2j) psi_i psi_{j-1} - sqrt(2i) psi_{i-1} psi_j](t) / (2(j - i)),
@@ -52,15 +57,17 @@ diagonal as one cumulative sum from G_00 = erfc(t)/2,
     G_{k+1,k+1} = G_kk + [sqrt(k+2) G_{k,k+2} - sqrt(k) G_{k-1,k+1}] / sqrt(k+1).
 
 Both need only psi_0 .. psi_n at t, from the scaled recurrence.  With the
-4-column factors u, v of G = G(a) - G(b), the strict upper triangle's
-square sum is
+factors u, v of G = G(a) - G(b), two columns per finite end, the strict
+upper triangle's square sum is
 
     sum_{i<j} (u_i . v_j)^2 / (4(j - i)^2)
         = sum_{c <= d} (2 - [c = d]) <u_c o u_d, T (v_c o v_d)>,
 
-ten correlations of elementwise column products with the upper-triangular
+correlations of elementwise column products with the upper-triangular
 Toeplitz matrix T, T_ij = 1 / (4(j - i)^2) for j > i, all from one batched
-real FFT: O(n log n) time and O(n) memory for the variance.
+real FFT: ten on a window and three on a half-line, O(n log n) time and
+O(n) memory for the variance.  At n = 1000 (same host) the moments of a
+half-line take 0.44 ms, of a window 0.91 ms, of the whole line 0.01 ms.
 
 The Nystrom operator of K_n on an interval, with quadrature nodes x_a and
 weights w_a, is A = S^T S for S_ia = psi_i(x_a) sqrt(w_a), i < n, because
@@ -114,11 +121,12 @@ def _psi_seed(x):
     return m0, m1, expo
 
 
+@lru_cache(maxsize=16)
 def _recurrence_weights(n):
-    """sqrt(2/(i+1)) and sqrt(i/(i+1)) for the steps i = 1 .. n-1, as lists of
-    Python floats."""
+    """sqrt(2/(i+1)) and sqrt(i/(i+1)) for the steps i = 1 .. n-1, as tuples
+    of Python floats, computed once per n and shared."""
     steps = np.arange(1, n)
-    return np.sqrt(2.0 / (steps + 1)).tolist(), np.sqrt(steps / (steps + 1)).tolist()
+    return tuple(np.sqrt(2.0 / (steps + 1)).tolist()), tuple(np.sqrt(steps / (steps + 1)).tolist())
 
 
 def _exponent_shift(a):
@@ -162,16 +170,19 @@ def _psi_scaled(n, x):
 def _psi_point(x, pm, pc, expo, up, down):
     """The scalar layout of _psi_scaled at one point x, from its seed
     psi_0 = (pm, expo) and psi_1 = (pc, expo) and the step weights up, down
-    of _recurrence_weights: the mantissas and exponents of psi_0 .. psi_n as
-    two lists, all in Python floats and ints."""
+    of _recurrence_weights, as two lists of Python floats and ints: the
+    mantissas of psi_0 .. psi_n, and one exponent per block psi_16k ..
+    psi_16k+15, the blocks between scale checks.  The last exponent comes
+    twice, so that psi_n has one also when n % 16 == 0: no check follows
+    the step that gives psi_n, which keeps the exponent of the block before."""
     mant, expos = [pm], [expo]
     for i, (u, d) in enumerate(zip(up, down), start=1):
         pm, pc = pc, x * u * pc - d * pm
         if i % _RESCALE_EVERY == 0:
             shift = _exponent_shift(abs(pc) + abs(pm))
             pm, pc, expo = ldexp(pm, shift), ldexp(pc, shift), expo - shift
+            expos.append(expo)
         mant.append(pm)
-        expos.append(expo)
     mant.append(pc)
     expos.append(expo)
     return mant, expos
@@ -198,7 +209,8 @@ def _psi_table(n, x, rows=None):
         seeds = zip(flat.tolist(), *(part.tolist() for part in _psi_seed(flat)))
         for column, seed in zip(columns.T, seeds):
             mant, expos = _psi_point(*seed, up, down)
-            np.ldexp(mant[skip : n + 1], expos[skip : n + 1], out=column)
+            expos = np.repeat(expos, _RESCALE_EVERY)[skip : n + 1]
+            np.ldexp(mant[skip : n + 1], expos, out=column)
     else:
         for row, (m, e) in zip(table, islice(_psi_scaled(n, x), skip, None)):
             np.ldexp(m, e, out=row)
@@ -280,13 +292,25 @@ def _half_line_gram(n, x):
 
 def _interval_gram(n, interval):
     """(u, v, diag) of G = G(a) - G(b) on the clipped interval (a, b):
-    G_ij = u_i . v_j / (2(j - i)) for i != j.  None when the interval is empty."""
+    G_ij = u_i . v_j / (2(j - i)) for i != j.  None when the interval is empty.
+
+    psi runs only at the ends strictly inside the clip range (-lim, lim).
+    An end on it, clipped or given, is infinite, where the kernel is
+    negligible by the truncation contract, and G takes its closed form
+    there: G(-inf) = I and G(inf) = 0.  u and v have two columns per finite
+    end; on the whole line they have none, and G = I."""
     a, b = _clip_interval(n, interval)
     if a >= b:
         return None
-    p, q, diag = _half_line_gram(n, np.array([a, b]))
-    u = np.hstack([p * [1.0, -1.0], q * [-1.0, 1.0]])
-    return u, np.hstack([q, p]), diag[:, 0] - diag[:, 1]
+    lim = truncation_halfwidth(n)
+    ends = [(t, sign) for t, sign in ((a, 1.0), (b, -1.0)) if -lim < t < lim]
+    if not ends:
+        return np.zeros((n, 0)), np.zeros((n, 0)), np.ones(n)
+    cuts, signs = np.array(ends).T
+    p, q, diag = _half_line_gram(n, cuts)
+    u = np.hstack([p * signs, -q * signs])
+    # G(-inf) = I adds 1 to the diagonal of a left half-line
+    return u, np.hstack([q, p]), float(a == -lim) + diag @ signs
 
 
 def expected_count(n, interval):
@@ -296,8 +320,9 @@ def expected_count(n, interval):
 
 def variance_count(n, interval):
     """Variance of the eigenvalue count in the interval: tr G - ||G||_F^2,
-    with the strict upper triangle of G summed as ten FFT correlations,
-    O(n log n)."""
+    with the strict upper triangle of G summed as ten FFT correlations on
+    a window and three on a half-line, O(n log n); exactly 0 on the whole
+    line."""
     return _count_moments(n, interval, variance=True)[1]
 
 
@@ -315,13 +340,16 @@ def _count_moments(n, interval, variance):
 
 
 def _upper_square_sum(u, v):
-    """sum_{i<j} (u_i . v_j)^2 / (4(j - i)^2) for the n x 4 factors u, v as
-    the ten correlations of the module docstring: the products u_c o u_d and
-    the Toeplitz kernel 1 / (4 d^2) go through one batched rfft of length 2n,
-    where the linear convolutions do not wrap.  Subnormal inputs (psi at the
-    clipped endpoint of a half-line, at large n) slow the transform about
-    tenfold, so they are zeroed: each is below 2.3e-308, and the sum moves
-    by less than 1e-298 for n <= 10^4."""
+    """sum_{i<j} (u_i . v_j)^2 / (4(j - i)^2) for the n x 4 factors u, v
+    (n x 2 on a half-line) as the ten (three) correlations of the module
+    docstring: the products u_c o u_d and the Toeplitz kernel 1 / (4 d^2) go
+    through one batched rfft of length 2n, where the linear convolutions do
+    not wrap.  Factors without columns (the whole line, G = I) give 0 with
+    no transform.  Subnormal inputs (psi at an end near the clip range, at
+    large n) slow the transform about tenfold, so they are zeroed: each is
+    below 2.3e-308, and the sum moves by less than 1e-298 for n <= 10^4."""
+    if not u.size:
+        return 0.0
     n = u.shape[0]
     c, d = np.triu_indices(u.shape[1])
     batch = np.zeros((c.size + 1, n))

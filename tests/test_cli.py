@@ -286,11 +286,21 @@ class TestSampleCommand:
         out = tmp_path / "env.json"
         assert run(["sample", "--ensemble", "goe", "--n", "3", "--out", str(out)]) == 0
         env = json.loads(out.read_text())["meta"]["env"]
-        assert set(env) == {"python", "numpy", "scipy", "blas"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
         assert set(env["blas"]) == {"numpy", "scipy"}
         assert all(isinstance(v, str) and v for v in env["blas"].values())
+
+    def test_meta_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "env.json"
+        assert run(["sample", "--ensemble", "goe", "--n", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["env"]["threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None
+        }
 
     def test_meta_blas_without_dict_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda: None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wigner_fluct as wf
+from wigner_fluct import kernel
 from wigner_fluct.kernel import (
     _BAND,
     _check_band,
@@ -102,24 +103,28 @@ def quadrature_expected_count(n, interval):
 
 def _trace_pair(n, nodes, weights):
     """(Tr A, Tr A^2) for the Nystrom operator on the given quadrature rule,
-    computed in row chunks without materializing the full matrix."""
+    computed in row chunks without materializing the full matrix; each chunk
+    takes the columns from its first row on, and the part right of its
+    square block stands also for the mirror image below the diagonal."""
     m = nodes.size
     p1, p0 = _psi_table(n, nodes, rows=2)
     kd = wf.kernel_diag(n, nodes)
     tr_a = float(np.sum(weights * kd))
     tr_a2 = 0.0
-    chunk = max(1, 2 * 10**7 // m)
+    chunk = max(1, 2 * 10**6 // m)
     for s in range(0, m, chunk):
-        rows = slice(s, min(s + chunk, m))
+        rows, cols = slice(s, min(s + chunk, m)), slice(s, m)
         # Christoffel-Darboux block from the cached psi values, confluent form
         # where a row node meets its own column
-        num = p0[rows, None] * p1[None, :] - p1[rows, None] * p0[None, :]
-        den = nodes[rows, None] - nodes[None, :]
+        num = p0[rows, None] * p1[None, cols] - p1[rows, None] * p0[None, cols]
+        den = nodes[rows, None] - nodes[None, cols]
         with np.errstate(divide="ignore", invalid="ignore"):
             k = sqrt(n / 2.0) * num / den
         eq = den == 0.0
         k[eq] = np.broadcast_to(kd[rows, None], k.shape)[eq]
-        tr_a2 += float(np.sum(weights[rows, None] * weights[None, :] * k * k))
+        sq = weights[rows, None] * weights[None, cols] * k * k
+        square = rows.stop - s
+        tr_a2 += float(np.sum(sq[:, :square])) + 2.0 * float(np.sum(sq[:, square:]))
     return tr_a, tr_a2
 
 
@@ -366,6 +371,35 @@ class TestVarianceCount:
     def test_whole_line_projection(self):
         assert wf.variance_count(1, (-np.inf, np.inf)) == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 5, 500, 1000])
+    @pytest.mark.parametrize("interval", [(-np.inf, np.inf), (-1e3, 1e3)], ids=["inf", "clipped"])
+    def test_whole_line_is_exact(self, n, interval):
+        # G = I in closed form: E = n and Var = 0 with no rounding
+        assert wf.expected_count(n, interval) == n
+        assert wf.variance_count(n, interval) == 0.0
+
+    @pytest.mark.parametrize(
+        "interval, points",
+        [((0.0, np.inf), 1), ((-np.inf, 0.3), 1), ((-1.5, 100.0), 1), ((-1.0, 1.0), 2),
+         ((-np.inf, np.inf), 0), ((-100.0, 100.0), 0)],
+        ids=["half-line", "left-half-line", "clipped-window", "window", "whole-line",
+             "both-clipped"],
+    )
+    def test_psi_runs_only_at_finite_ends(self, interval, points, monkeypatch):
+        # a clipped end is infinite, where G is I or 0 in closed form
+        sizes = []
+        half_line_gram = kernel._half_line_gram
+
+        def counting_gram(n, x):
+            sizes.append(x.size)
+            return half_line_gram(n, x)
+
+        monkeypatch.setattr(kernel, "_half_line_gram", counting_gram)
+        wf.expected_count(50, interval)
+        wf.variance_count(50, interval)
+        # one call each from expected_count and variance_count, none without ends
+        assert sizes == ([points] * 2 if points else [])
+
     def test_single_eigenvalue_halfline(self):
         # one N(0, 1/2) eigenvalue: the count on [0, inf) is Bernoulli(1/2)
         assert wf.variance_count(1, (0.0, np.inf)) == pytest.approx(0.25, abs=1e-6)
@@ -385,12 +419,14 @@ class TestVarianceCount:
 
 
 class TestGramAgainstQuadrature:
-    # (40, inf) at n=1000: psi_0 underflows at both endpoints;
-    # (44, 60) crosses the spectral edge sqrt(2000) = 44.7
+    # (40, inf) at n=1000: psi_0 underflows at the endpoint;
+    # (44, 60) crosses the spectral edge sqrt(2000) = 44.7; left half-lines
+    # take G(-inf) = I and the whole line G = I in closed form
     @pytest.mark.parametrize(
         "n, interval",
         [(1, (0.3, np.inf)), (5, (0.3, np.inf)), (20, (0.0, 2.5)),
-         (1000, (40.0, np.inf)), (1000, (44.0, 60.0))],
+         (1000, (40.0, np.inf)), (1000, (44.0, 60.0)), (5, (-np.inf, 0.3)),
+         (1000, (-np.inf, 44.0)), (20, (-np.inf, np.inf))],
     )
     def test_matches_christoffel_darboux_quadrature(self, n, interval):
         assert wf.expected_count(n, interval) == pytest.approx(
@@ -411,8 +447,9 @@ class TestGramAgainstQuadrature:
 
 
 class TestVarianceAgainstBlockStream:
-    # half-lines, both with a clipped endpoint; a window; a window clipped on
-    # the right; the spectral edge; an interval beyond the truncation (empty)
+    # half-lines, each with psi at its one finite end; a window; a window
+    # clipped on the right; the spectral edge; an interval beyond the
+    # truncation (empty)
     @pytest.mark.parametrize("n", [1, 2, 5, 50, 200, 1000, 2000])
     @pytest.mark.parametrize(
         "interval",
@@ -433,9 +470,11 @@ class TestVarianceAgainstBlockStream:
         )
 
     def test_matches_block_stream_with_subnormal_endpoint(self):
-        # at n = 10^4 the clipped endpoint's psi values are subnormal; the FFT
-        # zeroes its subnormal inputs, each below 2.3e-308
-        n, interval = 10**4, (0.0, np.inf)
+        # at n = 10^4 psi at the end one unit inside the clip range has
+        # subnormal values; the FFT zeroes its subnormal inputs, each below
+        # 2.3e-308
+        n = 10**4
+        interval = (0.0, truncation_halfwidth(n) - 1.0)
         u = _interval_gram(n, interval)[0]
         assert np.any((u != 0.0) & (np.abs(u) < np.finfo(float).tiny))
         assert wf.variance_count(n, interval) == pytest.approx(
