@@ -456,7 +456,8 @@ def _cmd_kernel(args):
 def _cmd_cumulants(args):
     op = kernel.discretize_operator(args.n, args.interval, order=args.order)
     report = kernel.counting_cumulants(op)
-    norm3, norm4 = report.normalized()
+    # RFC 8259 has no Infinity token: a ratio that is not finite is null
+    norm3, norm4 = (r if math.isfinite(r) else None for r in report.normalized())
     config = {"n": args.n, "interval": _interval_echo(args.interval), "order": args.order}
     summary = {
         "c2": report.c2,

@@ -314,13 +314,8 @@ def sample_tridiag_beta(n, beta, seed):
     spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta)
     rng = _rng(spec.seed)
     diag = rng.standard_normal(n) / sqrt(beta)
-    if n == 1:
-        # no off-diagonal: skip standard_gamma, whose empty call draws
-        # nothing but has a fixed cost
-        offdiag = np.zeros(0)
-    else:
-        dof = beta * np.arange(n - 1, 0, -1, dtype=float)
-        offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0 * beta)
+    dof = beta * np.arange(n - 1, 0, -1, dtype=float)
+    offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0 * beta)
     return MatrixSample(spec=spec, diag=diag, offdiag=offdiag)
 
 

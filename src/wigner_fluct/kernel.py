@@ -45,8 +45,8 @@ E#I = tr G and Var#I = tr G - ||G||_F^2 exactly; G = G(a) - G(b) on
 I = (a, b), with G(t) = int_t^inf.  At an infinite end, or one that the
 truncation clips, G takes its closed form G(-inf) = I or G(inf) = 0, so psi
 runs only at the finite ends: a half-line costs one recurrence, and the
-whole line none (G = I, so E = n and Var = 0 exactly).  The Hermite
-equation and the relation
+whole line none (G = I, so E = n and Var = 0 exactly), nor an interval
+that the truncation empties (G = 0).  The Hermite equation and the relation
 psi_i' = sqrt(2i) psi_{i-1} - x psi_i give, for i != j,
 
     G(t)_ij = [sqrt(2j) psi_i psi_{j-1} - sqrt(2i) psi_{i-1} psi_j](t) / (2(j - i)),
@@ -292,25 +292,26 @@ def _half_line_gram(n, x):
 
 def _interval_gram(n, interval):
     """(u, v, diag) of G = G(a) - G(b) on the clipped interval (a, b):
-    G_ij = u_i . v_j / (2(j - i)) for i != j.  None when the interval is empty.
+    G_ij = u_i . v_j / (2(j - i)) for i != j.
 
     psi runs only at the ends strictly inside the clip range (-lim, lim).
-    An end on it, clipped or given, is infinite, where the kernel is
-    negligible by the truncation contract, and G takes its closed form
-    there: G(-inf) = I and G(inf) = 0.  u and v have two columns per finite
-    end; on the whole line they have none, and G = I."""
+    An end on or beyond it, clipped or given, is infinite, where the kernel
+    is negligible by the truncation contract, and G takes its closed form
+    there: G(t) = I for t <= -lim and G(t) = 0 for t >= lim.  u and v have
+    two columns per finite end.  Without a finite end they have none, and
+    G = I on the whole line and G = 0 on an interval that the clip empties."""
     a, b = _clip_interval(n, interval)
-    if a >= b:
-        return None
     lim = truncation_halfwidth(n)
+    # the infinite ends' part of G(a) - G(b): 1 from a = -lim, cancelled by
+    # b <= -lim, where the clip empties the interval
+    closed = float(a <= -lim) - float(b <= -lim)
     ends = [(t, sign) for t, sign in ((a, 1.0), (b, -1.0)) if -lim < t < lim]
     if not ends:
-        return np.zeros((n, 0)), np.zeros((n, 0)), np.ones(n)
+        return np.zeros((n, 0)), np.zeros((n, 0)), np.full(n, closed)
     cuts, signs = np.array(ends).T
     p, q, diag = _half_line_gram(n, cuts)
     u = np.hstack([p * signs, -q * signs])
-    # G(-inf) = I adds 1 to the diagonal of a left half-line
-    return u, np.hstack([q, p]), float(a == -lim) + diag @ signs
+    return u, np.hstack([q, p]), closed + diag @ signs
 
 
 def expected_count(n, interval):
@@ -329,10 +330,7 @@ def variance_count(n, interval):
 def _count_moments(n, interval, variance):
     """(expected_count, variance_count) of the interval from one Gram
     factorization; the variance is None unless asked for."""
-    gram = _interval_gram(n, interval)
-    if gram is None:
-        return 0.0, 0.0 if variance else None
-    u, v, diag = gram
+    u, v, diag = _interval_gram(n, interval)
     mean = float(np.sum(diag))
     if not variance:
         return mean, None
@@ -460,10 +458,11 @@ class CumulantReport:
 
     def normalized(self):
         """(|C_3| / C_2^{3/2}, |C_4| / C_2^2): both must vanish as the
-        variance grows for the counting CLT to hold."""
+        variance grows for the counting CLT to hold.  Divided step by step,
+        since the powers of a tiny C_2 underflow to 0; inf when C_2 <= 0."""
         if self.c2 <= 0.0:
             return float("inf"), float("inf")
-        return abs(self.c3) / self.c2**1.5, abs(self.c4) / self.c2**2
+        return abs(self.c3) / self.c2 / sqrt(self.c2), abs(self.c4) / self.c2 / self.c2
 
 
 def counting_cumulants(op: KernelOperator):

@@ -153,8 +153,8 @@ def sturm_count_below_batch(diag, offdiag, x):
     if offdiag.shape != (diag.shape[0], diag.shape[1] - 1) or x.shape not in ((), diag.shape[:1]):
         raise ShapeError("batch shapes must be (B, n) and (B, n-1), and the shift () or (B,)")
     n = diag.shape[1]
-    emax = np.max(np.abs(offdiag)) if n > 1 else 0.0
-    pivmin = 1e-300 * max(1.0, float(emax) * float(emax))
+    emax = float(np.abs(offdiag).max(initial=0.0))
+    pivmin = 1e-300 * max(1.0, emax * emax)
     d = diag[:, 0] - x
     d = np.where(np.abs(d) < pivmin, -pivmin, d)
     count = (d < 0).astype(np.int64)

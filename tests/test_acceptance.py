@@ -27,6 +27,15 @@ numbers below are measured at the tests' own seeds.
   G the semicircle CDF: KS 0.029 (beta=1) and 0.036 (matched), against
   package KS 0.240 for both.  The scale, hence the variance (1.196 and
   1.222), is the package's.
+  The exact finite-n GOE law of x_250 at n=500 (de Bruijn's Pfaffian on
+  the closed-form Gram matrices, computed outside the package) has mean
+  -0.6304 sigma from the k/n centre and -0.0003 from the half-level one,
+  skew -0.0000, KS 0.028 under the half-level centre, and variance 1.2587
+  in this scale: above the band [0.8, 1.25].  The beta=1 clause passes at
+  seed 103, but at 2000 trials (standard error about 0.040) a seed passes
+  with probability about 0.41.  Matched real entries (criterion 6): 8000
+  trials read 1.2246 +- 0.0196, 1.7 standard errors below that exact GOE
+  value; the test's seed measures 1.222.
 * Symplectic scale (criterion 3, beta=4).  The decimation identity that
   criterion 2 checks says x_k(GSE_n) has the law of
   x_{2k}(GOE_{2n+1}) / sqrt 2, so the beta=4 leg takes the beta=1 finite-n
@@ -36,7 +45,9 @@ numbers below are measured at the tests' own seeds.
   sqrt(log n / (8 (1-t^2) n)) by a factor whose square is 1.1106 at n=500,
   mostly log(2n+1)/log n.  Measured: mean +0.0006, variance 1.216, KS
   0.032, against package variance 1.351 and KS 0.454; 1.216 is the same
-  finite-size excess as beta=1's 1.196.
+  finite-size excess as beta=1's 1.196.  The exact law (x_500 of
+  GOE_1001) has variance 1.2323 in this scale, 0.018 inside the band, and
+  KS 0.0255; a 2000-trial seed passes with probability about 0.67.
 * Joint covariance (criterion 5).  ``fluctuations`` defines the finite-n
   gap exponent theta = log(gap)/log n, and the covariance is 1 - theta.
   Both clauses compare with 1 - log(gap)/log 1000: 0.5029 for gap 31 and
@@ -63,6 +74,13 @@ at log k = 4.0, so with either normalization (leading-order, or exact
 centre and density) the variance clause stays outside [0.75, 1.3] at
 n=800.  The documented edge centre is the leading-order formula and
 PAPER.md gives none, so the criterion keeps the package normalization.
+The exact finite-n GOE law of that eigenvalue (the same Pfaffian) reads
+-3.903 sigma from the package centre, variance 1.935 in the package's
+squared scale and skew +0.008; standardized, it is Gaussian to KS 0.0007.
+Its KS distance is 0.899 under the package normalization, against the
+measured 0.904, and 0.079 under the exact centre with the package's scale,
+below the bound 0.1: the KS clause fails through the centre alone, the
+variance clause through finite size, which no centre changes.
 
 ``TestShapeDiagnostics`` checks that after removing the location/scale
 offsets the fluctuation law is Gaussian at these sizes, which is the

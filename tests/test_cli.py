@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -248,6 +249,11 @@ class TestSchema:
             if command == "kernel":
                 assert payload["meta"]["config"]["interval"] == [0.0, "inf"]
                 assert payload["plan"]["interval"] == [0.0, "inf"]
+        # on the whole line the count variance is 0 and neither ratio is finite
+        assert run(["cumulants", "--n", "5", "--interval=-inf,inf", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text(), parse_constant=reject)["summary"]
+        assert summary["c2"] == 0.0
+        assert summary["c3_normalized"] is None and summary["c4_normalized"] is None
 
     @pytest.mark.parametrize("flag", ["--csv", "--svg", "--per-trial"])
     @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
@@ -589,6 +595,30 @@ class TestCumulantsCommand:
         for field in ("c2", "c3", "c4", "c3_normalized", "c4_normalized"):
             assert field in payload["summary"]
         assert payload["summary"]["c2"] >= 0.0
+
+    def test_tiny_variance_exits_0(self, tmp_path):
+        # c2 ~ 4e-177 beyond the edge: c2**2 underflows to 0, the ratios stay finite
+        out = tmp_path / "c.json"
+        assert run(
+            ["cumulants", "--n", "2000", "--interval=72,73", "--out", str(out), "--no-timestamp"]
+        ) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert 0.0 < summary["c2"] < 1e-170
+        assert 0.0 < summary["c3_normalized"] < summary["c4_normalized"] < np.inf
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        # each `wigner-fluct ...` line of the README, with its \ continuations
+        # joined, must parse: a renamed or removed flag fails here
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in text.splitlines()
+                    if line.startswith("wigner-fluct ")]
+        assert len(commands) >= 9
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 def fresh_process_run(argv):

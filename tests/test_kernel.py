@@ -150,10 +150,7 @@ def streamed_variance_count(n, interval, block_rows=64):
     """tr G - ||G||_F^2 with the strict upper triangle of the closed-form Gram
     matrix, G_ij = u_i . v_j / (2(j - i)), formed in blocks of rows: O(n^2)
     time, the oracle for the FFT correlation of variance_count."""
-    gram = _interval_gram(n, interval)
-    if gram is None:
-        return 0.0
-    u, v, diag = gram
+    u, v, diag = _interval_gram(n, interval)
     offset = np.arange(n)[None, :] - np.arange(block_rows)[:, None]
     inv = np.divide(0.5, offset, out=np.zeros(offset.shape), where=offset > 0)
     upper = 0.0
@@ -381,12 +378,13 @@ class TestVarianceCount:
     @pytest.mark.parametrize(
         "interval, points",
         [((0.0, np.inf), 1), ((-np.inf, 0.3), 1), ((-1.5, 100.0), 1), ((-1.0, 1.0), 2),
-         ((-np.inf, np.inf), 0), ((-100.0, 100.0), 0)],
+         ((-np.inf, np.inf), 0), ((-100.0, 100.0), 0), ((20.0, 30.0), 0), ((-np.inf, -25.0), 0)],
         ids=["half-line", "left-half-line", "clipped-window", "window", "whole-line",
-             "both-clipped"],
+             "both-clipped", "empty-above", "empty-below"],
     )
     def test_psi_runs_only_at_finite_ends(self, interval, points, monkeypatch):
-        # a clipped end is infinite, where G is I or 0 in closed form
+        # a clipped end is infinite, where G is I or 0 in closed form; the
+        # clip at n = 50 is sqrt(100) + 10 = 20, so the last two are empty
         sizes = []
         half_line_gram = kernel._half_line_gram
 
@@ -399,6 +397,17 @@ class TestVarianceCount:
         wf.variance_count(50, interval)
         # one call each from expected_count and variance_count, none without ends
         assert sizes == ([points] * 2 if points else [])
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_empty_after_clip_is_zero(self, n, side):
+        # G = 0 in closed form: zero-column factors and a zero diagonal
+        lim = truncation_halfwidth(n)
+        interval = tuple(sorted((side * lim, side * (lim + 10.0))))
+        u, v, diag = _interval_gram(n, interval)
+        assert u.shape == v.shape == (n, 0)
+        assert not diag.any()
+        assert (wf.expected_count(n, interval), wf.variance_count(n, interval)) == (0.0, 0.0)
 
     def test_single_eigenvalue_halfline(self):
         # one N(0, 1/2) eigenvalue: the count on [0, inf) is Bernoulli(1/2)
@@ -733,6 +742,14 @@ class TestCountingCumulants:
     def test_c2_never_negative(self):
         rep = wf.counting_cumulants(diag_operator([0.0, 1.0]))
         assert rep.c2 >= -1e-10
+
+    def test_normalized_survives_underflowing_powers(self):
+        # T_2..T_4 underflow to 0, so C_2 = C_3 = C_4 = T_1 ~ 8e-301 and the
+        # ratios are 1 / sqrt(T_1) and 1 / T_1, though T_1**2 is 0
+        rep = wf.counting_cumulants(wf.discretize_operator(3, (0.0, 1e-300)))
+        t1 = rep.traces[1]
+        assert rep.c2 == rep.c3 == rep.c4 == t1 and 0.0 < t1 < 1e-290 and t1**2 == 0.0
+        assert rep.normalized() == pytest.approx((1.0 / sqrt(t1), 1.0 / t1), rel=1e-15)
 
 
 class TestTruncation:

@@ -501,6 +501,22 @@ class TestSturm:
             t = wf.Tridiagonal(diag=diag[row], offdiag=off[row])
             assert batch[row] == sturm_count_below(t, 0.3)
 
+    def test_batch_one_level(self):
+        # no off-diagonal: the count is diag < x, and a hit counts by the
+        # pivot convention (a zero pivot becomes -pivmin)
+        diag = np.array([[-1.0], [0.3], [2.0]])
+        off = np.zeros((3, 0))
+        assert wf.sturm_count_below_batch(diag, off, 0.3).tolist() == [1, 1, 0]
+        shifts = np.array([-2.0, 1.0, 3.0])
+        assert wf.sturm_count_below_batch(diag, off, shifts).tolist() == [0, 1, 1]
+        for row, x in zip(diag, (-1.0, 0.0, 2.5)):
+            t = wf.Tridiagonal(diag=row, offdiag=np.zeros(0))
+            assert wf.sturm_count_below_batch(row[None], off[:1], x)[0] == sturm_count_below(t, x)
+
+    def test_empty_batch(self):
+        # the pivot floor's maximum over no off-diagonal entries is 0
+        assert wf.sturm_count_below_batch(np.zeros((0, 3)), np.zeros((0, 2)), 0.0).tolist() == []
+
     def test_infinite_shifts(self):
         t = wf.Tridiagonal(diag=np.zeros(4), offdiag=np.ones(3))
         assert sturm_count_below(t, np.inf) == 4
