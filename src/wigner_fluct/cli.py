@@ -16,8 +16,11 @@ One of each path:
 - one parser per process: ``main`` parses with the parser that
   ``build_parser`` made on its first call;
 - one payload builder: ``_write_payload`` assembles and writes every
-  command's JSON, ``meta`` (config echo, the thresholds that are set, env),
-  ``plan`` and ``summary``.
+  command's JSON: ``meta``, the provenance (schema version, command,
+  package version, seed, the thresholds that are set, env), ``plan``, the
+  run as resolved, and ``summary``;
+- one name per ensemble: ``--ensemble`` takes the values of EnsembleKind,
+  and EnsembleSpec decides whether the ensemble needs ``--beta``.
 
 Exit codes, from the outcome or the error class that ``execute`` catches:
 
@@ -49,19 +52,10 @@ import scipy
 
 from . import __version__, ensembles, errors, fluctuations, kernel, semicircle, spectra, stats
 from .ensembles import EnsembleKind, EnsembleSpec, mix_trial_seed
-from .errors import NumericalFailureError, NumericalRangeError, UnsupportedError
+from .errors import NumericalFailureError, NumericalRangeError
 from .stats import ExperimentPlan, Thresholds
 
-SCHEMA_VERSION = 1
-
-_ENSEMBLE_FLAGS = {
-    "goe": EnsembleKind.GOE,
-    "gue": EnsembleKind.GUE,
-    "gse": EnsembleKind.GSE,
-    "wigner-real": EnsembleKind.WIGNER_REAL_MATCHED,
-    "wigner-hermitian": EnsembleKind.WIGNER_HERMITIAN_MATCHED,
-    "tridiag": EnsembleKind.TRIDIAG_BETA,
-}
+SCHEMA_VERSION = 2
 
 _positive = functools.partial(errors.integer, least=1)  # the rule of most integer flags
 
@@ -149,6 +143,7 @@ def build_parser():
     seed_arg = _number_arg("--seed", int, errors.uint64)
     beta_rule = functools.partial(errors.one_of, choices=ensembles.BETAS)
     beta = {"type": _number_arg("--beta", int, beta_rule), "default": None}
+    kinds = sorted(kind.value for kind in EnsembleKind)
 
     def finite(flag, default):
         return {"type": _number_arg(flag, float, errors.finite), "default": default}
@@ -173,7 +168,7 @@ def build_parser():
         return p
 
     command("sample", "draw one matrix and report its spectrum", _cmd_sample, {
-        "--ensemble": {"choices": sorted(_ENSEMBLE_FLAGS), "required": True},
+        "--ensemble": {"choices": kinds, "required": True},
         "--beta": beta,
     })
 
@@ -183,7 +178,7 @@ def build_parser():
             options["--regime"] = {"choices": ("bulk", "edge"), "default": "bulk"}
         options.update({
             "--beta": beta,
-            "--ensemble": {"choices": sorted(_ENSEMBLE_FLAGS), "default": "tridiag"},
+            "--ensemble": {"choices": kinds, "default": EnsembleKind.TRIDIAG_BETA.value},
             "--check": {"action": "store_true", "help": "exit 1 unless thresholds hold"},
             **{flag: finite(flag, default) for flag, default in thresholds.items()},
             "--threads": {"type": _number_arg("--threads", int, _positive), "default": 1},
@@ -247,24 +242,16 @@ def _env():
     }
 
 
-def _ensemble_spec(name, n, beta, seed=0):
-    """EnsembleSpec from CLI flags; beta=None means 'implied by the kind'."""
-    kind = _ENSEMBLE_FLAGS[name]
-    if kind is EnsembleKind.TRIDIAG_BETA and beta is None:
-        raise UnsupportedError("--beta is required for the tridiag ensemble")
-    return EnsembleSpec(kind, n, seed=seed, beta=beta or 0)
-
-
-def _write_payload(args, config, plan, summary, thresholds=None, per_trial=None):
-    """Write a run's JSON to --out or stdout: meta (the config echo, the
-    thresholds that are set, env, and a timestamp unless --no-timestamp),
-    plan and summary, plus a per_trial block when per_trial is an array."""
+def _write_payload(args, plan, summary, thresholds=None, per_trial=None):
+    """Write a run's JSON to --out or stdout: meta (the provenance: schema
+    version, command, package version, seed, the thresholds that are set,
+    env, and a timestamp unless --no-timestamp), plan (the run as resolved)
+    and summary, plus a per_trial block when per_trial is an array."""
     meta = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "config": config,
         "thresholds": {k: v for k, v in (thresholds or {}).items() if v is not None},
         "env": _env(),
     }
@@ -347,11 +334,11 @@ def _normal_density(x):
 
 
 def _cmd_sample(args):
-    spec = _ensemble_spec(args.ensemble, args.n, args.beta, args.seed)
+    spec = EnsembleSpec(args.ensemble, args.n, seed=args.seed, beta=args.beta or 0)
     values = spectra.eigenvalues(ensembles.sample(spec)).values
-    config = {"ensemble": args.ensemble, "n": args.n, "beta": spec.beta}
+    plan = {"ensemble": spec.kind.value, "n": spec.n, "beta": spec.beta}
     summary = {"eigenvalues": values.tolist(), "trace": float(np.sum(values))}
-    _write_payload(args, config, {**config, "seed": args.seed}, summary)
+    _write_payload(args, plan, summary)
     return 0
 
 
@@ -363,7 +350,7 @@ def _cmd_fluct(args, title):
     index_spec = make_spec(args.k if isinstance(args.k, tuple) else (args.k,), args.n)
     th = Thresholds(**{f.name: getattr(args, f.name, None) for f in dataclasses.fields(Thresholds)})
     plan = ExperimentPlan(
-        ensemble=_ensemble_spec(args.ensemble, args.n, args.beta),
+        ensemble=EnsembleSpec(args.ensemble, args.n, beta=args.beta or 0),
         index_spec=index_spec,
         trials=args.trials,
         seed=args.seed,
@@ -371,19 +358,18 @@ def _cmd_fluct(args, title):
     )
     result = stats.run_mc(plan, threads=args.threads)
     spec = plan.ensemble
-    config = {
+    echo = {
         "ensemble": spec.kind.value,
         "n": spec.n,
         "beta": spec.beta,
         "regime": index_spec.regime,
         "indices": list(index_spec.indices),
+        "thetas": list(index_spec.thetas),
+        "gamma": index_spec.gamma,
         "trials": plan.trials,
     }
-    plan_echo = {
-        **config, "thetas": list(index_spec.thetas), "gamma": index_spec.gamma, "seed": plan.seed
-    }
     per_trial = result.vectors if args.per_trial else None
-    _write_payload(args, config, plan_echo, result.summary, vars(th), per_trial)
+    _write_payload(args, echo, result.summary, vars(th), per_trial)
     if args.csv:
         _write_csv(result.vectors, args.csv)
     if args.svg:
@@ -430,10 +416,9 @@ def _cmd_fr_check(args):
         d, p = stats.ks_two_sample(left[:, k - 1], right[:, k - 1])
         ks[str(k)] = {"d": d, "ks_p": p, "passed": bool(p > args.p_min)}
         all_pass &= p > args.p_min
-    config = {"which": args.which, "n": n, "indices": list(indices), "trials": args.trials}
-    plan = {"which": args.which, "n": n, "trials": args.trials, "seed": args.seed}
+    plan = {"which": args.which, "n": n, "indices": list(indices), "trials": args.trials}
     summary = {"ks_p": ks, "passed": bool(all_pass)}
-    _write_payload(args, config, plan, summary, {"p_min": args.p_min})
+    _write_payload(args, plan, summary, {"p_min": args.p_min})
     return 0 if all_pass else 1
 
 
@@ -448,8 +433,7 @@ def _cmd_kernel(args):
     summary = {"expected_count": expected}
     if args.variance:
         summary["variance_count"] = variance
-    config = {"n": args.n, "interval": _interval_echo(args.interval)}
-    _write_payload(args, config, config, summary)
+    _write_payload(args, {"n": args.n, "interval": _interval_echo(args.interval)}, summary)
     return 0
 
 
@@ -458,7 +442,7 @@ def _cmd_cumulants(args):
     report = kernel.counting_cumulants(op)
     # RFC 8259 has no Infinity token: a ratio that is not finite is null
     norm3, norm4 = (r if math.isfinite(r) else None for r in report.normalized())
-    config = {"n": args.n, "interval": _interval_echo(args.interval), "order": args.order}
+    plan = {"n": args.n, "interval": _interval_echo(args.interval), "order": args.order}
     summary = {
         "c2": report.c2,
         "c3": report.c3,
@@ -468,7 +452,7 @@ def _cmd_cumulants(args):
         "c4_normalized": norm4,
         "nodes": int(op.size),
     }
-    _write_payload(args, config, config, summary)
+    _write_payload(args, plan, summary)
     return 0
 
 
@@ -481,10 +465,8 @@ def _cmd_semicircle_check(args):
     values = spectra.eigenvalues(sample).values / math.sqrt(2.0 * n)
     sup = stats.ks_one_sample(np.clip(values, -1.0, 1.0), semicircle.semicircle_cdf)
     passed = sup <= args.threshold
-    config = {"n": n, "path": args.path}
     summary = {"sup_distance": sup, "passed": bool(passed)}
-    plan = {**config, "seed": args.seed}
-    _write_payload(args, config, plan, summary, {"sup_max": args.threshold})
+    _write_payload(args, {"n": n, "path": args.path}, summary, {"sup_max": args.threshold})
     if args.svg:
         title = f"rescaled GOE_{n} spectrum vs semicircle"
         _svg_histogram(values, args.svg, title, density=semicircle.semicircle_density)

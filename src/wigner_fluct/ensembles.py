@@ -24,12 +24,14 @@ dense samplers only map its draws to entries and write both triangles
 through _hermitian, which sample_gse uses for the block A of its
 [[A, B], [B^H, A^T]] form.  The tridiagonal model's stream (diagonal
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
-_ENSEMBLES, gives each kind its implied beta and its sampler.  Every
-sampler builds its EnsembleSpec before it draws, and the spec checks n (an
-integer >= 1), beta (in BETAS) and the seed, an integer in [0, 2**64)
-(PCG64 seeds are 64-bit; a wider seed would alias a narrower one), by the
-rules of errors.  Per-trial seeds are derived from a master seed in the
-same range by SplitMix64 mixing; stats drives every trial loop from them.
+_ENSEMBLES, gives each kind its implied beta and its sampler; a kind's
+value is its one name, the command line's too.  Every sampler builds its
+EnsembleSpec before it draws, and the spec checks n (an integer >= 1), beta
+(in BETAS, and given where the kind implies none) and the seed, an integer
+in [0, 2**64) (PCG64 seeds are 64-bit; a wider seed would alias a narrower
+one), by the rules of errors.  Per-trial seeds are derived from a master
+seed in the same range by SplitMix64 mixing; stats drives every trial loop
+from them.
 """
 
 from dataclasses import dataclass
@@ -69,9 +71,9 @@ class EnsembleKind(str, Enum):
     GOE = "goe"
     GUE = "gue"
     GSE = "gse"
-    WIGNER_REAL_MATCHED = "wigner-real-matched"
-    WIGNER_HERMITIAN_MATCHED = "wigner-hermitian-matched"
-    TRIDIAG_BETA = "tridiag-beta"
+    WIGNER_REAL_MATCHED = "wigner-real"
+    WIGNER_HERMITIAN_MATCHED = "wigner-hermitian"
+    TRIDIAG_BETA = "tridiag"
 
 
 # kind's value -> (implied beta, None for the tridiagonal model whose beta is
@@ -109,6 +111,8 @@ class EnsembleSpec:
         object.__setattr__(self, "kind", kind)
         implied = _ENSEMBLES[kind][0]
         if implied is None:
+            if self.beta == 0:
+                raise UnsupportedError(f"beta is required for the {kind.value} ensemble")
             one_of(self.beta, "beta", BETAS)
         elif self.beta == 0:
             object.__setattr__(self, "beta", implied)

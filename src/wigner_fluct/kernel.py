@@ -89,7 +89,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import DiscretizationFailureError, DomainError, NumericalFailureError
-from .errors import NumericalRangeError, ShapeError, finite, integer, strictly_increasing
+from .errors import NumericalRangeError, ShapeError, finite, integer, rank, strictly_increasing
 
 _LOG2E = 1.4426950408889634  # 1 / ln 2
 _MAX_HERMITE_INDEX = 10**4
@@ -417,10 +417,10 @@ def discretize_operator(n, interval, order=32, wavelengths_per_panel=3.0, valida
     version of the same interval.
     """
     integer(order, "quadrature order", least=MIN_QUADRATURE_ORDER)
-    if not 0.0 < wavelengths_per_panel < np.inf:
-        raise DomainError(
-            f"wavelengths per panel must be finite and > 0, got {wavelengths_per_panel}"
-        )
+    label = "wavelengths per panel"
+    wavelengths_per_panel = float(rank(finite(wavelengths_per_panel, label), label, 0))
+    if not wavelengths_per_panel > 0.0:
+        raise DomainError(f"{label} must be > 0, got {wavelengths_per_panel}")
     a, b = _clip_interval(n, interval)
     if a >= b:
         raise ShapeError(f"interval {interval} is empty after truncation")

@@ -21,7 +21,7 @@ import sys
 import warnings
 
 from .ensembles import BETAS
-from .errors import DomainError, NumericalFailureError, integer, one_of
+from .errors import DomainError, NumericalFailureError, finite, integer, one_of, rank
 
 # Quantile ratios closer than this to 0 or 1 put the center in the singular
 # scaling region t -> +-1 and are rejected; inside it 1 - t^2 >= 2.8e-4.
@@ -43,6 +43,7 @@ def _warn_outside_package(message):
 
 def semicircle_density(x):
     """Density (2/pi) sqrt(1 - x^2) of the unit semicircle law on [-1, 1]."""
+    x = float(rank(finite(x, "x"), "x", 0))
     if abs(x) > 1.0:
         return 0.0
     return sqrt(1.0 - x * x) / (0.5 * pi)
@@ -53,6 +54,7 @@ def semicircle_cdf(t):
 
     Evaluated in closed form as (t sqrt(1-t^2) + arcsin t)/pi + 1/2.
     """
+    t = float(rank(finite(t, "t"), "t", 0))
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"semicircle_cdf defined on [-1, 1], got {t}")
     return (t * sqrt(1.0 - t * t) + asin(t)) / pi + 0.5
@@ -66,6 +68,7 @@ def semicircle_quantile(q):
     concave increasing function puts every Newton step between the iterate
     and the root.
     """
+    q = float(rank(finite(q, "q"), "q", 0))
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"quantile argument must lie in [0, 1], got {q}")
     if q == 0.0:

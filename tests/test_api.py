@@ -287,6 +287,17 @@ REFUSED_AT_ENTRY = [
     ("Tridiagonal-list", lambda: wf.Tridiagonal(diag=[0.0, 0.0], offdiag=[1j]), DATA),
     ("tridiagonalize-complex", lambda: wf.tridiagonalize(np.array([[1.0, 1j], [-1j, 1.0]])), DATA),
     ("tridiagonalize-list", lambda: wf.tridiagonalize([[1.0, 1j], [-1j, 1.0]]), DATA),
+    ("semicircle_density-complex", lambda: wf.semicircle_density(0.5 + 0j), DATA),
+    ("semicircle_density-str", lambda: wf.semicircle_density("0.5"), DATA),
+    ("semicircle_density-nan", lambda: wf.semicircle_density(np.nan), DATA),
+    ("semicircle_cdf-complex", lambda: wf.semicircle_cdf(0.5 + 0j), DATA),
+    ("semicircle_cdf-str", lambda: wf.semicircle_cdf("0.5"), DATA),
+    ("semicircle_quantile-complex", lambda: wf.semicircle_quantile(0.5 + 0j), DATA),
+    ("semicircle_quantile-str", lambda: wf.semicircle_quantile("0.5"), DATA),
+    ("discretize_operator-width-complex",
+     lambda: wf.discretize_operator(20, (0.0, 2.5), wavelengths_per_panel=3 + 0j), DATA),
+    ("discretize_operator-width-str",
+     lambda: wf.discretize_operator(20, (0.0, 2.5), wavelengths_per_panel="3"), DATA),
     # inputs of the wrong rank or length
     ("sturm-shift-length",
      lambda: wf.sturm_count_below_batch([[0.0, 1.0]], [[1.0]], [0.0, 1.0, 2.0]), SHAPE),
@@ -315,6 +326,15 @@ REFUSED_AT_ENTRY = [
     ("tridiagonalize-empty", lambda: wf.tridiagonalize(np.zeros((0, 0))), SHAPE,
      "empty tridiagonal"),
     ("eigenvalues-empty", lambda: wf.eigenvalues(np.zeros((0, 0))), SHAPE, "empty tridiagonal"),
+    ("semicircle_density-array", lambda: wf.semicircle_density(np.array([0.1, 0.2])),
+     SHAPE, "x must be a scalar, got shape (2,)"),
+    ("semicircle_cdf-array", lambda: wf.semicircle_cdf(np.array([0.1, 0.2])),
+     SHAPE, "t must be a scalar, got shape (2,)"),
+    ("semicircle_quantile-array", lambda: wf.semicircle_quantile(np.array([0.1, 0.2])),
+     SHAPE, "q must be a scalar, got shape (2,)"),
+    ("discretize_operator-width-pair",
+     lambda: wf.discretize_operator(20, (0.0, 2.5), wavelengths_per_panel=[3.0, 4.0]),
+     SHAPE, "wavelengths per panel must be a scalar, got shape (2,)"),
 ]
 
 

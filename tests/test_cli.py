@@ -92,6 +92,16 @@ class TestParsing:
                   if n.endswith("-fluct")}
         assert checks == {"exit 1 unless thresholds hold"}
 
+    def test_ensemble_choices_are_the_kinds(self):
+        # one name per ensemble: --ensemble offers EnsembleKind's values, no second table
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        takers = {name: p._option_string_actions["--ensemble"].choices
+                  for name, p in sub.choices.items() if "--ensemble" in p._option_string_actions}
+        assert sorted(takers) == ["bulk-fluct", "edge-fluct", "joint-fluct", "sample"]
+        for choices in takers.values():
+            assert choices == sorted(k.value for k in EnsembleKind)
+
     def test_numbers_are_plain_python_numbers(self):
         args = cli.build_parser().parse_args(
             ["bulk-fluct", "--n", "10", "--k", "5", "--ks-max", "0.5", "--seed", "3"]
@@ -101,54 +111,36 @@ class TestParsing:
         assert json.dumps([args.n, args.seed, args.k, args.ks_max]) == "[10, 3, 5, 0.5]"
 
 
-FLUCT_KEYS = {"ensemble", "n", "beta", "regime", "indices", "trials"}
-FLUCT_PLAN_KEYS = FLUCT_KEYS | {"thetas", "gamma", "seed"}
+FLUCT_KEYS = {"ensemble", "n", "beta", "regime", "indices", "thetas", "gamma", "trials"}
 
-# (argv, meta.config keys, plan keys, meta.thresholds) of one run per subcommand
+# (argv, plan keys, meta.thresholds) of one run per subcommand; the
+# bulk-fluct run names an ensemble that implies its beta, so that any
+# --ensemble value can follow it
 SCHEMA_CASES = {
-    "sample": (
-        ["--ensemble", "goe", "--n", "3"],
-        {"ensemble", "n", "beta"},
-        {"ensemble", "n", "beta", "seed"},
-        {},
-    ),
+    "sample": (["--ensemble", "goe", "--n", "3"], {"ensemble", "n", "beta"}, {}),
     "bulk-fluct": (
-        ["--n", "20", "--k", "10", "--beta", "1", "--trials", "3"],
+        ["--n", "20", "--k", "10", "--ensemble", "goe", "--trials", "3"],
         FLUCT_KEYS,
-        FLUCT_PLAN_KEYS,
         {"ks_max": 0.08, "var_lo": 0.8, "var_hi": 1.25},
     ),
     "edge-fluct": (
         ["--n", "40", "--k", "12", "--beta", "2", "--trials", "3"],
         FLUCT_KEYS,
-        FLUCT_PLAN_KEYS,
         {"ks_max": 0.1, "var_lo": 0.75, "var_hi": 1.3},
     ),
     "joint-fluct": (
         ["--n", "40", "--k", "10,20", "--beta", "1", "--trials", "3"],
         FLUCT_KEYS,
-        FLUCT_PLAN_KEYS,
         {"corr_tol": 0.12},
     ),
     "fr-check": (
         ["--which", "gse", "--n", "2", "--trials", "3"],
         {"which", "n", "indices", "trials"},
-        {"which", "n", "trials", "seed"},
         {"p_min": 0.01},
     ),
-    "kernel": (["--n", "3", "--interval=0,inf"], {"n", "interval"}, {"n", "interval"}, {}),
-    "cumulants": (
-        ["--n", "4", "--interval=0,2", "--order", "16"],
-        {"n", "interval", "order"},
-        {"n", "interval", "order"},
-        {},
-    ),
-    "semicircle-check": (
-        ["--n", "20"],
-        {"n", "path"},
-        {"n", "path", "seed"},
-        {"sup_max": 0.05},
-    ),
+    "kernel": (["--n", "3", "--interval=0,inf"], {"n", "interval"}, {}),
+    "cumulants": (["--n", "4", "--interval=0,2", "--order", "16"], {"n", "interval", "order"}, {}),
+    "semicircle-check": (["--n", "20"], {"n", "path"}, {"sup_max": 0.05}),
 }
 
 
@@ -164,19 +156,26 @@ FILE_FLAGS = {
 class TestSchema:
     @pytest.mark.parametrize("command", sorted(SCHEMA_CASES))
     def test_payload_blocks(self, command, tmp_path):
-        argv, config_keys, plan_keys, thresholds = SCHEMA_CASES[command]
+        argv, plan_keys, thresholds = SCHEMA_CASES[command]
         out = tmp_path / "schema.json"
         assert run([command, *argv, "--out", str(out), "--no-timestamp"]) in (0, 1)
         payload = json.loads(out.read_text())
         assert set(payload) == {"meta", "plan", "summary"}
         meta = payload["meta"]
-        assert set(meta) == {
-            "schema_version", "command", "version", "seed", "config", "thresholds", "env",
-        }
+        # meta is the provenance and plan the run: no key is in both
+        assert set(meta) == {"schema_version", "command", "version", "seed", "thresholds", "env"}
+        assert meta["schema_version"] == 2
         assert meta["command"] == command and meta["seed"] == 0
-        assert set(meta["config"]) == config_keys
         assert set(payload["plan"]) == plan_keys
+        assert not set(payload["plan"]) & set(meta)
         assert meta["thresholds"] == thresholds
+        # one name per ensemble: the plan echoes every --ensemble value as given
+        if command in ("sample", "bulk-fluct"):
+            for kind in EnsembleKind:
+                beta = ["--beta", "4"] if kind is EnsembleKind.TRIDIAG_BETA else []
+                flags = ["--ensemble", kind.value, *beta, "--out", str(out)]
+                assert run([command, *argv, *flags]) == 0
+                assert json.loads(out.read_text())["plan"]["ensemble"] == kind.value
 
     @pytest.mark.parametrize("command", ["sample", "bulk-fluct"])
     def test_seed_range(self, command, tmp_path):
@@ -247,7 +246,6 @@ class TestSchema:
             assert run([command, *argv, "--out", str(out)]) in (0, 1)
             payload = json.loads(out.read_text(), parse_constant=reject)
             if command == "kernel":
-                assert payload["meta"]["config"]["interval"] == [0.0, "inf"]
                 assert payload["plan"]["interval"] == [0.0, "inf"]
         # on the whole line the count variance is 0 and neither ratio is finite
         assert run(["cumulants", "--n", "5", "--interval=-inf,inf", "--out", str(out)]) == 0
@@ -286,7 +284,7 @@ class TestSampleCommand:
         eigs = payload["summary"]["eigenvalues"]
         assert len(eigs) == 12
         assert eigs == sorted(eigs)
-        assert payload["meta"]["schema_version"] == 1
+        assert payload["meta"]["schema_version"] == 2
 
     def test_meta_records_library_versions(self, tmp_path):
         out = tmp_path / "env.json"
@@ -317,6 +315,8 @@ class TestSampleCommand:
     def test_tridiag_needs_beta(self, capsys):
         code = run(["sample", "--ensemble", "tridiag", "--n", "5"])
         assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["invalid configuration: beta is required for the tridiag ensemble"]
 
 
 class TestKernelCommand:

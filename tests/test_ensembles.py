@@ -599,8 +599,9 @@ class TestEnsembleSpec:
         assert wf.mix_trial_seed(1, np.int64(7)) == wf.mix_trial_seed(1, 7)
 
     def test_tridiag_requires_beta(self):
-        with pytest.raises(wf.UnsupportedError):
+        with pytest.raises(wf.UnsupportedError) as exc:
             wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3)
+        assert str(exc.value) == "beta is required for the tridiag ensemble"
 
     def test_unknown_kind_is_an_unsupported_option(self):
         kinds = ",".join(k.value for k in wf.EnsembleKind)

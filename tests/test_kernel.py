@@ -617,11 +617,16 @@ class TestDiscretizeOperator:
             call()
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("width", [0.0, 0, -1.0, np.nan, np.inf])
-    def test_panel_width_must_be_finite_and_positive(self, width):
+    @pytest.mark.parametrize(
+        "width, cls",
+        [(0.0, wf.DomainError), (0, wf.DomainError), (-1.0, wf.DomainError),
+         (np.nan, wf.InvalidDataError), (np.inf, wf.InvalidDataError)],
+    )
+    def test_panel_width_must_be_finite_and_positive(self, width, cls):
         # the panel count is ceil(length / width), so only a finite positive width sizes it
-        with pytest.raises(wf.DomainError, match="wavelengths per panel"):
+        with pytest.raises(ValueError, match="wavelengths per panel") as exc:
             wf.discretize_operator(20, (0.0, 2.5), wavelengths_per_panel=width)
+        assert type(exc.value) is cls
 
     def test_band_failure_reports_the_spectrum(self):
         # 6 wavelengths per 16-node panel: the trace still matches, but the

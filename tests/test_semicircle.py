@@ -67,9 +67,12 @@ class TestCDF:
         assert np.all(np.diff(vals) > 0)
 
     def test_domain_error(self):
-        for t in (1.5, np.nextafter(-1.0, -2.0), nan):
+        for t in (1.5, np.nextafter(-1.0, -2.0)):
             with pytest.raises(wf.DomainError):
                 wf.semicircle_cdf(t)
+        # NaN is data that is not finite, not a point outside [-1, 1]
+        with pytest.raises(wf.InvalidDataError, match="^t must be finite$"):
+            wf.semicircle_cdf(nan)
 
 
 class TestQuantile:
@@ -99,9 +102,11 @@ class TestQuantile:
             assert np.all(np.diff(ts) >= 0.0), grid[0]
 
     def test_domain_error(self):
-        for q in (1.5, -0.1, nan):
+        for q in (1.5, -0.1):
             with pytest.raises(wf.DomainError):
                 wf.semicircle_quantile(q)
+        with pytest.raises(wf.InvalidDataError, match="^q must be finite$"):
+            wf.semicircle_quantile(nan)
 
     def test_nonconvergence_raises(self, monkeypatch):
         # a derivative 10^6 times too large makes every Newton step tiny

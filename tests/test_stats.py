@@ -226,7 +226,7 @@ class TestRunMC:
     def test_dense_and_tridiag_paths_share_normalization(self, ensemble, indices):
         # every trial vector is the full spectrum's normalization
         n, seed = 30, 11
-        spec = cli._ensemble_spec(ensemble, n, 4 if ensemble == "tridiag" else None)
+        spec = wf.EnsembleSpec(ensemble, n, beta=4 if ensemble == "tridiag" else 0)
         regime, idx = self.NORMALIZATION_INDICES[indices]
         index_spec = (wf.bulk_index_spec if regime == "bulk" else wf.edge_index_spec)(idx, n)
         plan = ExperimentPlan(ensemble=spec, index_spec=index_spec, trials=3, seed=seed)
