@@ -334,8 +334,8 @@ def _normal_density(x):
 
 
 def _cmd_sample(args):
-    spec = EnsembleSpec(args.ensemble, args.n, seed=args.seed, beta=args.beta or 0)
-    values = spectra.eigenvalues(ensembles.sample(spec)).values
+    spec = EnsembleSpec(args.ensemble, args.n, beta=args.beta or 0)
+    values = spectra.eigenvalues(ensembles.sample(spec, args.seed)).values
     plan = {"ensemble": spec.kind.value, "n": spec.n, "beta": spec.beta}
     summary = {"eigenvalues": values.tolist(), "trace": float(np.sum(values))}
     _write_payload(args, plan, summary)

@@ -25,13 +25,13 @@ through _hermitian, which sample_gse uses for the block A of its
 [[A, B], [B^H, A^T]] form.  The tridiagonal model's stream (diagonal
 normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
 _ENSEMBLES, gives each kind its implied beta and its sampler; a kind's
-value is its one name, the command line's too.  Every sampler builds its
-EnsembleSpec before it draws, and the spec checks n (an integer >= 1), beta
-(in BETAS, and given where the kind implies none) and the seed, an integer
-in [0, 2**64) (PCG64 seeds are 64-bit; a wider seed would alias a narrower
-one), by the rules of errors.  Per-trial seeds are derived from a master
-seed in the same range by SplitMix64 mixing; stats drives every trial loop
-from them.
+value is its one name, the command line's too.  A spec says what to draw
+and a seed which draw: every sampler builds its EnsembleSpec, which checks
+n (an integer >= 1) and beta (in BETAS, and given where the kind implies
+none), then checks the seed, an integer in [0, 2**64) (PCG64 seeds are
+64-bit; a wider seed would alias a narrower one), by the rules of errors,
+before it draws.  Per-trial seeds are derived from a master seed in the
+same range by SplitMix64 mixing; stats drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -81,31 +81,29 @@ class EnsembleKind(str, Enum):
 # so it finds itself here, and the keys are the kinds EnsembleSpec accepts.
 # Samplers are looked up by name when called, so rebinding one reaches sample().
 _ENSEMBLES = {
-    EnsembleKind.GOE.value: (1, lambda s: sample_goe(s.n, s.seed)),
-    EnsembleKind.GUE.value: (2, lambda s: sample_gue(s.n, s.seed)),
-    EnsembleKind.GSE.value: (4, lambda s: sample_gse(s.n, s.seed)),
+    EnsembleKind.GOE.value: (1, lambda s, seed: sample_goe(s.n, seed)),
+    EnsembleKind.GUE.value: (2, lambda s, seed: sample_gue(s.n, seed)),
+    EnsembleKind.GSE.value: (4, lambda s, seed: sample_gse(s.n, seed)),
     EnsembleKind.WIGNER_REAL_MATCHED.value: (
-        1, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="real")
+        1, lambda s, seed: sample_matched_wigner(s.n, seed, symmetry="real")
     ),
     EnsembleKind.WIGNER_HERMITIAN_MATCHED.value: (
-        2, lambda s: sample_matched_wigner(s.n, s.seed, symmetry="hermitian")
+        2, lambda s, seed: sample_matched_wigner(s.n, seed, symmetry="hermitian")
     ),
-    EnsembleKind.TRIDIAG_BETA.value: (None, lambda s: sample_tridiag_beta(s.n, s.beta, s.seed)),
+    EnsembleKind.TRIDIAG_BETA.value: (None, lambda s, seed: sample_tridiag_beta(s.n, s.beta, seed)),
 }
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Which ensemble to draw from, at what size, from what seed."""
+    """Which ensemble to draw from, at what size; a seed says which draw."""
 
     kind: EnsembleKind
     n: int
-    seed: int = 0
     beta: int = 0  # required for TRIDIAG_BETA, implied otherwise
 
     def __post_init__(self):
         object.__setattr__(self, "n", integer(self.n, "matrix size", least=1))
-        object.__setattr__(self, "seed", uint64(self.seed, "seed"))
         object.__setattr__(self, "beta", integer(self.beta, "beta"))
         kind = EnsembleKind(one_of(self.kind, "ensemble kind", tuple(_ENSEMBLES)))
         object.__setattr__(self, "kind", kind)
@@ -122,8 +120,9 @@ class EnsembleSpec:
 
 @dataclass
 class MatrixSample:
-    """One sampled matrix together with its provenance: a dense array, or
-    the diagonal (n,) and off-diagonal (n-1,) of a tridiagonal model.
+    """One sampled matrix with its provenance, a spec and the seed (an int)
+    that picked the draw: a dense array, or the diagonal (n,) and
+    off-diagonal (n-1,) of a tridiagonal model.
 
     The arrays alone fix how often the stored spectrum repeats each of the
     ensemble's n eigenvalues: a dense array of order c n repeats each c
@@ -133,6 +132,7 @@ class MatrixSample:
     """
 
     spec: EnsembleSpec
+    seed: int
     array: np.ndarray | None = None
     diag: np.ndarray | None = None
     offdiag: np.ndarray | None = None
@@ -227,9 +227,9 @@ def sample_goe(n, seed):
     Stream layout: one standard normal per upper-triangle entry; the diagonal
     keeps unit variance, off-diagonal draws are scaled by 1/sqrt(2).
     """
-    spec = EnsembleSpec(EnsembleKind.GOE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 1)
-    return MatrixSample(spec=spec, array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)))
+    spec, seed = EnsembleSpec(EnsembleKind.GOE, n), uint64(seed, "seed")
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
+    return MatrixSample(spec=spec, seed=seed, array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)))
 
 
 def sample_gue(n, seed):
@@ -239,11 +239,11 @@ def sample_gue(n, seed):
     Stream layout: a diagonal entry takes one draw, an off-diagonal entry two
     (Re then Im).
     """
-    spec = EnsembleSpec(EnsembleKind.GUE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 2)
+    spec, seed = EnsembleSpec(EnsembleKind.GUE, n), uint64(seed, "seed")
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
     # each row (Re, Im) read as one complex number
     vals = (off * 0.5).view(complex)[:, 0]
-    return MatrixSample(spec=spec, array=_hermitian(diag * sqrt(0.5), upper, vals))
+    return MatrixSample(spec=spec, seed=seed, array=_hermitian(diag * sqrt(0.5), upper, vals))
 
 
 def sample_gse(n, seed):
@@ -258,8 +258,8 @@ def sample_gse(n, seed):
     antisymmetric matrix of the c + id parts.  Every eigenvalue of the
     embedding appears with multiplicity exactly 2.
     """
-    spec = EnsembleSpec(EnsembleKind.GSE, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).standard_normal, 4)
+    spec, seed = EnsembleSpec(EnsembleKind.GSE, n), uint64(seed, "seed")
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
     # each row (a, b, c, d) read as the two complex numbers a + ib, c + id
     ab, cd = (off * sqrt(1.0 / 8.0)).view(complex).T
     a = _hermitian(diag * sqrt(1.0 / 4.0), upper, ab)
@@ -275,7 +275,7 @@ def sample_gse(n, seed):
     blocks[:, 1, :, 1] = a.T
     # conjugating B's zero diagonal gave -0 imaginary parts, at h[2j+1, 2j]
     h.reshape(-1)[2 * n :: 4 * n + 2] = 0.0
-    return MatrixSample(spec=spec, array=h)
+    return MatrixSample(spec=spec, seed=seed, array=h)
 
 
 def sample_matched_wigner(n, seed, symmetry="real"):
@@ -294,14 +294,15 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     one_of(symmetry, "symmetry", ("real", "hermitian"))
     hermitian = symmetry == "hermitian"
     kind = EnsembleKind.WIGNER_HERMITIAN_MATCHED if hermitian else EnsembleKind.WIGNER_REAL_MATCHED
-    spec = EnsembleSpec(kind, n, seed=seed)
-    upper, diag, off = _upper_triangle_draws(n, _rng(spec.seed).random, 2 if hermitian else 1)
+    spec, seed = EnsembleSpec(kind, n), uint64(seed, "seed")
+    upper, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
     if hermitian:
         parts = _three_point(off, _HERMITIAN_MATCHED_C)
         vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
     else:
         vals, diag_variance = _three_point(off[:, 0], _REAL_MATCHED_C), 1.0
-    return MatrixSample(spec=spec, array=_hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals))
+    array = _hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals)
+    return MatrixSample(spec=spec, seed=seed, array=array)
 
 
 def sample_tridiag_beta(n, beta, seed):
@@ -315,12 +316,12 @@ def sample_tridiag_beta(n, beta, seed):
     sampler.  Stream layout: the n diagonal normals first, then the n-1
     gamma draws in k order.
     """
-    spec = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, seed=seed, beta=beta)
-    rng = _rng(spec.seed)
+    spec, seed = EnsembleSpec(EnsembleKind.TRIDIAG_BETA, n, beta=beta), uint64(seed, "seed")
+    rng = _rng(seed)
     diag = rng.standard_normal(n) / sqrt(beta)
     dof = beta * np.arange(n - 1, 0, -1, dtype=float)
     offdiag = np.sqrt(2.0 * rng.standard_gamma(dof / 2.0)) / sqrt(2.0 * beta)
-    return MatrixSample(spec=spec, diag=diag, offdiag=offdiag)
+    return MatrixSample(spec=spec, seed=seed, diag=diag, offdiag=offdiag)
 
 
 def superpose_decimate_even(spectrum_a, spectrum_b):
@@ -354,6 +355,6 @@ def gse_from_goe(spectrum):
     return y[1::2] / sqrt(2.0)
 
 
-def sample(spec: EnsembleSpec):
-    """Dispatch to the sampler for ``spec.kind``."""
-    return _ENSEMBLES[spec.kind][1](spec)
+def sample(spec: EnsembleSpec, seed):
+    """Draw spec at seed: the sample of the sampler for ``spec.kind``."""
+    return _ENSEMBLES[spec.kind][1](spec, seed)

@@ -32,7 +32,7 @@ class IndexSpec:
     regime: str  # "bulk" or "edge"
     indices: tuple
     thetas: tuple = ()
-    gamma: float = 0.0  # edge only
+    gamma: float = 0.0  # edge only: the bulk refuses any other value
 
     def __post_init__(self):
         one_of(self.regime, "regime", ("bulk", "edge"))
@@ -44,6 +44,8 @@ class IndexSpec:
         if th and len(th) != len(idx) - 1:
             raise ShapeError(f"{len(idx)} indices need {len(idx) - 1} gap exponents, got {len(th)}")
         if self.regime == "bulk":
+            if self.gamma != 0.0:
+                raise DomainError(f"bulk regime needs gamma = 0, got {self.gamma}")
             if any(not 0.0 < t <= 1.0 for t in th):
                 raise DomainError(f"bulk gap exponents must lie in (0, 1], got {th}")
         else:
@@ -82,7 +84,7 @@ def bulk_index_spec(indices, n):
     """IndexSpec for bulk indices with exponents inferred from the gaps."""
     idx = _checked_indices(indices)
     thetas = thetas_from_indices(idx, n) if len(idx) > 1 else ()
-    thetas = tuple(min(t, 1.0) for t in thetas)
+    integer(idx[-1], "k", most=integer(n, "n", least=1))  # bulk_center_scale's bound
     return IndexSpec(regime="bulk", indices=idx, thetas=thetas)
 
 

@@ -79,10 +79,6 @@ class SpectrumSample:
     def __array__(self, dtype=None, copy=None):  # every rule reads a sample as its values
         return np.array(self.values, dtype=dtype, copy=copy)
 
-    @property
-    def n(self):
-        return self.values.size
-
 
 def tridiagonalize(matrix):
     """Householder reduction of an exactly symmetric real matrix to
@@ -249,7 +245,7 @@ def _solve(sample, positions):
             values = _collapse_multiplicity(values, mult)
     except NumericalFailureError as exc:
         if isinstance(sample, MatrixSample):
-            exc.context.setdefault("seed", sample.spec.seed)
+            exc.context.setdefault("seed", sample.seed)
             exc.context.setdefault("n", sample.n)
         raise
     return values
@@ -272,7 +268,7 @@ def eigenvalues(sample):
         if not isinstance(sample, MatrixSample):
             raise
         raise NumericalFailureError(
-            "computed spectrum is not simple", seed=sample.spec.seed, n=sample.n
+            "computed spectrum is not simple", seed=sample.seed, n=sample.n
         ) from exc
 
 

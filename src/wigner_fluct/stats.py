@@ -1,7 +1,8 @@
 """Monte-Carlo experiment orchestration and statistical verdicts.
 
 Determinism contract: an experiment is identified by (plan, master seed).
-Trial t draws from a generator seeded with mix_trial_seed(master, t), and
+The plan's one ensemble spec says what every trial draws and the master seed
+which draws: trial t draws at the seed mix_trial_seed(master, t), and
 aggregation is an ordered fold over the trial index, so results are
 bit-identical for any thread count or scheduling order.  One private trial
 loop, _map_trials, holds the contract: every Monte-Carlo experiment of the
@@ -215,7 +216,7 @@ def run_mc(plan: ExperimentPlan, threads=1):
     positions, centers, scales = fluctuations.coordinates(plan.index_spec, spec.n, spec.beta)
 
     def trial_vector(t, trial_seed):
-        sample = ensembles.sample(EnsembleSpec(spec.kind, spec.n, seed=trial_seed, beta=spec.beta))
+        sample = ensembles.sample(spec, trial_seed)
         return (spectra.eigenvalues_at(sample, positions) - centers) / scales
 
     vectors = np.array(_map_trials(plan.seed, range(plan.trials), trial_vector, threads))

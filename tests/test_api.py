@@ -219,10 +219,11 @@ def test_the_packages_own_spectra_pass_its_rules():
 
 # Public entries that take outside data, each with an input it refuses and
 # the class it raises: a complex ndarray, a Python complex in a list, NaN, and
-# the wrong rank or order where the entry reads a 1-D spectrum, and the wrong
+# the wrong rank or order where the entry reads a 1-D spectrum, the wrong
 # rank wherever it reads a scalar, vector or matrix (with rank's message, the
-# row's last entry).  None may warn, truncate, answer, or let a numpy or
-# Python exception through.
+# row's last entry), and an empty or mismatched shape or a value outside its
+# domain where it checks one.  None may warn, truncate, answer, or let a numpy
+# or Python exception through.
 _Z = np.array([0.0, 1.0 + 1.0j, 2.0])
 _L = [0.0, 1j, 2.0]
 _BULK2 = wf.IndexSpec("bulk", (2,))
@@ -313,6 +314,18 @@ REFUSED_AT_ENTRY = [
      SHAPE, "gamma must be a scalar, got shape (2,)"),
     ("IndexSpec-gamma-list", lambda: wf.IndexSpec("edge", (2,), gamma=[0.5]),
      SHAPE, "gamma must be a scalar, got shape (1,)"),
+    ("IndexSpec-thetas-count", lambda: wf.IndexSpec("bulk", (1, 2, 3), thetas=(0.5,)),
+     SHAPE, "3 indices need 2 gap exponents, got 1"),
+    ("Tridiagonal-empty", lambda: wf.Tridiagonal(diag=[], offdiag=[]), SHAPE, "empty tridiagonal"),
+    ("tridiagonalize-not-square", lambda: wf.tridiagonalize(np.zeros((2, 3))),
+     SHAPE, "expected a square matrix, got shape (2, 3)"),
+    ("discretize_operator-empty", lambda: wf.discretize_operator(20, (50.0, 60.0)),
+     SHAPE, "interval (50.0, 60.0) is empty after truncation"),
+    # values outside a domain: a bulk spec has no edge exponent, a scale is positive
+    ("IndexSpec-bulk-gamma", lambda: wf.IndexSpec("bulk", (5,), gamma=0.7),
+     wf.DomainError, "bulk regime needs gamma = 0, got 0.7"),
+    ("CenterScale-zero-scale", lambda: wf.CenterScale(0.0, 0.0),
+     wf.DomainError, "scale must be positive, got 0.0"),
     ("Thresholds-rank", lambda: wf.Thresholds(ks_max=[0.1]),
      SHAPE, "ks_max must be a scalar, got shape (1,)"),
     ("summarize_vectors-scalar", lambda: wf.summarize_vectors(np.array(0.5), _ONE),
@@ -370,6 +383,8 @@ OUT_OF_RANGE = [
     ("edge_center_scale", lambda: wf.edge_center_scale(10, 10, 1), "k must be <= 9, got 10"),
     # an offset past the edge was refused as an exponent: gamma in (0, 1), got 1.0
     ("edge_index_spec", lambda: wf.edge_index_spec((3, 10), 10), "k must be <= 9, got 10"),
+    # checked before the gap exponents, which exceed 1 past n
+    ("bulk_index_spec", lambda: wf.bulk_index_spec((10, 910), 900), "k must be <= 900, got 910"),
     ("edge_center_scale-zero", lambda: wf.edge_center_scale(0, 10, 1), "k must be >= 1, got 0"),
     ("bulk_center_scale-zero", lambda: wf.bulk_center_scale(0, 10, 1), "k must be >= 1, got 0"),
     ("bulk_center_scale-above", lambda: wf.bulk_center_scale(11, 10, 1),

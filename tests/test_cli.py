@@ -203,10 +203,15 @@ class TestSchema:
             ("--ks-max", "x", "argument --ks-max: --ks-max expects a finite number, got 'x'"),
             # the quadrature order discretize_operator accepts
             ("--order", "8", "argument --order: --order must be >= 16, got 8"),
+            (
+                "--interval",
+                "a,1",
+                "argument --interval: --interval endpoints must be numbers, got 'a,1'",
+            ),
         ],
     )
     def test_parse_error_messages(self, flag, value, message, capsys):
-        command = "cumulants" if flag == "--order" else "bulk-fluct"
+        command = {"--order": "cumulants", "--interval": "kernel"}.get(flag, "bulk-fluct")
         argv = [command, *SCHEMA_CASES[command][0], flag, value]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(argv)
@@ -557,7 +562,7 @@ class TestFrCheckCommand:
         reduce = spectra._reduce
 
         def failing_reduce(sample):
-            if sample.spec.kind is EnsembleKind.GUE and sample.spec.seed == failing_seed:
+            if sample.spec.kind is EnsembleKind.GUE and sample.seed == failing_seed:
                 raise NumericalFailureError("injected")
             return reduce(sample)
 

@@ -1,3 +1,4 @@
+import dataclasses
 from math import sqrt
 
 import numpy as np
@@ -182,6 +183,19 @@ DIRECT_SAMPLERS = {
 }
 
 
+def every_draw():
+    """Each kind's sampler and sample() of the kind's spec, as (n, seed) -> sample."""
+    for kind, sampler in DIRECT_SAMPLERS.items():
+        beta = 2 if kind is wf.EnsembleKind.TRIDIAG_BETA else 0
+        yield sampler
+        yield lambda n, seed, kind=kind, beta=beta: wf.sample(wf.EnsembleSpec(kind, n, beta), seed)
+
+
+def sample_bytes(sample):
+    """The bytes of each of a sample's arrays, None where it has none."""
+    return [None if a is None else a.tobytes() for a in (sample.array, sample.diag, sample.offdiag)]
+
+
 class TestStreamLayout:
     """Every sampler reproduces the scalar stream oracle exactly."""
 
@@ -255,10 +269,9 @@ class TestSeedMixing:
         # a wider seed would alias the 64-bit seed it agrees with mod 2**64
         with pytest.raises(wf.InvalidSizeError):
             wf.mix_trial_seed(seed, 0)
-        with pytest.raises(wf.InvalidSizeError):
-            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
-        with pytest.raises(wf.InvalidSizeError):
-            wf.sample_tridiag_beta(3, 1, seed)
+        for draw in every_draw():
+            with pytest.raises(wf.InvalidSizeError):
+                draw(3, seed)
 
     def test_largest_seed_accepted(self):
         seed = 2**64 - 1
@@ -271,21 +284,19 @@ class TestSeedMixing:
         # truncating it would draw the stream of another seed
         with pytest.raises(wf.InvalidSizeError, match="integer"):
             wf.mix_trial_seed(seed, 0)
-        with pytest.raises(wf.InvalidSizeError, match="integer"):
-            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
-        with pytest.raises(wf.InvalidSizeError, match="integer"):
-            wf.sample_goe(3, seed)
+        for draw in every_draw():
+            with pytest.raises(wf.InvalidSizeError) as exc:
+                draw(3, seed)
+            assert str(exc.value) == f"seed must be an integer, got {seed!r}"
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)], ids=repr)
     def test_numpy_integer_seeds_accepted(self, seed):
         assert wf.mix_trial_seed(seed, 3) == wf.mix_trial_seed(int(seed), 3)
-        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
-        assert type(spec.seed) is int and spec.seed == int(seed)
-        for draw in (
-            lambda s: wf.sample_goe(3, s).array,
-            lambda s: wf.sample_tridiag_beta(3, 2, s).offdiag,
-        ):
-            assert draw(seed).tobytes() == draw(int(seed)).tobytes()
+        for draw in every_draw():
+            sample = draw(3, seed)
+            # a sample keeps its seed as a Python int
+            assert type(sample.seed) is int and sample.seed == int(seed)
+            assert sample_bytes(sample) == sample_bytes(draw(3, int(seed)))
 
 
 class TestGOE:
@@ -620,20 +631,42 @@ class TestEnsembleSpec:
         assert type(spec.beta) is int and spec.beta == 1
         assert type(wf.EnsembleSpec(kind, 3, beta=np.int64(4)).beta) is int
 
-    @pytest.mark.parametrize("seed, message", [(-1, "must be >= 0"), (2**64, "must be < 2")])
+    def test_a_spec_carries_no_seed(self):
+        # the seed of a draw is an argument of the draw: sample(spec, seed)
+        assert [f.name for f in dataclasses.fields(wf.EnsembleSpec)] == ["kind", "n", "beta"]
+        with pytest.raises(TypeError):
+            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=1)
+        # so a third positional argument is beta
+        assert wf.EnsembleSpec(wf.EnsembleKind.TRIDIAG_BETA, 3, 4).beta == 4
+        with pytest.raises(TypeError):
+            wf.sample(wf.EnsembleSpec(wf.EnsembleKind.GOE, 3))
+
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "must be >= 0, got -1"), (2**64, f"must be < 2**64, got {2**64}")]
+    )
     def test_seed_outside_the_uint64_range_rejected(self, seed, message):
-        with pytest.raises(wf.InvalidSizeError, match=f"seed {message}"):
-            wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=seed)
-        with pytest.raises(wf.InvalidSizeError, match=f"master seed {message}"):
+        for draw in every_draw():
+            with pytest.raises(wf.InvalidSizeError) as exc:
+                draw(3, seed)
+            assert str(exc.value) == f"seed {message}"
+        with pytest.raises(wf.InvalidSizeError) as exc:
             wf.mix_trial_seed(seed, 0)
+        assert str(exc.value) == f"master seed {message}"
+
+    def test_tridiagonal_beta_is_checked_before_the_seed(self):
+        # the spec (n, beta) is checked first, then the seed
+        with pytest.raises(wf.UnsupportedError):
+            wf.sample_tridiag_beta(3, 3, -1)
+        with pytest.raises(wf.InvalidSizeError, match="matrix size"):
+            wf.sample_goe(0, -1)
 
     @pytest.mark.parametrize("kind", list(wf.EnsembleKind), ids=lambda k: k.value)
     def test_dispatch_matches_direct_samplers(self, kind):
         beta = 2 if kind is wf.EnsembleKind.TRIDIAG_BETA else 0
-        got = wf.sample(wf.EnsembleSpec(kind, 4, seed=99, beta=beta))
-        want = DIRECT_SAMPLERS[kind](4, 99)
-        assert got.spec == want.spec
-        for name in ("array", "diag", "offdiag"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        for n in (1, 4, 17):
+            spec = wf.EnsembleSpec(kind, n, beta=beta)
+            for seed in (0, 99, 2**64 - 1):
+                got, want = wf.sample(spec, seed), DIRECT_SAMPLERS[kind](n, seed)
+                assert (got.spec, got.seed) == (want.spec, want.seed) == (spec, seed)
+                assert sample_bytes(got) == sample_bytes(want), (n, seed)
 

@@ -64,10 +64,6 @@ class TestIndexSpec:
         with pytest.raises(wf.InvalidSizeError, match="n must be >= 2"):
             wf.edge_index_spec((1,), 1)
 
-    def test_bulk_index_spec_clamps_theta(self):
-        spec = wf.bulk_index_spec((10, 910), 900)  # gap exceeds n
-        assert spec.thetas[0] == 1.0
-
     @pytest.mark.parametrize(
         "make",
         [

@@ -507,9 +507,15 @@ class TestExpectationLink:
 
 
 class TestDiscretizeOperator:
-    def test_trace_n1(self):
+    def test_trace_n1(self, monkeypatch):
         op = wf.discretize_operator(1, (-8.0, 8.0), order=64)
-        assert float(np.trace(op.matrix)) == pytest.approx(1.0, abs=1e-10)
+        tr = float(np.trace(op.matrix))
+        assert tr == pytest.approx(1.0, abs=1e-10)
+        # the same trace against an expectation 2e-6 away fails the 1e-6 check
+        monkeypatch.setattr(kernel, "expected_count", lambda n, interval: tr + 2e-6)
+        with pytest.raises(wf.DiscretizationFailureError) as err:
+            wf.discretize_operator(1, (-8.0, 8.0), order=64)
+        assert err.value.context == {"trace": tr, "expected": tr + 2e-6, "n": 1}
 
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_spectrum_in_unit_band(self, n):
@@ -747,6 +753,10 @@ class TestCountingCumulants:
     def test_c2_never_negative(self):
         rep = wf.counting_cumulants(diag_operator([0.0, 1.0]))
         assert rep.c2 >= -1e-10
+        # an eigenvalue 2, outside the unit band, gives C_2 = 2 - 4, which is refused
+        with pytest.raises(wf.NumericalFailureError) as err:
+            wf.counting_cumulants(diag_operator([2.0]))
+        assert err.value.context == {"c2": -2.0, "n": 1}
 
     def test_normalized_survives_underflowing_powers(self):
         # T_2..T_4 underflow to 0, so C_2 = C_3 = C_4 = T_1 ~ 8e-301 and the

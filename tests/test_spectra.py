@@ -225,8 +225,8 @@ class TestEigenvalues:
         assert np.allclose(got, oracle, atol=1e-10)
 
     def test_repeated_eigenvalue_of_a_sample_names_the_sample(self):
-        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2, seed=7)
-        sample = wf.MatrixSample(spec=spec, array=np.eye(2))
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2)
+        sample = wf.MatrixSample(spec=spec, seed=7, array=np.eye(2))
         with pytest.raises(wf.NumericalFailureError) as exc:
             wf.eigenvalues(sample)
         assert exc.value.context == {"seed": 7, "n": 2}
@@ -237,8 +237,8 @@ class TestEigenvalues:
         ids=["0x0", "2x2", "4x4", "7x7", "1-d", "0-d"],
     )
     def test_sample_order_not_a_positive_multiple_of_n_rejected(self, array):
-        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 3, seed=1)
-        sample = wf.MatrixSample(spec=spec, array=array)
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 3)
+        sample = wf.MatrixSample(spec=spec, seed=1, array=array)
         with pytest.raises(wf.ShapeError, match="shape"):
             wf.eigenvalues(sample)
         with pytest.raises(wf.ShapeError, match="shape"):
@@ -247,7 +247,7 @@ class TestEigenvalues:
     def test_complex_array_under_a_real_spec_is_solved_through_the_embedding(self):
         # the array's dtype, not the spec's kind, decides the reduction
         h = wf.sample_gue(6, 5).array
-        sample = wf.MatrixSample(spec=wf.EnsembleSpec(wf.EnsembleKind.GOE, 6, seed=5), array=h)
+        sample = wf.MatrixSample(spec=wf.EnsembleSpec(wf.EnsembleKind.GOE, 6), seed=5, array=h)
         got = wf.eigenvalues(sample).values
         assert got.size == 6
         assert np.allclose(got, np.linalg.eigvalsh(h), atol=1e-10)
@@ -255,7 +255,7 @@ class TestEigenvalues:
 
     def test_real_array_of_order_2n_repeats_each_eigenvalue_twice(self):
         s = wf.sample_gue(5, 8)
-        sample = wf.MatrixSample(spec=s.spec, array=real_embedding(s.array))
+        sample = wf.MatrixSample(spec=s.spec, seed=s.seed, array=real_embedding(s.array))
         assert spectra._reduce(sample)[1] == 2
         got = wf.eigenvalues(sample).values
         assert np.allclose(got, np.linalg.eigvalsh(s.array), atol=1e-10)
@@ -350,9 +350,9 @@ class TestEigenvalues:
         assert np.array_equal(wf.eigenvalues(rows).values, wf.eigenvalues(array).values)
         assert np.array_equal(wf.eigenvalues_at(rows, [1, 0]), wf.eigenvalues_at(array, [1, 0]))
         # a sample built with a nested list is read the same way (a bare AttributeError once)
-        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2, seed=1)
-        sample = wf.MatrixSample(spec=spec, array=rows)
-        dense = wf.MatrixSample(spec=spec, array=array)
+        spec = wf.EnsembleSpec(wf.EnsembleKind.GOE, 2)
+        sample = wf.MatrixSample(spec=spec, seed=1, array=rows)
+        dense = wf.MatrixSample(spec=spec, seed=1, array=array)
         assert np.array_equal(wf.eigenvalues(sample).values, wf.eigenvalues(dense).values)
         assert np.array_equal(wf.eigenvalues_at(sample, [1]), wf.eigenvalues_at(dense, [1]))
 

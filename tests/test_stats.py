@@ -232,9 +232,7 @@ class TestRunMC:
         plan = ExperimentPlan(ensemble=spec, index_spec=index_spec, trials=3, seed=seed)
         result = wf.run_mc(plan)
         for trial in range(plan.trials):
-            sample = wf.sample(
-                wf.EnsembleSpec(spec.kind, n, seed=wf.mix_trial_seed(seed, trial), beta=spec.beta)
-            )
+            sample = wf.sample(spec, wf.mix_trial_seed(seed, trial))
             manual = wf.normalize(wf.eigenvalues(sample), index_spec, spec.beta)
             assert np.allclose(result.vectors[trial], manual, rtol=0, atol=1e-12)
 
