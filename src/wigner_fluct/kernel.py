@@ -14,13 +14,19 @@ evaluated by the stable three-term recurrence
     psi_{i+1} = x sqrt(2/(i+1)) psi_i - sqrt(i/(i+1)) psi_{i-1}.
 
 The recurrence is carried with explicit power-of-two scaling (mantissa plus
-integer exponent per point): the seed psi_0 = pi^(-1/4) exp(-x^2/2)
+int32 exponent per point): the seed psi_0 = pi^(-1/4) exp(-x^2/2)
 underflows for |x| > 38, yet the terminal values psi_{n-2..n} are O(1) in
 the bulk, so unscaled upward recursion silently zeroes the outer bulk for
 n >= 1000.  Scaling keeps the evaluation exact up to n = 10^4 on
 |x| <= sqrt(2n) + 10; the scale is checked once every 16 steps, which the
-per-step growth bound on that range allows without changing a bit of the
-descaled values.
+per-step growth bound allows without changing a bit of the descaled
+values.  Points beyond |x| = 1024, where every psi_i (i <= 10^4) is
+already +-0, are clipped to it, so that the bound and the int32 exponents
+hold for any finite x.  The exponents are int32, not int64, because
+np.ldexp descales int64 exponents through a loop about 9x slower per
+element: with int64 the descaling took half of every vector-layout table,
+and the table of n = 200 at the 1200 nodes of the cumulants command took
+2.3 ms instead of 1.1 ms (same host as below).
 
 Every psi evaluation reads _psi_table: hermite_psi takes its last row,
 kernel_diag the last three for the confluent Christoffel-Darboux form
@@ -33,7 +39,7 @@ ends, the scalar x of kernel_diag and hermite_psi) the scalar layout runs
 the recurrence for each point alone in Python floats instead, with one
 exponent per 16-step block.  At n = 1000 on a 2-vCPU x86-64 host, one BLAS
 thread, one point costs 0.2 ms (step weights cached per n) against
-3.2-3.6 ms for the vector layout, and the two cost the same at 16-18
+2.8-2.9 ms for the vector layout, and the two cost the same at 16-18
 points.  Both perform the same IEEE operations in the same order, with
 the same scale checks and exact power-of-two scalings, so every psi value
 is bit-identical in both.
@@ -96,6 +102,7 @@ _MAX_HERMITE_INDEX = 10**4
 _RESCALE_EVERY = 16  # psi recurrence steps between scale checks; see _psi_scaled
 _SCALE_HI, _SCALE_LO, _SCALE_SHIFT = 2.0**300, 2.0**-300, 600  # thresholds, power-of-two shift
 _FEW_POINTS = 16  # psi tables of at most this many points run the scalar layout
+_X_BOUND = 1024.0  # |x| beyond which every psi_i, i <= 10^4, is +-0: points are clipped to it
 MIN_QUADRATURE_ORDER = 16  # Gauss-Legendre nodes per panel, the least discretize_operator takes
 _BAND = (-1e-8, 1.0 + 1e-8)  # admitted spectrum of a Nystrom operator
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -112,10 +119,14 @@ def _hermite_guard(i):
 
 
 def _psi_seed(x):
-    """psi_0 and psi_1 as (mantissa, exponent) pairs; exact for the |x| range
-    admitted by the index guard."""
+    """psi_0 and psi_1 as (mantissa, exponent) pairs, the exponent an int32
+    array; exact for the |x| range admitted by the index guard.  int32
+    holds every exponent of the recurrence at |x| <= _X_BOUND: the seed's
+    is at least -756,388, and 10^4 steps move it by at most 600 per 16.
+    np.ldexp then descales through its int32 loop ('di->d'), about 9x
+    faster per element than the int64 loop ('dl->d')."""
     l0 = -0.5 * x * x * _LOG2E
-    expo = np.floor(l0).astype(np.int64)
+    expo = np.floor(l0).astype(np.int32)
     m0 = np.pi ** -0.25 * np.exp2(l0 - expo)
     m1 = sqrt(2.0) * x * m0
     return m0, m1, expo
@@ -136,7 +147,8 @@ def _exponent_shift(a):
 
 
 def _rescale(pm, pc, expo):
-    shift = _exponent_shift(np.abs(pc) + np.abs(pm))
+    # int32 like expo, which int32 - int64 would promote to int64
+    shift = _exponent_shift(np.abs(pc) + np.abs(pm)).astype(np.int32)
     return np.ldexp(pm, shift), np.ldexp(pc, shift), expo - shift
 
 
@@ -147,16 +159,20 @@ def _psi_scaled(n, x):
     layout of _psi_table, which hermite_psi, kernel_diag and the Gram and
     Nystrom paths read, for more than _FEW_POINTS = 16 points.
 
-    The scale is checked every _RESCALE_EVERY = 16 steps.  On the admitted
-    range |x| <= sqrt(2 * 10^4) + 10 one step changes the pair
-    |psi_{i-1}| + |psi_i| by a factor of at most 2^7.8 either way, so 16
-    unchecked steps move it at most 2^125 past the 2^(+-300) thresholds of
-    _exponent_shift, far from overflow and from the subnormal range.  There
-    every power-of-two scaling is exact, so the descaled values are
-    bit-identical to those of a check after every step.  _psi_point is the
-    same recurrence for one point in Python floats: the same IEEE operations
-    in the same order, x * u * pc - d * pm, the same checks and the same
-    exact scalings by _exponent_shift, so its values are bit-identical to these."""
+    The exponents stay int32 from _psi_seed on (see there): _rescale makes
+    its shift int32 too, since int32 - int64 would promote them to int64.
+
+    The scale is checked every _RESCALE_EVERY = 16 steps.  On the range
+    |x| <= _X_BOUND = 1024 that _psi_table admits, one step changes the
+    pair |psi_{i-1}| + |psi_i| by a factor of at most 1 + 1024 sqrt(2)
+    < 2^10.6 either way, so 16 unchecked steps move it at most 2^169 past
+    the 2^(+-300) thresholds of _exponent_shift, far from overflow and from
+    the subnormal range.  There every power-of-two scaling is exact, so the
+    descaled values are bit-identical to those of a check after every step.
+    _psi_point is the same recurrence for one point in Python floats: the
+    same IEEE operations in the same order, x * u * pc - d * pm, the same
+    checks and the same exact scalings by _exponent_shift, so its values
+    are bit-identical to these."""
     pm, pc, expo = _psi_seed(x)
     yield pm, expo
     for i, (u, d) in enumerate(zip(*_recurrence_weights(n)), start=1):
@@ -192,13 +208,16 @@ def _psi_table(n, x, rows=None):
     """The last rows of psi_0 .. psi_n (all n + 1 by default) at the points x
     (n >= 0), one row per index, descaled to plain floats by ldexp: values
     below the normal range come out subnormal, and only those below the
-    subnormal range are 0.
+    subnormal range are 0.  x is clipped to [-_X_BOUND, _X_BOUND] first.  At
+    |x| >= 1024 every psi_i (i <= 10^4) is +-0, with the signs it has at
+    +-1024, so the clip changes no value; it keeps the step growth bound of
+    _psi_scaled and the int32 exponents valid for any finite x.
     Every psi evaluation passes through here.  At most _FEW_POINTS points
     run the scalar layout, one _psi_point loop per point; more run the
     vector layout of _psi_scaled.  Both skip the first n + 1 - rows indices
     and write each descaled row or column into the table in place."""
     _hermite_guard(n)
-    x = finite(x, "points")
+    x = np.clip(finite(x, "points"), -_X_BOUND, _X_BOUND)
     rows = n + 1 if rows is None else rows
     skip = n + 1 - rows
     table = np.empty((rows,) + x.shape)
@@ -209,7 +228,7 @@ def _psi_table(n, x, rows=None):
         seeds = zip(flat.tolist(), *(part.tolist() for part in _psi_seed(flat)))
         for column, seed in zip(columns.T, seeds):
             mant, expos = _psi_point(*seed, up, down)
-            expos = np.repeat(expos, _RESCALE_EVERY)[skip : n + 1]
+            expos = np.repeat(np.array(expos, np.int32), _RESCALE_EVERY)[skip : n + 1]
             np.ldexp(mant[skip : n + 1], expos, out=column)
     else:
         for row, (m, e) in zip(table, islice(_psi_scaled(n, x), skip, None)):

@@ -18,7 +18,6 @@ from wigner_fluct.kernel import (
     _psi_scaled,
     _psi_seed,
     _psi_table,
-    _rescale,
     truncation_halfwidth,
 )
 
@@ -160,15 +159,33 @@ def streamed_variance_count(n, interval, block_rows=64):
     return float(np.dot(diag, 1.0 - diag)) - 2.0 * upper
 
 
+def psi_seed_int64(x):
+    """psi_0 and psi_1 at the points x as (mantissa, exponent) pairs with
+    int64 exponents; with rescale_int64, an oracle that shares no code with
+    the package's int32 seed and scale check."""
+    l0 = -0.5 * x * x * (1.0 / log(2.0))
+    expo = np.floor(l0).astype(np.int64)
+    m0 = pi**-0.25 * np.exp2(l0 - expo)
+    return m0, sqrt(2.0) * x * m0, expo
+
+
+def rescale_int64(pm, pc, expo):
+    """Shift the pair (pm, pc) by 2^600 into 2^(+-300) when |pm| + |pc|
+    leaves it (a zero pair stays), the exponent shifted back, in int64."""
+    a = np.abs(pc) + np.abs(pm)
+    shift = 600 * (((a < 2.0**-300) & (a > 0.0)).astype(np.int64) - (a > 2.0**300))
+    return np.ldexp(pm, shift), np.ldexp(pc, shift), expo - shift
+
+
 def psi_scaled_per_step(n, x):
     """psi_0 .. psi_n at the points x as (mantissa, exponent) pairs, with the
     scale checked after every step of the recurrence; the oracle for the
     package's recurrence, which checks it every 16 steps."""
-    pm, pc, expo = _psi_seed(x)
+    pm, pc, expo = psi_seed_int64(x)
     yield pm, expo
     for i in range(1, n):
         pm, pc = pc, x * sqrt(2.0 / (i + 1)) * pc - sqrt(i / (i + 1)) * pm
-        pm, pc, expo = _rescale(pm, pc, expo)
+        pm, pc, expo = rescale_int64(pm, pc, expo)
         yield pm, expo
     yield pc, expo
 
@@ -280,6 +297,49 @@ class TestHermiteFunctions:
         top = min(n + 1, 3)
         for x in (pts, np.tile(pts, 2)):
             assert np.array_equal(_psi_table(n, x, rows=top)[:, : pts.size], want[-top:])
+
+    def test_table_matches_the_int64_oracle_at_the_cumulants_nodes(self):
+        nodes = wf.discretize_operator(200, (2.0, np.inf), order=20).nodes
+        assert nodes.size == 1200
+        want = descaled(psi_scaled_per_step(200, nodes))
+        assert _psi_table(200, nodes).tobytes() == want.tobytes()
+
+    def test_exponents_stay_int32(self, monkeypatch):
+        # np.ldexp takes int64 exponents through a loop about 9x slower per
+        # element, which would double the cost of a vector-layout table
+        pts = np.linspace(-160.0, 160.0, 2 * _FEW_POINTS + 1)
+        n = 10**4
+        assert _psi_seed(pts)[2].dtype == np.int32
+        assert {e.dtype for _, e in _psi_scaled(n, pts)} == {np.dtype(np.int32)}
+        seen = []
+        ldexp = np.ldexp
+
+        def spy(mantissa, exponent, *args, **kwargs):
+            seen.append(np.asarray(exponent).dtype)
+            return ldexp(mantissa, exponent, *args, **kwargs)
+
+        monkeypatch.setattr(kernel.np, "ldexp", spy)
+        for x in (pts[:1], pts[:_FEW_POINTS]):
+            _psi_table(n, x)
+        assert len(seen) == _FEW_POINTS + 1  # one descale per column
+        _psi_table(n, pts)
+        assert len(seen) > n  # one per row, two per scale check
+        assert set(seen) == {np.dtype(np.int32)}
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 1000, 10**4])
+    def test_far_points_give_signed_zeros_without_warnings(self, n):
+        # beyond |x| = 1024 every psi_i is +-0 with the signs of the int64
+        # oracle at 6e4; a RuntimeWarning is an error in this suite
+        far = np.array([6e4, 1e10, 1e200])
+        for sign in (1.0, -1.0):
+            want = descaled(psi_scaled_per_step(n, np.array([sign * 6e4])))[: n + 1]
+            assert not want.any()
+            for x in (sign * far, np.repeat(sign * far, _FEW_POINTS)):
+                got = _psi_table(n, x)
+                assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
+            for point in (sign * far).tolist():
+                assert wf.hermite_psi(n, point) == 0.0
+                assert n == 0 or wf.kernel_diag(n, point) == 0.0
 
     @pytest.mark.parametrize("i", range(6))
     def test_hermite_psi_is_the_last_table_row(self, i):
