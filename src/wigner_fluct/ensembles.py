@@ -22,16 +22,22 @@ coded once, in _upper_triangle_draws and its index arrays (_stream_layout,
 kept read-only for small orders; the only arrays the module keeps); the
 dense samplers only map its draws to entries and write both triangles
 through _hermitian, which sample_gse uses for the block A of its
-[[A, B], [B^H, A^T]] form.  The tridiagonal model's stream (diagonal
-normals, then gammas) is coded once, in sample_tridiag_beta.  One table,
-_ENSEMBLES, gives each kind its implied beta and its sampler; a kind's
-value is its one name, the command line's too.  A spec says what to draw
-and a seed which draw: every sampler builds its EnsembleSpec, which checks
-n (an integer >= 1) and beta (in BETAS, and given where the kind implies
-none), then checks the seed, an integer in [0, 2**64) (PCG64 seeds are
-64-bit; a wider seed would alias a narrower one), by the rules of errors,
-before it draws.  Per-trial seeds are derived from a master seed in the
-same range by SplitMix64 mixing; stats drives every trial loop from them.
+[[A, B], [B^H, A^T]] form.  The dense samplers transform in place: the
+compacted off-diagonal draws of _upper_triangle_draws are scaled where they
+lie, or overwritten by the three-point law (_three_point), and _hermitian
+consumes them.  So a sampler holds at most its matrix, those draws and the
+layout masks, about 1.6x its matrix at n = 1000 (sample_gse builds A and B
+before the embedding, and frees the draws first).  The tridiagonal model's
+stream (diagonal normals, then gammas) is coded once, in
+sample_tridiag_beta.  One table, _ENSEMBLES, gives each kind its implied
+beta and its sampler; a kind's value is its one name, the command line's
+too.  A spec says what to draw and a seed which draw: every sampler builds
+its EnsembleSpec, which checks n (an integer >= 1) and beta (in BETAS, and
+given where the kind implies none), then checks the seed, an integer in
+[0, 2**64) (PCG64 seeds are 64-bit; a wider seed would alias a narrower
+one), by the rules of errors, before it draws.  Per-trial seeds are
+derived from a master seed in the same range by SplitMix64 mixing; stats
+drives every trial loop from them.
 """
 
 from dataclasses import dataclass
@@ -151,11 +157,15 @@ _HERMITIAN_MATCHED_C = sqrt(3.0) / 2.0  # variance 1/4 per component
 
 def _three_point(u, c):
     """Inverse CDF of the law P(+c) = P(-c) = 1/6, P(0) = 2/3 at the
-    uniform(0,1) draws u: +c below 1/6, -c on [1/6, 1/3), else 0."""
-    out = np.zeros_like(u, dtype=float)
-    out[u < 1.0 / 6.0] = c
-    out[(u >= 1.0 / 6.0) & (u < 1.0 / 3.0)] = -c
-    return out
+    uniform(0,1) draws u: +c below 1/6, -c on [1/6, 1/3), else 0.
+
+    Written into u, which is returned: the draws are consumed, and the only
+    temporaries are the two boolean masks."""
+    below_sixth, below_third = u < 1.0 / 6.0, u < 1.0 / 3.0
+    u[...] = 0.0
+    u[below_third] = -c
+    u[below_sixth] = c
+    return u
 
 
 def _rng(seed):
@@ -211,13 +221,18 @@ def _upper_triangle_draws(n, draw, c):
 def _hermitian(diag, upper, vals):
     """Square matrix with the given diagonal, vals at the True entries of the
     strict upper triangle mask upper (row-major) and their complex conjugates
-    at the mirrored entries below the diagonal."""
+    at the mirrored entries below the diagonal.
+
+    Complex vals are conjugated in place after they are written above the
+    diagonal, so vals is consumed and the only new array is the matrix."""
     size = diag.size
     h = np.zeros((size, size), dtype=vals.dtype)
     h.reshape(-1)[:: size + 1] = diag
     h[upper] = vals
+    if vals.dtype.kind == "c":
+        np.conjugate(vals, out=vals)
     # indexing the transpose view mirrors each position: h.T[i, j] is h[j, i]
-    h.T[upper] = vals.conj()
+    h.T[upper] = vals
     return h
 
 
@@ -229,7 +244,8 @@ def sample_goe(n, seed):
     """
     spec, seed = EnsembleSpec(EnsembleKind.GOE, n), uint64(seed, "seed")
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 1)
-    return MatrixSample(spec=spec, seed=seed, array=_hermitian(diag, upper, off[:, 0] / sqrt(2.0)))
+    off /= sqrt(2.0)
+    return MatrixSample(spec=spec, seed=seed, array=_hermitian(diag, upper, off[:, 0]))
 
 
 def sample_gue(n, seed):
@@ -241,8 +257,9 @@ def sample_gue(n, seed):
     """
     spec, seed = EnsembleSpec(EnsembleKind.GUE, n), uint64(seed, "seed")
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 2)
+    off *= 0.5
     # each row (Re, Im) read as one complex number
-    vals = (off * 0.5).view(complex)[:, 0]
+    vals = off.view(complex)[:, 0]
     return MatrixSample(spec=spec, seed=seed, array=_hermitian(diag * sqrt(0.5), upper, vals))
 
 
@@ -260,18 +277,21 @@ def sample_gse(n, seed):
     """
     spec, seed = EnsembleSpec(EnsembleKind.GSE, n), uint64(seed, "seed")
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).standard_normal, 4)
+    off *= sqrt(1.0 / 8.0)
     # each row (a, b, c, d) read as the two complex numbers a + ib, c + id
-    ab, cd = (off * sqrt(1.0 / 8.0)).view(complex).T
+    ab, cd = off.view(complex).T
     a = _hermitian(diag * sqrt(1.0 / 4.0), upper, ab)
     b = np.zeros((n, n), dtype=complex)
     b[upper] = cd
+    del off, ab, cd  # the draws live on in a and b only
     b -= b.T
     h = np.empty((2 * n, 2 * n), dtype=complex)
     # blocks[:, s, :, t] is entry (s, t) of every 2x2 block
     blocks = h.reshape(n, 2, n, 2)
     blocks[:, 0, :, 0] = a
     blocks[:, 0, :, 1] = b
-    blocks[:, 1, :, 0] = b.conj().T
+    np.conjugate(b, out=b)
+    blocks[:, 1, :, 0] = b.T
     blocks[:, 1, :, 1] = a.T
     # conjugating B's zero diagonal gave -0 imaginary parts, at h[2j+1, 2j]
     h.reshape(-1)[2 * n :: 4 * n + 2] = 0.0
@@ -297,8 +317,8 @@ def sample_matched_wigner(n, seed, symmetry="real"):
     spec, seed = EnsembleSpec(kind, n), uint64(seed, "seed")
     upper, diag, off = _upper_triangle_draws(n, _rng(seed).random, 2 if hermitian else 1)
     if hermitian:
-        parts = _three_point(off, _HERMITIAN_MATCHED_C)
-        vals, diag_variance = parts[:, 0] + 1j * parts[:, 1], 0.5
+        # each row (Re, Im) read as one complex number
+        vals, diag_variance = _three_point(off, _HERMITIAN_MATCHED_C).view(complex)[:, 0], 0.5
     else:
         vals, diag_variance = _three_point(off[:, 0], _REAL_MATCHED_C), 1.0
     array = _hermitian(ndtri(diag) * sqrt(diag_variance), upper, vals)

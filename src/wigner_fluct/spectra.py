@@ -142,6 +142,9 @@ def sturm_count_below_batch(diag, offdiag, x):
 
     diag (B, n), offdiag (B, n-1); x scalar or (B,), an extended_real; any
     other rank (errors.rank) or shape raises ShapeError.  Returns (B,) counts.
+    The pivot floor reads max |offdiag| as the larger of max offdiag and
+    -min offdiag, the same float without a copy of the batch; what the call
+    holds beyond its input is the finiteness check's one-byte mask.
     """
     diag = rank(finite(diag, "diag"), "diag", 2)
     offdiag = finite(offdiag, "offdiag")
@@ -149,7 +152,7 @@ def sturm_count_below_batch(diag, offdiag, x):
     if offdiag.shape != (diag.shape[0], diag.shape[1] - 1) or x.shape not in ((), diag.shape[:1]):
         raise ShapeError("batch shapes must be (B, n) and (B, n-1), and the shift () or (B,)")
     n = diag.shape[1]
-    emax = float(np.abs(offdiag).max(initial=0.0))
+    emax = max(float(offdiag.max(initial=0.0)), -float(offdiag.min(initial=0.0)))
     pivmin = 1e-300 * max(1.0, emax * emax)
     d = diag[:, 0] - x
     d = np.where(np.abs(d) < pivmin, -pivmin, d)

@@ -9,7 +9,8 @@ import wigner_fluct as wf
 from wigner_fluct import ensembles
 from wigner_fluct.ensembles import _HERMITIAN_MATCHED_C, _REAL_MATCHED_C, _three_point
 
-STREAM_SIZES = (1, 2, 5, 17)
+# 65 is the first order above _LAYOUT_MEMO_MAX_N, whose layout is rebuilt on each call
+STREAM_SIZES = (1, 2, 5, 17, 65)
 STREAM_SEEDS = (0, 1, 12345, 2**63 + 5)
 
 
@@ -206,8 +207,9 @@ class TestStreamLayout:
             for seed in STREAM_SEEDS:
                 got = sampler(n, seed).array
                 want = reference(n, seed)
+                # bytes, so that signed zeros count
                 assert got.dtype == want.dtype
-                assert np.array_equal(got, want), (ensemble, n, seed)
+                assert got.tobytes() == want.tobytes(), (ensemble, n, seed)
         # the sampler's EnsembleSpec is its one size check
         with pytest.raises(wf.InvalidSizeError):
             sampler(0, 0)
@@ -222,6 +224,18 @@ class TestStreamLayout:
                 assert np.array_equal(s.offdiag, offdiag), (beta, n, seed)
         with pytest.raises(wf.InvalidSizeError):
             wf.sample_tridiag_beta(0, beta, 0)
+
+
+class TestPeakMemory:
+    """A dense sampler transforms its draws in place: it holds at most its
+    matrix, the compacted off-diagonal draws and the layout masks."""
+
+    @pytest.mark.parametrize("ensemble", sorted(DENSE_STREAM_CASES))
+    def test_sampler_holds_at_most_its_matrix_and_its_draws(self, ensemble, traced_peak):
+        sampler = DENSE_STREAM_CASES[ensemble][0]
+        n = 300 if ensemble == "gse" else 1000
+        matrix_bytes = sampler(n, 0).array.nbytes
+        assert traced_peak(sampler, n, 0) <= 1.7 * matrix_bytes
 
 
 class TestLayoutMemo:

@@ -1,4 +1,3 @@
-import tracemalloc
 from math import factorial, log, pi, sqrt
 
 import numpy as np
@@ -209,16 +208,6 @@ def in_band(matrix):
     return True
 
 
-def traced_peak(fn, *args):
-    """Peak bytes that fn(*args) allocates through traced allocators."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def diag_operator(probs):
     probs = np.asarray(probs, dtype=float)
     m = probs.size
@@ -351,7 +340,7 @@ class TestHermiteFunctions:
                 one, want = wf.hermite_psi(i, point), _psi_table(i, point)[i]
                 assert one == want and np.signbit(one) == np.signbit(want)
 
-    def test_table_peak_is_the_table(self):
+    def test_table_peak_is_the_table(self, traced_peak):
         # rows are descaled into the preallocated table, not stacked from a list
         nodes = wf.discretize_operator(200, (2.0, np.inf), order=20).nodes
         assert nodes.size > _FEW_POINTS
@@ -605,7 +594,7 @@ class TestDiscretizeOperator:
         assert float(np.trace(op.matrix)) == pytest.approx(tr_a, rel=1e-10)
         assert float(np.vdot(op.matrix, op.matrix)) == pytest.approx(tr_a2, rel=1e-10)
 
-    def test_memory_stays_within_the_hermite_table(self):
+    def test_memory_stays_within_the_hermite_table(self, traced_peak):
         # the (n + 1) x nodes table of psi values bounds the working set
         args = (200, (2.0, np.inf), 20)
         table_bytes = (args[0] + 1) * wf.discretize_operator(*args).size * 8
@@ -730,7 +719,7 @@ class TestBandCheck:
             _check_band(a, n=7)
         assert err.value.context == {"min_eig": spectrum[0], "max_eig": spectrum[-1], "n": 7}
 
-    def test_scratch_space_is_one_matrix(self):
+    def test_scratch_space_is_one_matrix(self, traced_peak):
         rng = np.random.default_rng(37)
         a = rotated_diagonal(rng.uniform(0.0, 1.0, size=600), rng)
         assert in_band(a)
@@ -780,7 +769,7 @@ class TestCountingCumulants:
             assert rep.traces[l] == pytest.approx(power, rel=1e-12)
 
     @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_memory_stays_within_one_product(self, layout):
+    def test_memory_stays_within_one_product(self, layout, traced_peak):
         # one 600 x 600 triangle of A A; a Fortran-ordered copy for np.vdot
         # would double it
         rng = np.random.default_rng(39)

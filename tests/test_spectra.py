@@ -197,6 +197,10 @@ class TestEigenvalues:
         )
         assert sup < 0.08
 
+    def test_dense_peak_is_one_lapack_working_copy(self, traced_peak):
+        sample = wf.sample_goe(1000, 0)
+        assert traced_peak(wf.eigenvalues, sample) <= 1.1 * sample.array.nbytes
+
     def test_trace_identity_all_samplers(self):
         samplers = [
             wf.sample_goe(50, 3),
@@ -512,6 +516,13 @@ class TestSturm:
         for row, x in zip(diag, (-1.0, 0.0, 2.5)):
             t = wf.Tridiagonal(diag=row, offdiag=np.zeros(0))
             assert wf.sturm_count_below_batch(row[None], off[:1], x)[0] == sturm_count_below(t, x)
+
+    def test_batch_pivot_floor_copies_nothing(self, traced_peak):
+        # max |e| is read without an |offdiag| copy; what is left is the
+        # finiteness check's mask, one byte per entry
+        rng = np.random.default_rng(10)
+        diag, off = rng.standard_normal((512, 1000)), rng.standard_normal((512, 999))
+        assert traced_peak(wf.sturm_count_below_batch, diag, off, 0.0) <= 0.2 * off.nbytes
 
     def test_empty_batch(self):
         # the pivot floor's maximum over no off-diagonal entries is 0
